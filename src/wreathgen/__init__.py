@@ -13,54 +13,24 @@ The building blocks:
 - verify: seeded randomized cross-check suites
 """
 
-from .actions import (INFINITE, FiniteAction, IntTranslation, apply,
-                      cyclic_orbit, cyclic_orbit_size, finitely_many_orbits,
-                      is_torsion_type, orbit_reps, regular_action)
-from .classify import (ActionDescriptor, ChainLevel, GroupDescriptor, IGStatus,
-                       descriptor_for_action, descriptor_for_group,
-                       iterated_status, iterated_status_direct,
-                       wreath_descriptor, wreath_status, wreath_status_with_rule)
-from .constructions import (AlphaElement, BetaParams, CoordinateContractError,
-                            alpha_power_form, assemble_alpha_power,
-                            assemble_beta, beta, build_alpha, choose_mn,
-                            collapse_orbit_conjugator, collapse_orbit_product,
-                            gamma_coordinate, nottorsion_igset, torsion_igset,
-                            uniform_orbit_conjugator)
-from .groups import (ConjClass, FiniteGroup, GroupTooLargeError, Perm,
-                     alternating_group, closure, compose, conjugacy_classes,
-                     cyclic_group, dihedral_group, klein_four_group,
-                     maximal_subgroups, quaternion_group, symmetric_group)
-from .invgen import (IGWitness, invariably_generates,
-                     invariably_generates_oracle, min_invariable_size)
-from .parsing import (ParseError, ambient_from_chain, chain_to_descriptors,
-                      format_perm, format_wreath_element, parse_ambient,
-                      parse_chain, parse_group_spec, parse_perm,
-                      parse_perm_list, parse_wreath_element)
-from .verify import CheckResult, run_suites
-from .wreath import WreathElement, WreathProduct
+from .actions import FiniteAction, cyclic_orbit
+from .constructions import (alpha_power_form, assemble_alpha_power,
+                            assemble_beta, beta, build_alpha,
+                            collapse_orbit_conjugator, torsion_igset)
+from .groups import Perm, cyclic_group, symmetric_group
+from .invgen import (invariably_generates, invariably_generates_oracle,
+                     min_invariable_size)
+from .parsing import (format_wreath_element, parse_ambient, parse_group_spec,
+                      parse_perm)
+from .wreath import WreathProduct
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlphaElement", "ActionDescriptor", "BetaParams", "ChainLevel",
-    "CheckResult", "ConjClass", "CoordinateContractError", "FiniteAction",
-    "FiniteGroup", "GroupDescriptor", "GroupTooLargeError", "IGStatus",
-    "IGWitness", "INFINITE", "IntTranslation", "ParseError", "Perm",
-    "WreathElement", "WreathProduct", "alpha_power_form",
-    "alternating_group", "ambient_from_chain", "apply",
+    "FiniteAction", "Perm", "WreathProduct", "alpha_power_form",
     "assemble_alpha_power", "assemble_beta", "beta", "build_alpha",
-    "chain_to_descriptors", "choose_mn", "closure",
-    "collapse_orbit_conjugator", "collapse_orbit_product", "compose",
-    "conjugacy_classes", "cyclic_group", "cyclic_orbit", "cyclic_orbit_size",
-    "descriptor_for_action", "descriptor_for_group", "dihedral_group",
-    "finitely_many_orbits", "format_perm", "format_wreath_element",
-    "gamma_coordinate", "invariably_generates", "invariably_generates_oracle",
-    "is_torsion_type", "iterated_status", "iterated_status_direct",
-    "klein_four_group", "maximal_subgroups", "min_invariable_size",
-    "nottorsion_igset", "orbit_reps", "parse_ambient", "parse_chain",
-    "parse_group_spec", "parse_perm", "parse_perm_list",
-    "parse_wreath_element", "quaternion_group", "regular_action",
-    "run_suites", "symmetric_group", "torsion_igset",
-    "uniform_orbit_conjugator", "wreath_descriptor", "wreath_status",
-    "wreath_status_with_rule",
+    "collapse_orbit_conjugator", "cyclic_group", "cyclic_orbit",
+    "format_wreath_element", "invariably_generates",
+    "invariably_generates_oracle", "min_invariable_size", "parse_ambient",
+    "parse_group_spec", "parse_perm", "symmetric_group", "torsion_igset",
 ]

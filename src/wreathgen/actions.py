@@ -17,7 +17,14 @@ class FiniteAction:
     The head group's elements are permutations of the point set itself, so
     the action is faithful by construction: distinct elements are distinct
     point maps.
+
+    An action is of torsion type when some point y has a head orbit whose
+    every point x has a finite orbit under each cyclic subgroup <k> of the
+    head.  A finite action always is, and its orbits are finitely many.
     """
+
+    torsion_type = True
+    finitely_many_orbits = True
 
     head: FiniteGroup
 
@@ -49,7 +56,14 @@ class FiniteAction:
 
 @dataclass(frozen=True)
 class IntTranslation:
-    """The integers shifting themselves: point x under shift s goes to x + s."""
+    """The integers shifting themselves: point x under shift s goes to x + s.
+
+    Not of torsion type (see FiniteAction): the shift by one already gives
+    every point an infinite orbit.  The integers form a single orbit.
+    """
+
+    torsion_type = False
+    finitely_many_orbits = True
 
     def head_identity(self) -> int:
         return 0
@@ -127,24 +141,6 @@ def cyclic_orbit_size(action: ActionSpec, x: int, k) -> int | float:
             raise ValueError("invalid point or shift")
         return 1 if k == 0 else INFINITE
     return len(cyclic_orbit(action, x, k))
-
-
-def is_torsion_type(action: ActionSpec) -> bool:
-    """Whether some point's whole orbit consists of points with finite cyclic orbits.
-
-    Concretely: there is a point y such that for every x in y's head orbit
-    and every head element k, the orbit of x under <k> is finite.  A finite
-    action always qualifies; the integers shifting themselves never do,
-    since the shift by one already gives every point an infinite orbit.
-    """
-    if isinstance(action, FiniteAction):
-        return True
-    return False
-
-
-def finitely_many_orbits(action: ActionSpec) -> bool:
-    """True for both supported families: finite actions and the single-orbit shifts."""
-    return True
 
 
 def regular_action(H: FiniteGroup) -> FiniteAction:

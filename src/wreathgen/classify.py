@@ -11,8 +11,7 @@ import enum
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .actions import ActionSpec, finitely_many_orbits, is_torsion_type
-from .groups import FiniteGroup
+from .actions import ActionSpec, IntTranslation
 
 
 class IGStatus(enum.Enum):
@@ -44,17 +43,17 @@ class ActionDescriptor:
     finitely_many_orbits: bool
 
 
-def descriptor_for_group(G: FiniteGroup) -> GroupDescriptor:
-    """Finite groups are finitely generated and invariably generated by a finite set."""
-    return GroupDescriptor(IGStatus.FIG, True)
+# Finite groups and the integers alike: finitely generated, and invariably
+# generated by a finite set.
+FIG_FG = GroupDescriptor(IGStatus.FIG, True)
 
 
-def descriptor_for_action(action: ActionSpec) -> ActionDescriptor:
-    return ActionDescriptor(is_torsion_type(action), finitely_many_orbits(action))
+def descriptor_for_action(action: ActionSpec | type[ActionSpec]) -> ActionDescriptor:
+    """The facts the engine needs, as carried by the action's type."""
+    return ActionDescriptor(action.torsion_type, action.finitely_many_orbits)
 
 
-INT_TRANSLATION_HEAD = GroupDescriptor(IGStatus.FIG, True)
-INT_TRANSLATION_ACTION = ActionDescriptor(torsion_type=False, finitely_many_orbits=True)
+INT_TRANSLATION_ACTION = descriptor_for_action(IntTranslation)
 
 
 def wreath_fg(G: GroupDescriptor, H: GroupDescriptor, action: ActionDescriptor) -> bool:
@@ -84,16 +83,6 @@ def wreath_status_with_rule(G: GroupDescriptor, H: GroupDescriptor,
             return IGStatus.FIG, "torsion-type action, FIG base and head, finitely generated product"
         return IGStatus.IG, "torsion-type action, FIG base and head, infinitely generated product"
     return IGStatus.IG, "torsion-type action, IG base or head"
-
-
-def wreath_status(G: GroupDescriptor, H: GroupDescriptor, action: ActionDescriptor) -> IGStatus:
-    return wreath_status_with_rule(G, H, action)[0]
-
-
-def wreath_descriptor(G: GroupDescriptor, H: GroupDescriptor,
-                      action: ActionDescriptor) -> GroupDescriptor:
-    """Descriptor of the wreath product itself, for feeding into another level."""
-    return GroupDescriptor(wreath_status(G, H, action), wreath_fg(G, H, action))
 
 
 ChainLevel = tuple[GroupDescriptor, Union[ActionDescriptor, None]]

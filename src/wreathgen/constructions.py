@@ -25,6 +25,10 @@ class CoordinateContractError(Exception):
     """Raised when an isolated coordinate does not match the element it encodes."""
 
 
+def _pure_base(W: WreathProduct, coords: Mapping[int, Perm]) -> WreathElement:
+    return W.element(coords, W.action.head_identity())
+
+
 # -- alpha / beta machinery over the integers --------------------------------
 
 
@@ -46,10 +50,6 @@ class AlphaElement:
 def _require_int_translation(W: WreathProduct) -> None:
     if not isinstance(W.action, IntTranslation):
         raise ValueError("alpha/beta machinery needs the shift action on the integers")
-
-
-def _pure_base(W: WreathProduct, coords: Mapping[int, Perm]) -> WreathElement:
-    return W.element(coords, 0)
 
 
 def build_alpha(W: WreathProduct, g: Perm,
@@ -83,6 +83,32 @@ def _conjugator_window(alpha: AlphaElement) -> list[tuple[int, Perm]]:
     return [(i, b.coordinate(i)) for i in range(-c + 1, c)]
 
 
+def _assemble(alpha_e: AlphaElement, alpha_f: AlphaElement, m: int, n: int = 0,
+              conjugated: bool = False) -> WreathElement:
+    # The blocks of alpha_e^-m * alpha_f^m, all but the first shifted by -n;
+    # conjugating by alpha_e^n (beta) adds the first conjugator's two tails.
+    W = alpha_e.element.ambient
+    a_window = _conjugator_window(alpha_e)
+    b_window = _conjugator_window(alpha_f)
+    f = alpha_f.g
+    blocks = [
+        {i: g.inverse() for i, g in a_window},
+        {i + m - n: g for i, g in a_window},
+        {i + m - n: g.inverse() for i, g in b_window},
+        {j - n: f for j in range(1, m + 1)},
+        {i - n: g for i, g in b_window},
+    ]
+    if conjugated:
+        blocks += [
+            {i - n: g.inverse() for i, g in a_window},
+            {i: g for i, g in a_window},
+        ]
+    result = W.identity()
+    for block in blocks:
+        result = result * _pure_base(W, block)
+    return result
+
+
 def assemble_alpha_power(alpha_e: AlphaElement, alpha_f: AlphaElement, m: int) -> WreathElement:
     """The predicted closed form of alpha_e^-m * alpha_f^m.
 
@@ -93,21 +119,7 @@ def assemble_alpha_power(alpha_e: AlphaElement, alpha_f: AlphaElement, m: int) -
     """
     if m < 0:
         raise ValueError("m must be >= 0")
-    W = alpha_e.element.ambient
-    a_window = _conjugator_window(alpha_e)
-    b_window = _conjugator_window(alpha_f)
-    f = alpha_f.g
-    blocks = [
-        {i: g.inverse() for i, g in a_window},
-        {i + m: g for i, g in a_window},
-        {i + m: g.inverse() for i, g in b_window},
-        {j: f for j in range(1, m + 1)},
-        {i: g for i, g in b_window},
-    ]
-    result = W.identity()
-    for block in blocks:
-        result = result * _pure_base(W, block)
-    return result
+    return _assemble(alpha_e, alpha_f, m)
 
 
 def beta(alpha_e: AlphaElement, alpha_g: AlphaElement, m: int, n: int) -> WreathElement:
@@ -123,23 +135,7 @@ def assemble_beta(alpha_e: AlphaElement, alpha_g: AlphaElement, m: int, n: int) 
     wrapped between the first conjugator's blocks.  Must equal beta exactly."""
     if m < 0 or n < 0:
         raise ValueError("m and n must be >= 0")
-    W = alpha_e.element.ambient
-    a_window = _conjugator_window(alpha_e)
-    b_window = _conjugator_window(alpha_g)
-    f = alpha_g.g
-    blocks = [
-        {i: g.inverse() for i, g in a_window},
-        {i + m - n: g for i, g in a_window},
-        {i + m - n: g.inverse() for i, g in b_window},
-        {i - n: f for i in range(1, m + 1)},
-        {i - n: g for i, g in b_window},
-        {i - n: g.inverse() for i, g in a_window},
-        {i: g for i, g in a_window},
-    ]
-    result = W.identity()
-    for block in blocks:
-        result = result * _pure_base(W, block)
-    return result
+    return _assemble(alpha_e, alpha_g, m, n, conjugated=True)
 
 
 @dataclass(frozen=True)
@@ -225,7 +221,7 @@ def collapse_orbit_conjugator(W: WreathProduct, y: int, k, u: Mapping[int, Perm]
     for j in range(len(orbit) - 1, 0, -1):
         suffix = values[j] * suffix
         coords[orbit[j]] = suffix
-    return _pure_base_finite(W, coords)
+    return _pure_base(W, coords)
 
 
 def uniform_orbit_conjugator(W: WreathProduct, y: int, k, g: Perm) -> WreathElement:
@@ -236,11 +232,7 @@ def uniform_orbit_conjugator(W: WreathProduct, y: int, k, g: Perm) -> WreathElem
     the tuple commutes with k, and the identical entries cancel off y.
     """
     orbit = cyclic_orbit(W.action, y, k)
-    return _pure_base_finite(W, {x: g for x in orbit})
-
-
-def _pure_base_finite(W: WreathProduct, coords: Mapping[int, Perm]) -> WreathElement:
-    return W.element(coords, W.action.head_identity())
+    return _pure_base(W, {x: g for x in orbit})
 
 
 # -- explicit invariable generating sets --------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 DEFAULT_CLOSURE_CAP = 1_000_000
@@ -123,7 +124,6 @@ class FiniteGroup:
         self.generators = tuple(generators)
         self.elements = tuple(elements)
         self.identity = Perm.identity(degree)
-        self._index = {p: i for i, p in enumerate(self.elements)}
         self._classes: list[ConjClass] | None = None
         self._class_index: dict[Perm, int] = {}
         self._subgroups: list[tuple[Perm, ...]] | None = None
@@ -133,6 +133,12 @@ class FiniteGroup:
     @property
     def order(self) -> int:
         return len(self.elements)
+
+    @cached_property
+    def _index(self) -> dict[Perm, int]:
+        # Built on the first membership or index query only: most closures
+        # run inside a search are asked for their order and nothing else.
+        return {p: i for i, p in enumerate(self.elements)}
 
     def __len__(self) -> int:
         return len(self.elements)

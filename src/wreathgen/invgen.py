@@ -12,7 +12,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .groups import FiniteGroup, Perm, class_of, conjugacy_classes, maximal_subgroups
+from .groups import (FiniteGroup, Perm, class_of, closure, conjugacy_classes,
+                     maximal_subgroups)
 
 
 @dataclass(frozen=True)
@@ -50,25 +51,11 @@ def invariably_generates(G: FiniteGroup, S: Sequence[Perm], prune: bool = True
     if prune:
         pools[0] = (elements[0],)
     for choice in itertools.product(*pools):
-        sub = len(_generated_set(G, choice))
+        sub = closure(choice, cap=len(G)).order
         if sub != len(G):
             witness = IGWitness(tuple(zip(elements, choice)), sub)
             return False, witness
     return True, None
-
-
-def _generated_set(G: FiniteGroup, gens: Sequence[Perm]) -> set[Perm]:
-    # Plain breadth-first closure inside G; stays tiny because |G| bounds it.
-    seen = {G.identity}
-    frontier = [G.identity]
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = x * g
-            if y not in seen:
-                seen.add(y)
-                frontier.append(y)
-    return seen
 
 
 def invariably_generates_oracle(G: FiniteGroup, S: Sequence[Perm]) -> bool:

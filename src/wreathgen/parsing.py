@@ -10,9 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .actions import FiniteAction, IntTranslation, regular_action
-from .classify import (ActionDescriptor, GroupDescriptor, IGStatus,
-                       INT_TRANSLATION_ACTION, INT_TRANSLATION_HEAD,
-                       descriptor_for_group)
+from .classify import (FIG_FG, INT_TRANSLATION_ACTION, ActionDescriptor,
+                       GroupDescriptor, IGStatus, descriptor_for_action)
 from .groups import (FiniteGroup, Perm, alternating_group, closure,
                      cyclic_group, klein_four_group, symmetric_group)
 from .wreath import WreathElement, WreathProduct
@@ -319,19 +318,14 @@ def chain_to_descriptors(levels: list[ParsedLevel]
     """Symbolic view of a parsed chain, ready for the classification engine."""
     out: list[tuple[GroupDescriptor, ActionDescriptor | None]] = []
     action_table = {
-        "natural": ActionDescriptor(True, True),
-        "regular": ActionDescriptor(True, True),
+        "natural": descriptor_for_action(FiniteAction),
+        "regular": descriptor_for_action(FiniteAction),
         "torsion": ActionDescriptor(True, True),
         "non-torsion": ActionDescriptor(False, True),
         "int-translation": INT_TRANSLATION_ACTION,
     }
     for i, level in enumerate(levels):
-        if level.kind == "concrete":
-            group = descriptor_for_group(level.group)
-        elif level.kind == "abstract":
-            group = level.descriptor
-        else:
-            group = INT_TRANSLATION_HEAD
+        group = level.descriptor if level.kind == "abstract" else FIG_FG
         action = None if i == 0 else action_table[level.action]
         out.append((group, action))
     return out

@@ -294,6 +294,8 @@ SUITES: dict[str, Callable[[int, int], list[CheckResult]]] = {
 
 def run_suites(names: list[str], seed: int = 0, count: int | None = None) -> list[CheckResult]:
     """Run the named suites ('all' for every one) with their default counts."""
+    if count is not None and count < 1:
+        raise ValueError(f"count must be at least 1, got {count}")
     if names == ["all"]:
         names = list(SUITES)
     results: list[CheckResult] = []

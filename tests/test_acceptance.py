@@ -10,10 +10,9 @@ import time
 from contextlib import contextmanager
 
 from wreathgen.actions import FiniteAction
-from wreathgen.classify import (INT_TRANSLATION_ACTION, INT_TRANSLATION_HEAD,
-                                ActionDescriptor, GroupDescriptor, IGStatus,
-                                iterated_status, iterated_status_direct,
-                                wreath_status)
+from wreathgen.classify import (FIG_FG, INT_TRANSLATION_ACTION, ActionDescriptor,
+                                GroupDescriptor, IGStatus, iterated_status,
+                                iterated_status_direct, wreath_status_with_rule)
 from wreathgen.groups import (Perm, alternating_group, class_of, closure,
                               cyclic_group, dihedral_group, klein_four_group,
                               quaternion_group, symmetric_group)
@@ -158,7 +157,8 @@ def test_criterion_classification_engine():
             (NEG, FIG): NEG, (NEG, IG): NEG, (NEG, NEG): NEG,
         }
         for (g, h), expected in table.items():
-            result = wreath_status(GroupDescriptor(g, True), GroupDescriptor(h, True), torsion)
+            result, _ = wreath_status_with_rule(GroupDescriptor(g, True),
+                                                GroupDescriptor(h, True), torsion)
             assert result is expected, (g, h)
 
         valid = [GroupDescriptor(FIG, True), GroupDescriptor(IG, True),
@@ -167,17 +167,17 @@ def test_criterion_classification_engine():
 
         # A finitely generated base over the shifts always lands on FIG.
         for status in (FIG, IG, NEG):
-            assert wreath_status(GroupDescriptor(status, True), INT_TRANSLATION_HEAD,
-                                 INT_TRANSLATION_ACTION) is FIG
+            assert wreath_status_with_rule(GroupDescriptor(status, True), FIG_FG,
+                                           INT_TRANSLATION_ACTION)[0] is FIG
         # A finitely generated IG head beyond torsion type gives IG over any base.
         mixed_head = GroupDescriptor(IG, True)
         free_action = ActionDescriptor(torsion_type=False, finitely_many_orbits=True)
         for G in valid:
-            assert wreath_status(G, mixed_head, free_action) is IG
+            assert wreath_status_with_rule(G, mixed_head, free_action)[0] is IG
         # A base that is not finitely generated over the shifts gives IG.
         for status in (IG, NEG):
-            assert wreath_status(GroupDescriptor(status, False), INT_TRANSLATION_HEAD,
-                                 INT_TRANSLATION_ACTION) is IG
+            assert wreath_status_with_rule(GroupDescriptor(status, False), FIG_FG,
+                                           INT_TRANSLATION_ACTION)[0] is IG
 
         actions = [ActionDescriptor(t, o) for t in (True, False) for o in (True, False)]
         levels = [(g, a) for g in valid for a in actions]

@@ -5,9 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from wreathgen.actions import (INFINITE, FiniteAction, IntTranslation, apply,
-                               cyclic_orbit, cyclic_orbit_size,
-                               finitely_many_orbits, is_torsion_type,
-                               orbit_reps, regular_action)
+                               cyclic_orbit, cyclic_orbit_size, orbit_reps,
+                               regular_action)
 from wreathgen.groups import Perm, closure, cyclic_group, symmetric_group
 
 SYM3_ACTION = FiniteAction(symmetric_group(3))
@@ -77,15 +76,15 @@ class TestOrbits:
 
 class TestTorsionType:
     def test_finite_actions_are_torsion_type(self):
-        assert is_torsion_type(SYM3_ACTION)
-        assert is_torsion_type(FiniteAction(cyclic_group(1)))
+        assert SYM3_ACTION.torsion_type
+        assert FiniteAction(cyclic_group(1)).torsion_type
 
     def test_integer_shifts_are_not(self):
-        assert not is_torsion_type(SHIFTS)
+        assert not SHIFTS.torsion_type
 
     def test_supported_actions_have_finitely_many_orbits(self):
-        assert finitely_many_orbits(SYM3_ACTION)
-        assert finitely_many_orbits(SHIFTS)
+        assert SYM3_ACTION.finitely_many_orbits
+        assert SHIFTS.finitely_many_orbits
 
 
 class TestRegularAction:

@@ -5,13 +5,12 @@ import itertools
 import pytest
 
 from wreathgen.actions import FiniteAction, IntTranslation
-from wreathgen.classify import (INT_TRANSLATION_ACTION, INT_TRANSLATION_HEAD,
-                                ActionDescriptor, GroupDescriptor, IGStatus,
-                                descriptor_for_action, descriptor_for_group,
+from wreathgen.classify import (FIG_FG, INT_TRANSLATION_ACTION, ActionDescriptor,
+                                GroupDescriptor, IGStatus, descriptor_for_action,
                                 iterated_status, iterated_status_direct,
-                                wreath_descriptor, wreath_fg, wreath_status,
-                                wreath_status_with_rule)
+                                wreath_fg, wreath_status_with_rule)
 from wreathgen.groups import symmetric_group
+from wreathgen.parsing import chain_to_descriptors, parse_chain
 
 FIG = IGStatus.FIG
 IG = IGStatus.IG
@@ -35,8 +34,9 @@ class TestDescriptors:
             GroupDescriptor(FIG, False)
 
     def test_finite_groups_descriptor(self):
-        d = descriptor_for_group(symmetric_group(3))
-        assert d == GroupDescriptor(FIG, True)
+        assert FIG_FG == GroupDescriptor(FIG, True)
+        d, _ = chain_to_descriptors(parse_chain("sym 3"))[0]
+        assert d == FIG_FG
 
     def test_action_descriptors(self):
         finite = descriptor_for_action(FiniteAction(symmetric_group(3)))
@@ -71,7 +71,7 @@ class TestSingleProduct:
         for (g, h), expected in table.items():
             G = GroupDescriptor(g, True)
             H = GroupDescriptor(h, True)
-            assert wreath_status(G, H, TORSION_FG) is expected, (g, h)
+            assert wreath_status_with_rule(G, H, TORSION_FG)[0] is expected, (g, h)
 
     def test_head_failure_dominates_everything(self):
         for G in VALID_GROUPS:
@@ -85,7 +85,7 @@ class TestSingleProduct:
         for status in (FIG, IG, NEG):
             G = GroupDescriptor(status, True)
             result, rule = wreath_status_with_rule(
-                G, INT_TRANSLATION_HEAD, INT_TRANSLATION_ACTION)
+                G, FIG_FG, INT_TRANSLATION_ACTION)
             assert result is FIG
             assert rule == "non-torsion action, FIG head, finitely generated product"
 
@@ -93,13 +93,13 @@ class TestSingleProduct:
         H = GroupDescriptor(IG, True)
         action = ActionDescriptor(torsion_type=False, finitely_many_orbits=True)
         for G in VALID_GROUPS:
-            assert wreath_status(G, H, action) is IG
+            assert wreath_status_with_rule(G, H, action)[0] is IG
 
     def test_non_fg_base_over_the_integers_is_ig(self):
         for status in (IG, NEG):
             G = GroupDescriptor(status, False)
             result, rule = wreath_status_with_rule(
-                G, INT_TRANSLATION_HEAD, INT_TRANSLATION_ACTION)
+                G, FIG_FG, INT_TRANSLATION_ACTION)
             assert result is IG
             assert rule == "non-torsion action, FIG head, infinitely generated product"
 
@@ -116,8 +116,8 @@ class TestSingleProduct:
         G = GroupDescriptor(FIG, True)
         H = GroupDescriptor(FIG, True)
         infinite_orbits = ActionDescriptor(torsion_type=True, finitely_many_orbits=False)
-        assert wreath_status(G, H, TORSION_FG) is FIG
-        assert wreath_status(G, H, infinite_orbits) is IG
+        assert wreath_status_with_rule(G, H, TORSION_FG)[0] is FIG
+        assert wreath_status_with_rule(G, H, infinite_orbits)[0] is IG
 
     def test_invariably_generated_factors_never_lose_everything(self):
         # Extensions of invariably generated groups stay invariably generated.
@@ -130,15 +130,15 @@ class TestSingleProduct:
                         continue
                     H = GroupDescriptor(h_status, h_fg)
                     for action in ALL_ACTIONS:
-                        assert wreath_status(G, H, action) is not NEG
+                        assert wreath_status_with_rule(G, H, action)[0] is not NEG
 
     def test_wreath_descriptor_carries_finite_generation(self):
         G = GroupDescriptor(FIG, True)
-        d = wreath_descriptor(G, INT_TRANSLATION_HEAD, INT_TRANSLATION_ACTION)
-        assert d == GroupDescriptor(FIG, True)
-        d = wreath_descriptor(GroupDescriptor(IG, False), INT_TRANSLATION_HEAD,
-                              INT_TRANSLATION_ACTION)
-        assert d == GroupDescriptor(IG, False)
+        for G, expected in [(GroupDescriptor(FIG, True), GroupDescriptor(FIG, True)),
+                            (GroupDescriptor(IG, False), GroupDescriptor(IG, False))]:
+            status, _ = wreath_status_with_rule(G, FIG_FG, INT_TRANSLATION_ACTION)
+            d = GroupDescriptor(status, wreath_fg(G, FIG_FG, INT_TRANSLATION_ACTION))
+            assert d == expected
 
 
 class TestIteratedTowers:
@@ -157,7 +157,7 @@ class TestIteratedTowers:
 
     def test_ig_base_over_the_integers_promotes_to_fig(self):
         chain = [(GroupDescriptor(IG, True), None),
-                 (INT_TRANSLATION_HEAD, INT_TRANSLATION_ACTION)]
+                 (FIG_FG, INT_TRANSLATION_ACTION)]
         status, _ = iterated_status(chain)
         assert status is FIG
 
@@ -172,7 +172,7 @@ class TestIteratedTowers:
     def test_last_shift_level_washes_out_the_past(self):
         chain = [(GroupDescriptor(NEG, True), None),
                  (GroupDescriptor(FIG, True), TORSION_FG),
-                 (INT_TRANSLATION_HEAD, INT_TRANSLATION_ACTION)]
+                 (FIG_FG, INT_TRANSLATION_ACTION)]
         status, _ = iterated_status(chain)
         assert status is FIG
 

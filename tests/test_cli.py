@@ -184,6 +184,13 @@ class TestVerify:
         assert payload["passed"] == len(payload["checks"]) == 20
         assert all(c["passed"] for c in payload["checks"])
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_a_count_below_one_exits_2(self, capsys, count):
+        code, out, err = run(capsys, "verify", "alpha", "--count", count)
+        assert code == 2
+        assert out == ""
+        assert "at least 1" in err
+
     def test_unknown_suite_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit):
             main(["verify", "frobnicate"])

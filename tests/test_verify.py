@@ -27,3 +27,9 @@ def test_each_suite_passes_alone():
 def test_unknown_suite_is_rejected():
     with pytest.raises(ValueError, match="unknown suite"):
         run_suites(["nonsense"], seed=0)
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_a_count_below_one_is_rejected(count):
+    with pytest.raises(ValueError, match="at least 1"):
+        run_suites(["alpha"], seed=0, count=count)
