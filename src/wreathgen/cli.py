@@ -12,74 +12,77 @@ import argparse
 import json
 import random
 import sys
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .actions import FiniteAction, IntTranslation
 from .classify import iterated_status, iterated_status_direct
-from .constructions import (CoordinateContractError, build_alpha, choose_mn,
-                            gamma_coordinate, nottorsion_igset, torsion_igset)
+from .constructions import (CoordinateContractError, choose_mn, gamma_coordinate,
+                            nottorsion_igset, torsion_igset)
 from .groups import (DEFAULT_CLOSURE_CAP, FiniteGroup, GroupTooLargeError,
                      conjugacy_classes)
 from .invgen import invariably_generates, invariably_generates_oracle, min_invariable_size
-from .parsing import (ParseError, ambient_from_chain, chain_to_descriptors,
-                      format_perm, format_wreath_element, parse_chain,
+from .parsing import (ParseError, chain_to_descriptors, format_perm,
+                      format_wreath_element, parse_ambient, parse_chain,
                       parse_group_spec, parse_perm_list, parse_wreath_element)
-from .verify import SUITES, run_suites
+from .verify import SUITES, random_alpha, run_suites
 from .wreath import WreathProduct
 
 SCHEMA_VERSION = 1
 
 
-def _emit_json(payload: dict) -> None:
-    payload = {"schema_version": SCHEMA_VERSION, **payload}
-    print(json.dumps(payload, indent=2, sort_keys=True))
+class Output(NamedTuple):
+    """A subcommand's JSON payload, its text lines, its exit code and a stderr message."""
+
+    payload: dict
+    lines: list[str]
+    code: int = 0
+    error: str = ""
 
 
 def _group_info(G: FiniteGroup) -> dict:
     return {"degree": G.degree, "order": G.order}
 
 
-def _cmd_classes(args: argparse.Namespace) -> int:
+def _group_line(group: dict) -> str:
+    return f"group: order {group['order']}, degree {group['degree']}"
+
+
+def _load_group(args: argparse.Namespace) -> FiniteGroup:
     G = parse_group_spec(args.group)
     if G.order > args.cap:
         raise GroupTooLargeError(f"group too large: {G.order} > {args.cap}")
-    classes = conjugacy_classes(G)
-    if args.json:
-        _emit_json({
-            "command": "classes",
-            "group": _group_info(G),
-            "classes": [{
-                "representative": format_perm(c.representative),
-                "size": len(c),
-                "members": [format_perm(m) for m in c.members],
-            } for c in classes],
-        })
-        return 0
-    print(f"group: order {G.order}, degree {G.degree}")
-    print(f"classes ({len(classes)}):")
-    for c in classes:
-        print(f"  size {len(c):3d}  rep {format_perm(c.representative)}")
-    return 0
+    return G
 
 
-def _cmd_invgen(args: argparse.Namespace) -> int:
-    G = parse_group_spec(args.group)
-    if G.order > args.cap:
-        raise GroupTooLargeError(f"group too large: {G.order} > {args.cap}")
+def _cmd_classes(args: argparse.Namespace) -> Output:
+    G = _load_group(args)
+    payload = {
+        "group": _group_info(G),
+        "classes": [{
+            "representative": format_perm(c.representative),
+            "size": len(c),
+            "members": [format_perm(m) for m in c.members],
+        } for c in conjugacy_classes(G)],
+    }
+    lines = [_group_line(payload["group"]), f"classes ({len(payload['classes'])}):"]
+    lines += [f"  size {c['size']:3d}  rep {c['representative']}" for c in payload["classes"]]
+    return Output(payload, lines)
+
+
+def _cmd_invgen(args: argparse.Namespace) -> Output:
+    G = _load_group(args)
     if args.min:
         size, example = min_invariable_size(G)
-        if args.json:
-            _emit_json({
-                "command": "invgen",
-                "group": _group_info(G),
-                "minimal_size": size,
-                "example": [format_perm(s) for s in example],
-            })
-        else:
-            print(f"group: order {G.order}, degree {G.degree}")
-            print(f"minimal invariable generating size: {size}")
-            print(f"example: {', '.join(format_perm(s) for s in example)}")
-        return 0
+        payload = {
+            "group": _group_info(G),
+            "minimal_size": size,
+            "example": [format_perm(s) for s in example],
+        }
+        return Output(payload, [
+            _group_line(payload["group"]),
+            f"minimal invariable generating size: {payload['minimal_size']}",
+            f"example: {', '.join(payload['example'])}",
+        ])
     if not args.elements:
         raise ValueError("list the elements to test, or pass --min")
     S = parse_perm_list(args.elements, G.degree)
@@ -89,7 +92,6 @@ def _cmd_invgen(args: argparse.Namespace) -> int:
     ok, witness = invariably_generates(G, S)
     oracle = invariably_generates_oracle(G, S) if args.oracle else None
     payload = {
-        "command": "invgen",
         "group": _group_info(G),
         "elements": [format_perm(s) for s in S],
         "invariably_generates": ok,
@@ -99,130 +101,96 @@ def _cmd_invgen(args: argparse.Namespace) -> int:
         },
         "oracle": oracle,
     }
-    if args.json:
-        _emit_json(payload)
-    else:
-        print(f"group: order {G.order}, degree {G.degree}")
-        print(f"set: {', '.join(format_perm(s) for s in S)}")
-        print(f"invariably generates: {'yes' if ok else 'no'}")
-        if witness is not None:
-            picks = "; ".join(f"{format_perm(s)} -> {format_perm(c)}" for s, c in witness.choice)
-            print(f"witness: {picks}  [generates order {witness.generated_order}]")
-        if oracle is not None:
-            agrees = "agrees" if oracle == ok else "DISAGREES"
-            print(f"oracle: {'yes' if oracle else 'no'} ({agrees})")
-    if oracle is not None and oracle != ok:
-        print("error: the tuple search and the maximal-subgroup oracle disagree",
-              file=sys.stderr)
-        return 1
-    return 0
+    lines = [_group_line(payload["group"]),
+             f"set: {', '.join(payload['elements'])}",
+             f"invariably generates: {'yes' if ok else 'no'}"]
+    if payload["witness"] is not None:
+        picks = "; ".join(f"{s} -> {c}" for s, c in payload["witness"]["choice"])
+        lines.append(f"witness: {picks}  "
+                     f"[generates order {payload['witness']['generated_order']}]")
+    if oracle is not None:
+        agrees = "agrees" if oracle == ok else "DISAGREES"
+        lines.append(f"oracle: {'yes' if oracle else 'no'} ({agrees})")
+        if oracle != ok:
+            return Output(payload, lines, 1,
+                          "the tuple search and the maximal-subgroup oracle disagree")
+    return Output(payload, lines)
 
 
-def _cmd_classify(args: argparse.Namespace) -> int:
-    levels = parse_chain(args.chain)
-    chain = chain_to_descriptors(levels)
+def _cmd_classify(args: argparse.Namespace) -> Output:
+    chain = chain_to_descriptors(parse_chain(args.chain))
     status, trace = iterated_status(chain)
     direct = iterated_status_direct(chain)
     if direct is not status:
         raise RuntimeError(f"fold gave {status}, closed form gave {direct}")
-    if args.json:
-        _emit_json({
-            "command": "classify",
-            "chain": args.chain,
-            "status": status.value,
-            "trace": trace,
-        })
-    else:
-        for line in trace:
-            print(line)
-        print(f"status: {status}")
-    return 0
+    payload = {"chain": args.chain, "status": status.value, "trace": trace}
+    return Output(payload, [*trace, f"status: {payload['status']}"])
 
 
-def _cmd_wreath_eval(args: argparse.Namespace) -> int:
-    W = ambient_from_chain(parse_chain(args.ambient))
-    element = parse_wreath_element(args.expr, W)
-    if args.json:
-        head = element.head if isinstance(element.head, int) else format_perm(element.head)
-        _emit_json({
-            "command": "wreath-eval",
-            "ambient": args.ambient,
-            "element": format_wreath_element(element),
-            "base": {str(x): format_perm(g) for x, g in element.base},
-            "head": head,
-        })
-    else:
-        print(f"element: {format_wreath_element(element)}")
-        if isinstance(element.head, int):
-            print(f"head: shift({element.head:+d})")
-        else:
-            print(f"head: {format_perm(element.head)}")
-        print(f"support: {', '.join(str(x) for x in element.support()) or '(empty)'}")
-    return 0
+def _cmd_wreath_eval(args: argparse.Namespace) -> Output:
+    element = parse_wreath_element(args.expr, parse_ambient(args.ambient))
+    head = element.head if isinstance(element.head, int) else format_perm(element.head)
+    payload = {
+        "ambient": args.ambient,
+        "element": format_wreath_element(element),
+        "base": {str(x): format_perm(g) for x, g in element.base},
+        "head": head,
+    }
+    return Output(payload, [
+        f"element: {payload['element']}",
+        f"head: shift({head:+d})" if isinstance(head, int) else f"head: {head}",
+        f"support: {', '.join(payload['base']) or '(empty)'}",
+    ])
 
 
-def _format_igset(elements) -> list[str]:
-    return [format_wreath_element(u) for u in elements]
+def _igset_lines(igset: list[str]) -> list[str]:
+    return [f"invariable generating set ({len(igset)} elements):",
+            *(f"  {u}" for u in igset)]
 
 
-def _cmd_construct_torsion(args: argparse.Namespace) -> int:
-    W = ambient_from_chain(parse_chain(args.ambient))
+def _cmd_construct_torsion(args: argparse.Namespace) -> Output:
+    W = parse_ambient(args.ambient)
     if not isinstance(W.action, FiniteAction):
         raise ValueError("torsion-igset needs a finite action; use nottorsion-igset for shifts")
-    g_size, g_set = min_invariable_size(W.base_group)
-    h_size, h_set = min_invariable_size(W.action.head)
-    igset = torsion_igset(W, g_set, h_set)
-    if args.json:
-        _emit_json({
-            "command": "construct-torsion-igset",
-            "ambient": args.ambient,
-            "base_set": [format_perm(s) for s in g_set],
-            "head_set": [format_perm(s) for s in h_set],
-            "igset": _format_igset(igset),
-        })
-    else:
-        print(f"base set ({g_size}): {', '.join(format_perm(s) for s in g_set)}")
-        print(f"head set ({h_size}): {', '.join(format_perm(s) for s in h_set)}")
-        print(f"invariable generating set ({len(igset)} elements):")
-        for u in igset:
-            print(f"  {format_wreath_element(u)}")
-    return 0
+    _, g_set = min_invariable_size(W.base_group)
+    _, h_set = min_invariable_size(W.action.head)
+    payload = {
+        "ambient": args.ambient,
+        "base_set": [format_perm(s) for s in g_set],
+        "head_set": [format_perm(s) for s in h_set],
+        "igset": [format_wreath_element(u) for u in torsion_igset(W, g_set, h_set)],
+    }
+    return Output(payload, [
+        f"base set ({len(g_set)}): {', '.join(payload['base_set'])}",
+        f"head set ({len(h_set)}): {', '.join(payload['head_set'])}",
+        *_igset_lines(payload["igset"]),
+    ])
 
 
-def _cmd_construct_nottorsion(args: argparse.Namespace) -> int:
-    W = ambient_from_chain(parse_chain(args.ambient))
+def _cmd_construct_nottorsion(args: argparse.Namespace) -> Output:
+    W = parse_ambient(args.ambient)
     if not isinstance(W.action, IntTranslation):
         raise ValueError("nottorsion-igset needs the integer-shift head")
     gens = [g for g in W.base_group.generators if not g.is_identity()]
-    igset = nottorsion_igset(W, [gens], [1], [1])
-    if args.json:
-        _emit_json({
-            "command": "construct-nottorsion-igset",
-            "ambient": args.ambient,
-            "base_generators": [format_perm(s) for s in gens],
-            "igset": _format_igset(igset),
-        })
-    else:
-        print(f"base generators: {', '.join(format_perm(s) for s in gens) or '(none)'}")
-        print(f"invariable generating set ({len(igset)} elements):")
-        for u in igset:
-            print(f"  {format_wreath_element(u)}")
-    return 0
+    payload = {
+        "ambient": args.ambient,
+        "base_generators": [format_perm(s) for s in gens],
+        "igset": [format_wreath_element(u) for u in nottorsion_igset(W, [gens], [1], [1])],
+    }
+    return Output(payload, [
+        f"base generators: {', '.join(payload['base_generators']) or '(none)'}",
+        *_igset_lines(payload["igset"]),
+    ])
 
 
-def _cmd_construct_gamma(args: argparse.Namespace) -> int:
+def _cmd_construct_gamma(args: argparse.Namespace) -> Output:
     G = parse_group_spec(args.group)
     W = WreathProduct(G, IntTranslation())
     rng = random.Random(args.seed)
-    window = range(-args.support, args.support + 1)
-
-    def random_coords():
-        return {x: rng.choice(G.elements) for x in window if rng.random() < 0.5}
-
     rows = []
     for g in G.generators:
-        alpha_e = build_alpha(W, G.identity, random_coords(), random_coords())
-        alpha_g = build_alpha(W, g, random_coords(), random_coords())
+        alpha_e = random_alpha(rng, W, G.identity, args.support)
+        alpha_g = random_alpha(rng, W, g, args.support)
         params = choose_mn(alpha_e.support_radius, alpha_g.support_radius)
         point, found = gamma_coordinate(alpha_e, alpha_g)
         rows.append({
@@ -231,38 +199,25 @@ def _cmd_construct_gamma(args: argparse.Namespace) -> int:
             "coordinate": point,
             "found": format_perm(found),
         })
-    if args.json:
-        _emit_json({"command": "construct-gamma", "group": _group_info(G),
-                    "seed": args.seed, "rows": rows})
-    else:
-        print(f"group: order {G.order}, degree {G.degree} (seed {args.seed})")
-        for row in rows:
-            print(f"  {row['generator']}: c={row['c']} d={row['d']} "
-                  f"m={row['m']} n={row['n']} -> coordinate {row['coordinate']} "
-                  f"holds {row['found']}")
-    return 0
+    payload = {"group": _group_info(G), "seed": args.seed, "rows": rows}
+    return Output(payload, [
+        f"{_group_line(payload['group'])} (seed {args.seed})",
+        *(f"  {row['generator']}: c={row['c']} d={row['d']} "
+          f"m={row['m']} n={row['n']} -> coordinate {row['coordinate']} "
+          f"holds {row['found']}" for row in rows),
+    ])
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    results = run_suites([args.suite], seed=args.seed, count=args.count)
-    failed = [r for r in results if not r.passed]
-    if args.json:
-        _emit_json({
-            "command": "verify",
-            "suite": args.suite,
-            "seed": args.seed,
-            "checks": [{"name": r.name, "passed": r.passed, "detail": r.detail}
-                       for r in results],
-            "passed": len(results) - len(failed),
-            "failed": len(failed),
-        })
-    else:
-        for r in results:
-            mark = "PASS" if r.passed else "FAIL"
-            suffix = f"  ({r.detail})" if r.detail else ""
-            print(f"{mark} {r.name}{suffix}")
-        print(f"{len(results) - len(failed)} passed, {len(failed)} failed")
-    return 1 if failed else 0
+def _cmd_verify(args: argparse.Namespace) -> Output:
+    checks = [{"name": r.name, "passed": r.passed, "detail": r.detail}
+              for r in run_suites([args.suite], seed=args.seed, count=args.count)]
+    passed = sum(c["passed"] for c in checks)
+    payload = {"suite": args.suite, "seed": args.seed, "checks": checks,
+               "passed": passed, "failed": len(checks) - passed}
+    lines = [f"{'PASS' if c['passed'] else 'FAIL'} {c['name']}"
+             + (f"  ({c['detail']})" if c["detail"] else "") for c in checks]
+    lines.append(f"{passed} passed, {payload['failed']} failed")
+    return Output(payload, lines, 1 if payload["failed"] else 0)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -270,72 +225,75 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="wreathgen",
         description="wreath-product arithmetic, invariable generation, classification")
     sub = parser.add_subparsers(dest="command", required=True)
+    json_flag = argparse.ArgumentParser(add_help=False)
+    json_flag.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("classes", help="conjugacy classes of a finite group")
+    def leaf(subparsers, name: str, func, help: str, command: str | None = None):
+        p = subparsers.add_parser(name, parents=[json_flag], help=help)
+        p.set_defaults(func=func, command=command or name)
+        return p
+
+    p = leaf(sub, "classes", _cmd_classes, "conjugacy classes of a finite group")
     p.add_argument("group", help="group spec, e.g. 'sym 3' or 'perm 3: (0 1), (0 1 2)'")
-    p.add_argument("--json", action="store_true")
     p.add_argument("--cap", type=int, default=DEFAULT_CLOSURE_CAP)
-    p.set_defaults(func=_cmd_classes)
 
-    p = sub.add_parser("invgen", help="test a set for invariable generation")
+    p = leaf(sub, "invgen", _cmd_invgen, "test a set for invariable generation")
     p.add_argument("group")
     p.add_argument("elements", nargs="?", help="comma-separated cycles, e.g. '(0 1), (0 1 2)'")
     p.add_argument("--min", action="store_true", help="search for the minimal size instead")
     p.add_argument("--oracle", action="store_true",
                    help="cross-check against the maximal-subgroup criterion")
-    p.add_argument("--json", action="store_true")
     p.add_argument("--cap", type=int, default=DEFAULT_CLOSURE_CAP)
-    p.set_defaults(func=_cmd_invgen)
 
-    p = sub.add_parser("classify", help="status of an iterated wreath product")
-    p.add_argument("chain", help="e.g. '{FIG, fg} wr int-translation' or 'sym 3 wr (cyclic 2, natural)'")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_classify)
+    p = leaf(sub, "classify", _cmd_classify, "status of an iterated wreath product")
+    p.add_argument("chain", help="e.g. '{FIG, fg} wr int-translation' "
+                                 "or 'sym 3 wr (cyclic 2, natural)'")
 
     p = sub.add_parser("wreath", help="wreath-product element arithmetic")
     wsub = p.add_subparsers(dest="wreath_command", required=True)
-    pe = wsub.add_parser("eval", help="evaluate an element expression")
-    pe.add_argument("ambient", help="e.g. 'sym 3 wr (cyclic 2, natural)'")
-    pe.add_argument("expr", help="e.g. '(0 1)@0 * h:(0 1)' or '(0 1 2)@-2 * t^3'")
-    pe.add_argument("--json", action="store_true")
-    pe.set_defaults(func=_cmd_wreath_eval)
+    p = leaf(wsub, "eval", _cmd_wreath_eval, "evaluate an element expression", "wreath-eval")
+    p.add_argument("ambient", help="e.g. 'sym 3 wr (cyclic 2, natural)'")
+    p.add_argument("expr", help="e.g. '(0 1)@0 * h:(0 1)' or '(0 1 2)@-2 * t^3'")
 
     p = sub.add_parser("construct", help="build explicit generating sets and elements")
     csub = p.add_subparsers(dest="construct_command", required=True)
-    pt = csub.add_parser("torsion-igset", help="invariable generating set over a finite action")
-    pt.add_argument("ambient")
-    pt.add_argument("--json", action="store_true")
-    pt.set_defaults(func=_cmd_construct_torsion)
-    pn = csub.add_parser("nottorsion-igset", help="invariable generating set over the shifts")
-    pn.add_argument("ambient")
-    pn.add_argument("--json", action="store_true")
-    pn.set_defaults(func=_cmd_construct_nottorsion)
-    pg = csub.add_parser("gamma", help="isolate each generator at a known coordinate")
-    pg.add_argument("group")
-    pg.add_argument("--seed", type=int, default=0)
-    pg.add_argument("--support", type=int, default=3, help="conjugator window radius")
-    pg.add_argument("--json", action="store_true")
-    pg.set_defaults(func=_cmd_construct_gamma)
+    p = leaf(csub, "torsion-igset", _cmd_construct_torsion,
+             "invariable generating set over a finite action", "construct-torsion-igset")
+    p.add_argument("ambient")
+    p = leaf(csub, "nottorsion-igset", _cmd_construct_nottorsion,
+             "invariable generating set over the shifts", "construct-nottorsion-igset")
+    p.add_argument("ambient")
+    p = leaf(csub, "gamma", _cmd_construct_gamma,
+             "isolate each generator at a known coordinate", "construct-gamma")
+    p.add_argument("group")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--support", type=int, default=3, help="conjugator window radius")
 
-    p = sub.add_parser("verify", help="run the seeded verification suites")
+    p = leaf(sub, "verify", _cmd_verify, "run the seeded verification suites")
     p.add_argument("suite", choices=sorted(SUITES) + ["all"])
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=None,
                    help="instances per randomized check (suite default if omitted)")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_verify)
 
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        out = args.func(args)
     except (ParseError, ValueError, GroupTooLargeError, CoordinateContractError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.json:
+        payload = {"schema_version": SCHEMA_VERSION, "command": args.command, **out.payload}
+        print(json.dumps(payload, indent=2, sort_keys=True))
+    else:
+        for line in out.lines:
+            print(line)
+    if out.error:
+        print(f"error: {out.error}", file=sys.stderr)
+    return out.code
 
 
 if __name__ == "__main__":

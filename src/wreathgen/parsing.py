@@ -61,9 +61,10 @@ def _tokenize(text: str) -> list[Token]:
             i += 1
             col += 1
             continue
-        if ch.isdigit() or (ch == "-" and i + 1 < len(text) and text[i + 1].isdigit()):
+        # isdecimal, not isdigit: it accepts exactly the digits int() accepts.
+        if ch.isdecimal() or (ch == "-" and i + 1 < len(text) and text[i + 1].isdecimal()):
             j = i + 1
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j].isdecimal():
                 j += 1
             tokens.append(Token("int", text[i:j], start_line, start_col))
             col += j - i
@@ -126,6 +127,14 @@ class _Parser:
             self.error(f"unexpected trailing input {self.peek().text!r}")
 
 
+def _parse_whole(text: str, rule, *args):
+    """Apply one grammar rule to the whole of text."""
+    p = _Parser(text)
+    result = rule(p, *args)
+    p.expect_eof()
+    return result
+
+
 # -- permutations --------------------------------------------------------------
 
 
@@ -154,10 +163,7 @@ def _cycle_group(p: _Parser, degree: int) -> Perm:
 
 def parse_perm(text: str, degree: int) -> Perm:
     """Cycle notation for one permutation, e.g. '(0 1)(2 3)' or '()' for identity."""
-    p = _Parser(text)
-    perm = _cycle_group(p, degree)
-    p.expect_eof()
-    return perm
+    return _parse_whole(text, _cycle_group, degree)
 
 
 def _perm_list(p: _Parser, degree: int) -> list[Perm]:
@@ -170,10 +176,7 @@ def _perm_list(p: _Parser, degree: int) -> list[Perm]:
 
 def parse_perm_list(text: str, degree: int) -> list[Perm]:
     """A comma-separated list of permutations in cycle notation."""
-    p = _Parser(text)
-    perms = _perm_list(p, degree)
-    p.expect_eof()
-    return perms
+    return _parse_whole(text, _perm_list, degree)
 
 
 def format_perm(perm: Perm) -> str:
@@ -189,6 +192,15 @@ def format_perm(perm: Perm) -> str:
 _GROUP_WORDS = ("perm", "cyclic", "sym", "alt", "klein4")
 
 
+def _perm_generators(p: _Parser) -> list[Perm]:
+    """The 'N: gens' after 'perm' or 'perm-action': a degree, then generators on it."""
+    size = p.expect_int("the degree")
+    if size.value < 1:
+        p.error("degree must be >= 1", size)
+    p.expect_punct(":")
+    return _perm_list(p, size.value)
+
+
 def _group_spec(p: _Parser) -> FiniteGroup:
     tok = p.peek()
     if not p.at_word(*_GROUP_WORDS):
@@ -197,12 +209,7 @@ def _group_spec(p: _Parser) -> FiniteGroup:
     if word == "klein4":
         return klein_four_group()
     if word == "perm":
-        size = p.expect_int("the degree")
-        if size.value < 1:
-            p.error("degree must be >= 1", size)
-        p.expect_punct(":")
-        gens = _perm_list(p, size.value)
-        return closure(gens)
+        return closure(_perm_generators(p))
     size = p.expect_int("the size")
     try:
         if word == "cyclic":
@@ -217,10 +224,7 @@ def _group_spec(p: _Parser) -> FiniteGroup:
 
 def parse_group_spec(text: str) -> FiniteGroup:
     """A named group or explicit generators: 'sym 3', 'perm 3: (0 1), (0 1 2)', ..."""
-    p = _Parser(text)
-    group = _group_spec(p)
-    p.expect_eof()
-    return group
+    return _parse_whole(text, _group_spec)
 
 
 # -- chains and ambients -------------------------------------------------------
@@ -267,35 +271,26 @@ def _chain_level(p: _Parser, first: bool) -> ParsedLevel:
         return ParsedLevel("abstract", None, descriptor, None)
     if p.at_word("perm-action"):
         tok = p.advance()
-        size = p.expect_int("the degree")
-        if size.value < 1:
-            p.error("degree must be >= 1", size)
-        p.expect_punct(":")
-        gens = _perm_list(p, size.value)
+        gens = _perm_generators(p)
         if first:
             p.error("the first level is a group, not an action", tok)
         return ParsedLevel("concrete", closure(gens), None, "natural")
     if p.at_punct("("):
         open_tok = p.advance()
         if p.at_punct("{"):
-            descriptor = _descriptor(p)
-            p.expect_punct(",")
-            if not p.at_word("torsion", "non-torsion"):
-                p.error("expected 'torsion' or 'non-torsion'")
-            action = p.advance().text.lower()
-            p.expect_punct(")")
-            if first:
-                p.error("the first level carries no action", open_tok)
-            return ParsedLevel("abstract", None, descriptor, action)
-        group = _group_spec(p)
+            kind, group, descriptor = "abstract", None, _descriptor(p)
+            actions, expected = ("torsion", "non-torsion"), "'torsion' or 'non-torsion'"
+        else:
+            kind, group, descriptor = "concrete", _group_spec(p), None
+            actions, expected = ("natural", "regular"), "an action: 'natural' or 'regular'"
         p.expect_punct(",")
-        if not p.at_word("natural", "regular"):
-            p.error("expected an action: 'natural' or 'regular'")
+        if not p.at_word(*actions):
+            p.error(f"expected {expected}")
         action = p.advance().text.lower()
         p.expect_punct(")")
         if first:
             p.error("the first level carries no action", open_tok)
-        return ParsedLevel("concrete", group, None, action)
+        return ParsedLevel(kind, group, descriptor, action)
     group = _group_spec(p)
     if not first:
         p.error("a head level needs an action: (group, natural|regular) or int-translation")
@@ -427,10 +422,7 @@ def _element_expr(p: _Parser, W: WreathProduct) -> WreathElement:
 
 def parse_wreath_element(text: str, W: WreathProduct) -> WreathElement:
     """A product of atoms: '(0 1)@0 * h:(0 1)' or '(0 1 2)@-2 * t^3'."""
-    p = _Parser(text)
-    element = _element_expr(p, W)
-    p.expect_eof()
-    return element
+    return _parse_whole(text, _element_expr, W)
 
 
 def format_wreath_element(u: WreathElement) -> str:

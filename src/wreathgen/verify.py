@@ -44,13 +44,8 @@ def _rng(suite: str, seed: int) -> random.Random:
     return random.Random(f"{suite}:{seed}")
 
 
-def _random_coords(rng: random.Random, G: FiniteGroup, points, p: float = 0.5
-                   ) -> dict[int, Perm]:
-    coords = {}
-    for x in points:
-        if rng.random() < p:
-            coords[x] = rng.choice(G.elements)
-    return coords
+def _random_coords(rng: random.Random, G: FiniteGroup, points) -> dict[int, Perm]:
+    return {x: rng.choice(G.elements) for x in points if rng.random() < 0.5}
 
 
 # -- conjugation: single coordinates translate, heads decompose -----------------
@@ -67,13 +62,15 @@ def _check_embedded_conjugates(W: WreathProduct, name: str, recorder: _Recorder)
             for a in elements:
                 conj = u.conjugate_by(a)
                 target = W.action.point_image(y, a.head)
-                if conj.support() != (target,) or conj.coordinate(target) not in class_of(G, g):
+                if (not conj.is_base() or conj.support() != (target,)
+                        or conj.coordinate(target) not in class_of(G, g)):
                     failures.append(f"u={u!r} a={a!r} gave {conj!r}")
                     break
         elif not u.base:
             for a in elements:
                 conj = u.conjugate_by(a)
-                if conj.head not in class_of(head, u.head):
+                rebuilt = W.element(dict(conj.base), head.identity) * W.head_embed(conj.head)
+                if conj.head not in class_of(head, u.head) or conj != rebuilt:
                     failures.append(f"u={u!r} a={a!r} gave {conj!r}")
                     break
         if failures:
@@ -155,8 +152,11 @@ def suite_coset(seed: int = 0, count: int = 500) -> list[CheckResult]:
 # -- alpha / beta / gamma over the integers --------------------------------------
 
 
-def _random_alpha(rng: random.Random, W: WreathProduct, g: Perm):
-    window = range(-4, 5)
+def random_alpha(rng: random.Random, W: WreathProduct, g: Perm, radius: int):
+    """build_alpha with two random conjugators supported in [-radius, radius]."""
+    if radius < 0:
+        raise ValueError(f"radius must be at least 0, got {radius}")
+    window = range(-radius, radius + 1)
     return build_alpha(W, g,
                        _random_coords(rng, W.base_group, window),
                        _random_coords(rng, W.base_group, window))
@@ -169,8 +169,8 @@ def suite_alpha(seed: int = 0, count: int = 200) -> list[CheckResult]:
     identity = W.base_group.identity
     failures = []
     for _ in range(count):
-        alpha_e = _random_alpha(rng, W, identity)
-        alpha_f = _random_alpha(rng, W, rng.choice(W.base_group.elements))
+        alpha_e = random_alpha(rng, W, identity, 4)
+        alpha_f = random_alpha(rng, W, rng.choice(W.base_group.elements), 4)
         m = rng.randint(0, 6)
         direct = alpha_power_form(alpha_e, alpha_f, m)
         assembled = assemble_alpha_power(alpha_e, alpha_f, m)
@@ -191,8 +191,8 @@ def suite_beta(seed: int = 0, count: int = 200) -> list[CheckResult]:
     form_failures = []
     head_failures = []
     for _ in range(count):
-        alpha_e = _random_alpha(rng, W, identity)
-        alpha_g = _random_alpha(rng, W, rng.choice(W.base_group.elements))
+        alpha_e = random_alpha(rng, W, identity, 4)
+        alpha_g = random_alpha(rng, W, rng.choice(W.base_group.elements), 4)
         m = rng.randint(0, 6)
         n = rng.randint(0, 4)
         direct = beta(alpha_e, alpha_g, m, n)
@@ -216,9 +216,9 @@ def suite_gamma(seed: int = 0, count: int = 200) -> list[CheckResult]:
     targets = [Perm.from_cycles([(0, 1)], 3), Perm.from_cycles([(0, 1, 2)], 3)]
     failures = []
     for _ in range(count):
-        alpha_e = _random_alpha(rng, W, identity)
+        alpha_e = random_alpha(rng, W, identity, 4)
         for g in targets:
-            alpha_g = _random_alpha(rng, W, g)
+            alpha_g = random_alpha(rng, W, g, 4)
             try:
                 point, found = gamma_coordinate(alpha_e, alpha_g)
             except CoordinateContractError as exc:

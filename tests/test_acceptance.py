@@ -9,7 +9,6 @@ import itertools
 import time
 from contextlib import contextmanager
 
-from wreathgen.actions import FiniteAction
 from wreathgen.classify import (FIG_FG, INT_TRANSLATION_ACTION, ActionDescriptor,
                                 GroupDescriptor, IGStatus, iterated_status,
                                 iterated_status_direct, wreath_status_with_rule)
@@ -18,9 +17,7 @@ from wreathgen.groups import (Perm, alternating_group, class_of, closure,
                               quaternion_group, symmetric_group)
 from wreathgen.invgen import (invariably_generates, invariably_generates_oracle,
                               min_invariable_size)
-from wreathgen.constructions import torsion_igset
 from wreathgen.verify import run_suites
-from wreathgen.wreath import WreathProduct
 
 SWAP = Perm.from_cycles([(0, 1)], 3)
 OTHER = Perm.from_cycles([(0, 2)], 3)
@@ -77,51 +74,22 @@ def test_criterion_decider_agreement():
 
 def test_criterion_explicit_sets_invariably_generate():
     with criterion("explicit sets invariably generate the finite ambients", budget=600):
-        c2 = cyclic_group(2)
-        small = WreathProduct(c2, FiniteAction(c2))
-        igset = torsion_igset(small, [c2.elements[1]], [c2.elements[1]])
-        ambient, embed = small.imprimitive_embedding()
-        assert ambient.order == 8
-        ok, _ = invariably_generates(ambient, [embed(u) for u in igset])
-        assert ok
-
-        c3 = cyclic_group(3)
-        larger = WreathProduct(c3, FiniteAction(symmetric_group(3)))
-        igset = torsion_igset(larger, [c3.elements[1]], [SWAP, ROT])
-        ambient, embed = larger.imprimitive_embedding()
-        assert ambient.order == 162
-        ok, _ = invariably_generates(ambient, [embed(u) for u in igset])
-        assert ok
+        results = run_suites(["igsets"])
+        invariable = [r for r in results if "sets invariably generate" in r.name]
+        assert [r.detail for r in invariable] == ["order 8, exhaustive tuple search",
+                                                  "order 162, exhaustive tuple search"]
+        for r in results:
+            assert r.passed, r
 
 
 def test_criterion_conjugation_decomposition_exhaustive():
     with criterion("conjugation decomposition, exhaustive over 72 elements"):
-        W = WreathProduct(symmetric_group(3), FiniteAction(cyclic_group(2)))
-        G = W.base_group
-        head = W.action.head
-        elements = W.enumerate_elements()
-        assert len(elements) == 72
-
-        # A single placed coordinate conjugates to a single placed coordinate
-        # at the translated index, holding a conjugate of the same element.
-        for g in G.elements:
-            for y in W.action.points():
-                u = W.base_embed(g, y)
-                for a in elements:
-                    conj = u.conjugate_by(a)
-                    target = W.action.point_image(y, a.head)
-                    assert conj.head == head.identity
-                    assert set(conj.support()) <= {target}
-                    assert conj.coordinate(target) in class_of(G, g)
-
-        # A placed head element conjugates to (base part) * (conjugate head).
-        for k in head.elements:
-            u = W.head_embed(k)
-            for a in elements:
-                conj = u.conjugate_by(a)
-                assert conj.head in class_of(head, k)
-                rebuilt = W.element(dict(conj.base), head.identity) * W.head_embed(conj.head)
-                assert conj == rebuilt
+        results = run_suites(["conjugation"])
+        details = {r.name: r.detail for r in results}
+        assert details["conjugation: embedded elements in sym3 wr c2"] == \
+            "72 conjugators, exhaustive"
+        for r in results:
+            assert r.passed, r
 
 
 def test_criterion_orbit_collapse_forms():

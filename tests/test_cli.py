@@ -165,6 +165,12 @@ class TestConstruct:
         for r in rows:
             assert r["coordinate"] == r["c"]
 
+    def test_gamma_rejects_a_negative_support(self, capsys):
+        code, out, err = run(capsys, "construct", "gamma", "sym 3", "--support", "-1")
+        assert code == 2
+        assert out == ""
+        assert "at least 0" in err
+
     def test_gamma_is_seed_deterministic(self, capsys):
         _, first, _ = run_json(capsys, "construct", "gamma", "sym 3", "--seed", "9")
         _, second, _ = run_json(capsys, "construct", "gamma", "sym 3", "--seed", "9")

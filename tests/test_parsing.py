@@ -49,6 +49,12 @@ class TestPermGrammar:
         with pytest.raises(ParseError, match="column 7"):
             parse_perm("(0 1) x", 3)
 
+    def test_only_decimal_digits_are_integers(self):
+        # Superscripts pass str.isdigit() but int() rejects them.
+        with pytest.raises(ParseError, match=r"unexpected character '²'.*column 4"):
+            parse_perm("(0 ²)", 3)
+        assert parse_perm("(0 ２)", 3) == Perm((2, 1, 0))
+
     def test_unclosed_cycle(self):
         with pytest.raises(ParseError):
             parse_perm("(0 1", 3)

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from wreathgen.cli import main
+from wreathgen.parsing import parse_chain
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 
@@ -39,6 +40,26 @@ def test_cli_example(capsys, command, expected):
         assert out.splitlines()[-1] == expected.splitlines()[-1]
     else:
         assert out == expected
+
+
+def _chains() -> list[str]:
+    """Every chain in the code blocks of README "Chains", without its comment."""
+    section = README.split("### Chains", 1)[1].split("\n### ", 1)[0]
+    blocks = section.split("```")[1::2]
+    return [re.split(r"\s{2,}", line.strip())[0]
+            for block in blocks for line in block.splitlines() if line.strip()]
+
+
+CHAINS = _chains()
+
+
+def test_every_chain_is_found():
+    assert len(CHAINS) == 5
+
+
+@pytest.mark.parametrize("chain", CHAINS)
+def test_chain_parses(chain):
+    parse_chain(chain)
 
 
 def test_library_quick_start(capsys):
