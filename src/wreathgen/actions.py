@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 from .groups import FiniteGroup, Perm, closure, compose
 
@@ -84,7 +83,7 @@ class IntTranslation:
         return x + s
 
 
-ActionSpec = Union[FiniteAction, IntTranslation]
+ActionSpec = FiniteAction | IntTranslation
 
 
 def apply(action: ActionSpec, x: int, h) -> int:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 from .actions import ActionSpec, IntTranslation
 
@@ -85,7 +85,7 @@ def wreath_status_with_rule(G: GroupDescriptor, H: GroupDescriptor,
     return IGStatus.IG, "torsion-type action, IG base or head"
 
 
-ChainLevel = tuple[GroupDescriptor, Union[ActionDescriptor, None]]
+ChainLevel = tuple[GroupDescriptor, ActionDescriptor | None]
 
 
 def _check_chain(chain: Sequence[ChainLevel]) -> None:

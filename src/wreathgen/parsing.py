@@ -8,6 +8,7 @@ the same permutation, and format_wreath_element emits a valid expression.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NoReturn
 
 from .actions import FiniteAction, IntTranslation, regular_action
 from .classify import (FIG_FG, INT_TRANSLATION_ACTION, ActionDescriptor,
@@ -100,7 +101,7 @@ class _Parser:
             self.i += 1
         return tok
 
-    def error(self, message: str, token: Token | None = None) -> None:
+    def error(self, message: str, token: Token | None = None) -> NoReturn:
         tok = token or self.peek()
         raise ParseError(message, tok.line, tok.col)
 
@@ -219,7 +220,6 @@ def _group_spec(p: _Parser) -> FiniteGroup:
         return alternating_group(size.value)
     except ValueError as exc:
         p.error(str(exc), size)
-    raise AssertionError(f"unhandled group word {word}")  # pragma: no cover
 
 
 def parse_group_spec(text: str) -> FiniteGroup:
@@ -255,7 +255,6 @@ def _descriptor(p: _Parser) -> GroupDescriptor:
         return GroupDescriptor(status, fg)
     except ValueError as exc:
         p.error(str(exc), status_tok)
-    raise AssertionError  # pragma: no cover
 
 
 def _chain_level(p: _Parser, first: bool) -> ParsedLevel:
@@ -400,7 +399,6 @@ def _element_primary(p: _Parser, W: WreathProduct) -> WreathElement:
                 raise cycle_err
             raise
     p.error("expected an element: '(cycles)@point', 'h:(cycles)', 't' or 'id'")
-    raise AssertionError  # pragma: no cover
 
 
 def _element_factor(p: _Parser, W: WreathProduct) -> WreathElement:

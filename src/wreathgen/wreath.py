@@ -15,14 +15,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping
 
 from .actions import ActionSpec, FiniteAction, IntTranslation, apply, orbit_reps
 from .groups import FiniteGroup, GroupTooLargeError, Perm, closure
 
 DEFAULT_ENUMERATION_CAP = 100_000
 
-HeadElement = Union[Perm, int]
+HeadElement = Perm | int
 
 
 @dataclass(frozen=True)
@@ -168,6 +168,12 @@ class WreathElement:
         return self.head == self.ambient.action.head_identity()
 
     def __mul__(self, other: object) -> WreathElement:
+        """(w1, k1)(w2, k2) = (x -> w1(x) * w2(x.k1), k1 k2).
+
+        Costs one dict pass over each operand plus a sort of the result:
+        each entry (z, h) of the right operand lands at x = z.k1^-1, and
+        only points in both supports compose two base elements.
+        """
         if not isinstance(other, WreathElement):
             return NotImplemented
         if self.ambient != other.ambient:
@@ -175,16 +181,15 @@ class WreathElement:
         action = self.ambient.action
         new_head = action.head_compose(self.head, other.head)
         k1_inv = action.head_inverse(self.head)
-        left = dict(self.base)
-        right = dict(other.base)
-        points = set(left)
-        points.update(action.point_image(z, k1_inv) for z in right)
-        identity = self.ambient.base_group.identity
-        merged: dict[int, Perm] = {}
-        for x in points:
-            g = left.get(x, identity) * right.get(action.point_image(x, self.head), identity)
-            if not g.is_identity():
-                merged[x] = g
+        merged = dict(self.base)
+        for z, h in other.base:
+            x = action.point_image(z, k1_inv)
+            if x in merged:
+                g = merged.pop(x) * h
+                if not g.is_identity():
+                    merged[x] = g
+            else:
+                merged[x] = h
         return WreathElement(self.ambient, tuple(sorted(merged.items())), new_head)
 
     def inverse(self) -> WreathElement:
@@ -194,11 +199,33 @@ class WreathElement:
         return WreathElement(self.ambient, tuple(sorted(flipped.items())), k_inv)
 
     def __pow__(self, n: int) -> WreathElement:
+        """u^n by square-and-multiply: at most 2 log2|n| + 1 products.
+
+        Over the integers a nonzero head h spreads the support of u^n over
+        the support of u shifted by 0, -h, ..., -(|n|-1)h: at most
+        len(u.base) * |n| points, and at most the width of u's support plus
+        (|n|-1)|h|.  When the smaller of the two is above
+        DEFAULT_ENUMERATION_CAP, GroupTooLargeError is raised before any
+        product is formed.  A pure base element, or any element of a finite
+        ambient, keeps its support bounded and is never refused.
+        """
         if n < 0:
             return self.inverse() ** (-n)
+        if isinstance(self.ambient.action, IntTranslation) and self.head != 0 and self.base:
+            width = self.base[-1][0] - self.base[0][0] + 1
+            estimate = min(len(self.base) * n, width + (n - 1) * abs(self.head))
+            if estimate > DEFAULT_ENUMERATION_CAP:
+                raise GroupTooLargeError(
+                    f"power too large: its support may reach {estimate} points "
+                    f"> {DEFAULT_ENUMERATION_CAP}")
         result = self.ambient.identity()
-        for _ in range(n):
-            result = result * self
+        square = self
+        while n:
+            if n & 1:
+                result = result * square
+            n >>= 1
+            if n:
+                square = square * square
         return result
 
     def conjugate_by(self, a: WreathElement) -> WreathElement:

@@ -130,6 +130,18 @@ class TestWreathEval:
         assert code == 2
         assert "error:" in err
 
+    def test_huge_powers_answer_at_once_or_exit_2(self, capsys):
+        code, payload, _ = run_json(capsys, "wreath", "eval",
+                                    "sym 3 wr int-translation", "t^99999999")
+        assert code == 0
+        assert payload["head"] == 99999999
+        assert payload["base"] == {}
+        code, out, err = run(capsys, "wreath", "eval",
+                             "sym 3 wr int-translation", "((0 1)@0 * t)^99999999")
+        assert code == 2
+        assert out == ""
+        assert err == "error: power too large: its support may reach 99999999 points > 100000\n"
+
 
 class TestConstruct:
     def test_torsion_igset(self, capsys):

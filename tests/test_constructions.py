@@ -15,16 +15,14 @@ from wreathgen.constructions import (AlphaElement, BetaParams,
                                      uniform_orbit_conjugator)
 from wreathgen.groups import Perm, closure, cyclic_group, symmetric_group
 from wreathgen.invgen import invariably_generates
+from wreathgen.verify import _random_coords, random_alpha
 from wreathgen.wreath import WreathProduct
 
 SYM3 = symmetric_group(3)
 OVER_Z = WreathProduct(SYM3, IntTranslation())
 SWAP = Perm.from_cycles([(0, 1)], 3)
 ROT = Perm.from_cycles([(0, 1, 2)], 3)
-
-
-def random_coords(rng, window=range(-3, 4), p=0.5):
-    return {x: rng.choice(SYM3.elements) for x in window if rng.random() < p}
+WINDOW = range(-3, 4)
 
 
 class TestBuildAlpha:
@@ -46,7 +44,8 @@ class TestBuildAlpha:
         rng = random.Random(3)
         for _ in range(50):
             g = rng.choice(SYM3.elements)
-            alpha = build_alpha(OVER_Z, g, random_coords(rng), random_coords(rng))
+            alpha = build_alpha(OVER_Z, g, _random_coords(rng, SYM3, WINDOW),
+                                _random_coords(rng, SYM3, WINDOW))
             b = alpha.conjugator
             bare = OVER_Z.element({0: g}, 1) if not g.is_identity() else OVER_Z.element({}, 1)
             assert alpha.element == b.inverse() * bare * b
@@ -95,19 +94,29 @@ class TestAlphaPowers:
         rng = random.Random(41)
         for _ in range(100):
             alpha_e = build_alpha(OVER_Z, SYM3.identity,
-                                  random_coords(rng), random_coords(rng))
+                                  _random_coords(rng, SYM3, WINDOW),
+                                  _random_coords(rng, SYM3, WINDOW))
             alpha_f = build_alpha(OVER_Z, rng.choice(SYM3.elements),
-                                  random_coords(rng), random_coords(rng))
+                                  _random_coords(rng, SYM3, WINDOW),
+                                  _random_coords(rng, SYM3, WINDOW))
             m = rng.randint(0, 5)
             assert alpha_power_form(alpha_e, alpha_f, m) == \
                 assemble_alpha_power(alpha_e, alpha_f, m)
+
+    def test_assembled_form_matches_at_a_large_power(self):
+        rng = random.Random(67)
+        for _ in range(5):
+            alpha_e = random_alpha(rng, OVER_Z, SYM3.identity, 4)
+            alpha_f = random_alpha(rng, OVER_Z, rng.choice(SYM3.elements), 4)
+            assert alpha_power_form(alpha_e, alpha_f, 1000) == \
+                assemble_alpha_power(alpha_e, alpha_f, 1000)
 
 
 class TestBeta:
     def test_no_outer_conjugation_reduces_to_the_power_form(self):
         rng = random.Random(43)
-        alpha_e = build_alpha(OVER_Z, SYM3.identity, random_coords(rng), {})
-        alpha_g = build_alpha(OVER_Z, ROT, random_coords(rng), {})
+        alpha_e = build_alpha(OVER_Z, SYM3.identity, _random_coords(rng, SYM3, WINDOW), {})
+        alpha_g = build_alpha(OVER_Z, ROT, _random_coords(rng, SYM3, WINDOW), {})
         assert beta(alpha_e, alpha_g, 4, 0) == alpha_power_form(alpha_e, alpha_g, 4)
 
     def test_trivial_conjugators_shift_the_run_down(self):
@@ -119,21 +128,33 @@ class TestBeta:
         rng = random.Random(47)
         for _ in range(50):
             alpha_e = build_alpha(OVER_Z, SYM3.identity,
-                                  random_coords(rng), random_coords(rng))
+                                  _random_coords(rng, SYM3, WINDOW),
+                                  _random_coords(rng, SYM3, WINDOW))
             alpha_g = build_alpha(OVER_Z, rng.choice(SYM3.elements),
-                                  random_coords(rng), random_coords(rng))
+                                  _random_coords(rng, SYM3, WINDOW),
+                                  _random_coords(rng, SYM3, WINDOW))
             assert beta(alpha_e, alpha_g, rng.randint(0, 5), rng.randint(0, 3)).head == 0
 
     def test_assembled_form_matches_direct_computation(self):
         rng = random.Random(53)
         for _ in range(100):
             alpha_e = build_alpha(OVER_Z, SYM3.identity,
-                                  random_coords(rng), random_coords(rng))
+                                  _random_coords(rng, SYM3, WINDOW),
+                                  _random_coords(rng, SYM3, WINDOW))
             alpha_g = build_alpha(OVER_Z, rng.choice(SYM3.elements),
-                                  random_coords(rng), random_coords(rng))
+                                  _random_coords(rng, SYM3, WINDOW),
+                                  _random_coords(rng, SYM3, WINDOW))
             m, n = rng.randint(0, 5), rng.randint(0, 3)
             assert beta(alpha_e, alpha_g, m, n) == \
                 assemble_beta(alpha_e, alpha_g, m, n)
+
+    def test_assembled_form_matches_at_large_exponents(self):
+        rng = random.Random(71)
+        for _ in range(5):
+            alpha_e = random_alpha(rng, OVER_Z, SYM3.identity, 4)
+            alpha_g = random_alpha(rng, OVER_Z, rng.choice(SYM3.elements), 4)
+            assert beta(alpha_e, alpha_g, 1000, 500) == \
+                assemble_beta(alpha_e, alpha_g, 1000, 500)
 
 
 class TestBetaParams:
@@ -177,10 +198,12 @@ class TestGammaCoordinate:
         rng = random.Random(59)
         for _ in range(50):
             alpha_e = build_alpha(OVER_Z, SYM3.identity,
-                                  random_coords(rng), random_coords(rng))
+                                  _random_coords(rng, SYM3, WINDOW),
+                                  _random_coords(rng, SYM3, WINDOW))
             g = rng.choice(SYM3.elements)
             alpha_g = build_alpha(OVER_Z, g,
-                                  random_coords(rng), random_coords(rng))
+                                  _random_coords(rng, SYM3, WINDOW),
+                                  _random_coords(rng, SYM3, WINDOW))
             point, found = gamma_coordinate(alpha_e, alpha_g)
             assert point == alpha_e.support_radius
             assert found == g

@@ -9,18 +9,56 @@ from hypothesis import strategies as st
 from wreathgen.actions import FiniteAction, IntTranslation, apply
 from wreathgen.groups import (GroupTooLargeError, Perm, cyclic_group,
                               symmetric_group)
-from wreathgen.wreath import WreathProduct
+from wreathgen.wreath import (DEFAULT_ENUMERATION_CAP, WreathElement,
+                              WreathProduct)
 
 C2 = cyclic_group(2)
 SYM3 = symmetric_group(3)
 SMALL = WreathProduct(C2, FiniteAction(C2))
 OVER_Z = WreathProduct(SYM3, IntTranslation())
+SYM3_WR_C3 = WreathProduct(SYM3, FiniteAction(cyclic_group(3)))
+SWAP = Perm.from_cycles([(0, 1)], 3)
 
 
 def random_z_element(rng, max_shift=4, window=8):
     coords = {x: rng.choice(SYM3.elements)
               for x in range(-window, window + 1) if rng.random() < 0.3}
     return OVER_Z.element(coords, rng.randint(-max_shift, max_shift))
+
+
+def random_element(rng, W):
+    """A random element of either ambient: a shift ambient or a finite one."""
+    if W is OVER_Z:
+        return random_z_element(rng)
+    coords = {x: rng.choice(W.base_group.elements)
+              for x in W.action.points() if rng.random() < 0.5}
+    return W.element(coords, rng.choice(W.action.head.elements))
+
+
+def naive_pow(u, n):
+    """u^n as |n| repeated products, the definition of the power."""
+    step = u if n >= 0 else u.inverse()
+    result = u.ambient.identity()
+    for _ in range(abs(n)):
+        result = result * step
+    return result
+
+
+def union_mul(u, v):
+    """The product read point by point over the union of both supports:
+    x -> u(x) * v(x.k1), composing with the identity off a support."""
+    action = u.ambient.action
+    left, right = dict(u.base), dict(v.base)
+    k1_inv = action.head_inverse(u.head)
+    points = set(left) | {action.point_image(z, k1_inv) for z in right}
+    identity = u.ambient.base_group.identity
+    merged = {}
+    for x in points:
+        g = left.get(x, identity) * right.get(action.point_image(x, u.head), identity)
+        if not g.is_identity():
+            merged[x] = g
+    return WreathElement(u.ambient, tuple(sorted(merged.items())),
+                         action.head_compose(u.head, v.head))
 
 
 class TestAmbient:
@@ -137,6 +175,67 @@ class TestElementArithmetic:
     def test_coordinate_point_validation(self):
         with pytest.raises(ValueError):
             SMALL.identity().coordinate(5)
+
+
+class TestFastPathsAgainstDefinitions:
+    """Square-and-multiply powers and the fold-in product against the
+    definitions they replace, over the integers and over a finite head."""
+
+    def test_product_equals_the_union_of_points_product(self):
+        rng = random.Random(53)
+        for W in (OVER_Z, SYM3_WR_C3):
+            for _ in range(300):
+                u, v = random_element(rng, W), random_element(rng, W)
+                assert u * v == union_mul(u, v)
+
+    def test_power_equals_repeated_products(self):
+        rng = random.Random(59)
+        for W in (OVER_Z, SYM3_WR_C3):
+            for _ in range(6):
+                u = random_element(rng, W)
+                for n in range(-40, 41):
+                    assert u ** n == naive_pow(u, n)
+
+    def test_large_power_has_the_closed_form(self):
+        # (swap@0 * t)^n puts swap at 0, -1, ..., -(n-1) under the head n.
+        u = OVER_Z.element({0: SWAP}, 1)
+        for n in (2000, 4097):
+            assert u ** n == OVER_Z.element({-i: SWAP for i in range(n)}, n)
+            assert u ** -n == (u ** n).inverse()
+
+
+class TestPowerBudget:
+    def test_a_pure_shift_power_answers_at_once(self):
+        assert OVER_Z.head_embed(1) ** 99999999 == OVER_Z.head_embed(99999999)
+
+    def test_a_growing_power_is_refused_before_it_starts(self):
+        u = OVER_Z.element({0: SWAP}, 1)
+        for n in (99999999, -99999999):
+            with pytest.raises(GroupTooLargeError,
+                               match="support may reach 99999999 points > 100000"):
+                u ** n
+
+    def test_the_estimate_is_support_times_exponent(self):
+        u = OVER_Z.element({0: SWAP, 1: SWAP}, 3)
+        limit = DEFAULT_ENUMERATION_CAP // 2
+        assert len((u ** limit).base) == DEFAULT_ENUMERATION_CAP
+        with pytest.raises(GroupTooLargeError):
+            u ** (limit + 1)
+
+    def test_the_estimate_is_at_most_width_plus_spread(self):
+        # 200 points of support, but u^1000 covers at most 200 + 999 points.
+        u = OVER_Z.element({x: SWAP for x in range(200)}, 1)
+        assert len((u ** 1000).base) <= 1199
+        assert len((u ** -1000).base) <= 1199
+
+    def test_powers_that_cannot_grow_are_not_refused(self):
+        pure_base = OVER_Z.element({0: SWAP, 5: SYM3.elements[3]}, 0)
+        assert pure_base ** 99999999 == pure_base ** 3
+        rng = random.Random(61)
+        for _ in range(20):
+            # Every element order divides |sym 3 wr c3| = 648.
+            u = random_element(rng, SYM3_WR_C3)
+            assert u ** (648 * 10**9 + 5) == u ** 5
 
 
 class TestFaithfulCopy:
