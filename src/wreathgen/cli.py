@@ -47,15 +47,8 @@ def _group_line(group: dict) -> str:
     return f"group: order {group['order']}, degree {group['degree']}"
 
 
-def _load_group(args: argparse.Namespace) -> FiniteGroup:
-    G = parse_group_spec(args.group)
-    if G.order > args.cap:
-        raise GroupTooLargeError(f"group too large: {G.order} > {args.cap}")
-    return G
-
-
 def _cmd_classes(args: argparse.Namespace) -> Output:
-    G = _load_group(args)
+    G = parse_group_spec(args.group, args.cap)
     payload = {
         "group": _group_info(G),
         "classes": [{
@@ -70,7 +63,7 @@ def _cmd_classes(args: argparse.Namespace) -> Output:
 
 
 def _cmd_invgen(args: argparse.Namespace) -> Output:
-    G = _load_group(args)
+    G = parse_group_spec(args.group, args.cap)
     if args.min:
         size, example = min_invariable_size(G)
         payload = {

@@ -8,6 +8,10 @@ from typing import Iterable, Iterator, Sequence
 
 DEFAULT_CLOSURE_CAP = 1_000_000
 DEFAULT_SUBGROUP_CAP = 200
+# Right-multiplication maps a group keeps, counted in list slots (8 bytes
+# each): every element's map fits up to order 2048, and a search over a
+# bigger group builds the maps past this budget afresh on each use.
+RIGHT_MAP_BUDGET = 1 << 22
 
 
 class GroupTooLargeError(Exception):
@@ -59,10 +63,10 @@ class Perm:
         images = [0] * len(self.images)
         for x, y in enumerate(self.images):
             images[y] = x
-        return Perm(tuple(images))
+        return _trusted(tuple(images))
 
     def is_identity(self) -> bool:
-        return all(y == x for x, y in enumerate(self.images))
+        return self.images == tuple(range(len(self.images)))
 
     def cycles(self, include_fixed: bool = False) -> list[tuple[int, ...]]:
         """Disjoint cycle decomposition, each cycle starting at its least point."""
@@ -89,11 +93,19 @@ class Perm:
         return f"Perm({self.images})"
 
 
+def _trusted(images: tuple[int, ...]) -> Perm:
+    """A Perm from images that are a permutation by construction, unchecked."""
+    p = object.__new__(Perm)
+    object.__setattr__(p, "images", images)
+    return p
+
+
 def compose(p: Perm, q: Perm) -> Perm:
     """Product under the right-action convention: x -> q(p(x)), with p acting first."""
-    if p.degree != q.degree:
+    qi = q.images
+    if len(p.images) != len(qi):
         raise ValueError(f"degree mismatch: {p.degree} vs {q.degree}")
-    return Perm(tuple(q.images[i] for i in p.images))
+    return _trusted(tuple([qi[i] for i in p.images]))
 
 
 @dataclass(frozen=True)
@@ -125,9 +137,10 @@ class FiniteGroup:
         self.elements = tuple(elements)
         self.identity = Perm.identity(degree)
         self._classes: list[ConjClass] | None = None
-        self._class_index: dict[Perm, int] = {}
+        self._class_index: list[int] = []
         self._subgroups: list[tuple[Perm, ...]] | None = None
         self._maximal: list[tuple[Perm, ...]] | None = None
+        self._right_maps: dict[int, list[int]] = {}
         self._hash: int | None = None
 
     @property
@@ -135,10 +148,9 @@ class FiniteGroup:
         return len(self.elements)
 
     @cached_property
-    def _index(self) -> dict[Perm, int]:
-        # Built on the first membership or index query only: most closures
-        # run inside a search are asked for their order and nothing else.
-        return {p: i for i, p in enumerate(self.elements)}
+    def _index(self) -> dict[tuple[int, ...], int]:
+        # Keyed by image tuples, which hash and compare in C.
+        return {p.images: i for i, p in enumerate(self.elements)}
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -147,10 +159,21 @@ class FiniteGroup:
         return iter(self.elements)
 
     def __contains__(self, p: object) -> bool:
-        return p in self._index
+        return isinstance(p, Perm) and p.images in self._index
 
     def index_of(self, p: Perm) -> int:
-        return self._index[p]
+        return self._index[p.images]
+
+    def right_map(self, i: int) -> list[int]:
+        """j -> the index of elements[j] * elements[i]; built on first use and
+        kept while the group's maps fit in RIGHT_MAP_BUDGET."""
+        m = self._right_maps.get(i)
+        if m is None:
+            g, index = self.elements[i].images, self._index
+            m = [index[tuple([g[k] for k in x.images])] for x in self.elements]
+            if (len(self._right_maps) + 1) * len(m) <= RIGHT_MAP_BUDGET:
+                self._right_maps[i] = m
+        return m
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FiniteGroup):
@@ -180,46 +203,83 @@ def closure(generators: Sequence[Perm], cap: int = DEFAULT_CLOSURE_CAP) -> Finit
     for g in gens:
         if g.degree != degree:
             raise ValueError(f"degree mismatch among generators: {g.degree} vs {degree}")
+    if cap < 1:
+        raise GroupTooLargeError(f"group too large: closure exceeded cap {cap}")
     identity = Perm.identity(degree)
     elements = [identity]
-    seen = {identity}
-    i = 0
-    while i < len(elements):
-        x = elements[i]
-        i += 1
+    seen = {identity.images}
+    for x in elements:
         for g in gens:
             y = compose(x, g)
-            if y not in seen:
+            if y.images not in seen:
                 if len(elements) >= cap:
                     raise GroupTooLargeError(f"group too large: closure exceeded cap {cap}")
-                seen.add(y)
+                seen.add(y.images)
                 elements.append(y)
     return FiniteGroup(degree, gens, elements)
 
 
+def generated_indices(G: FiniteGroup, generators: Iterable[int]) -> Sequence[int]:
+    """Indices of the subgroup of G generated by the elements at `generators`.
+
+    A breadth-first search from the identity over G's right-multiplication
+    maps.  It stops once more than half of G is reached: a proper subgroup
+    has at most |G|/2 elements (Lagrange), so the subgroup is then G itself
+    and range(len(G)) is returned.
+    """
+    maps = [G.right_map(i) for i in dict.fromkeys(generators)]
+    n = len(G)
+    half = n // 2
+    start = G.index_of(G.identity)
+    found = [start]
+    seen = bytearray(n)
+    seen[start] = 1
+    for x in found:
+        for m in maps:
+            y = m[x]
+            if not seen[y]:
+                seen[y] = 1
+                found.append(y)
+        if len(found) > half:
+            return range(n)
+    return found
+
+
 def conjugacy_classes(G: FiniteGroup) -> list[ConjClass]:
-    """Partition G into conjugation orbits; the identity's class comes first."""
+    """Partition G into conjugation orbits; the identity's class comes first.
+
+    Each class is the orbit of its representative, the first element not yet
+    classed, under conjugation by the generators of G.
+    """
     if G._classes is None:
-        inverses = {a: a.inverse() for a in G.elements}
+        elements, index = G.elements, G._index
+        conjugators = [(s.inverse().images, s.images) for s in G.generators]
+        class_index = [-1] * len(elements)
         classes: list[ConjClass] = []
-        assigned: dict[Perm, int] = {}
-        for rep in G.elements:
-            if rep in assigned:
+        for i, rep in enumerate(elements):
+            if class_index[i] >= 0:
                 continue
-            members = {compose(compose(inverses[a], rep), a) for a in G.elements}
-            for m in members:
-                assigned[m] = len(classes)
-            classes.append(ConjClass(rep, tuple(sorted(members))))
+            class_index[i] = len(classes)
+            orbit = [i]
+            for j in orbit:
+                x = elements[j].images
+                for s_inv, s in conjugators:
+                    y = index[tuple([s[x[k]] for k in s_inv])]
+                    if class_index[y] < 0:
+                        class_index[y] = len(classes)
+                        orbit.append(y)
+            orbit.sort(key=lambda j: elements[j].images)
+            classes.append(ConjClass(rep, tuple(elements[j] for j in orbit)))
         G._classes = classes
-        G._class_index = assigned
+        G._class_index = class_index
     return G._classes
 
 
 def class_of(G: FiniteGroup, s: Perm) -> ConjClass:
     classes = conjugacy_classes(G)
-    if s not in G._class_index:
+    if s not in G:
         raise ValueError(f"{s!r} is not an element of the group")
-    return classes[G._class_index[s]]
+    return classes[G._class_index[G.index_of(s)]]
 
 
 def generates(G: FiniteGroup, S: Iterable[Perm]) -> bool:
@@ -230,35 +290,41 @@ def generates(G: FiniteGroup, S: Iterable[Perm]) -> bool:
             raise ValueError(f"{s!r} is not an element of the group")
     if not gens:
         return len(G) == 1
-    return len(closure(gens, cap=len(G))) == len(G)
+    return len(generated_indices(G, map(G.index_of, gens))) == len(G)
 
 
 def all_subgroups(G: FiniteGroup, cap: int = DEFAULT_SUBGROUP_CAP) -> list[tuple[Perm, ...]]:
     """Every subgroup of G, each as a sorted element tuple.
 
     Subgroups are produced by closing the set of cyclic subgroups under
-    pairwise joins until no new subgroup appears; every subgroup is a join
-    of the cyclic subgroups it contains, so the fixpoint is complete.  Only
-    groups with at most `cap` elements are accepted.
+    joins with a cyclic subgroup until no new subgroup appears; every
+    subgroup is a join of the cyclic subgroups it contains, so the fixpoint
+    is complete.  A join closes the joined subgroup's stored generators plus
+    the cyclic generator.  Only groups with at most `cap` elements are
+    accepted.
     """
     if len(G) > cap:
         raise GroupTooLargeError(f"group too large for subgroup enumeration: {len(G)} > {cap}")
     if G._subgroups is None:
-        cyclics = {frozenset(closure([g], cap=len(G)).elements) for g in G.elements}
-        subgroups: set[frozenset[Perm]] = set(cyclics)
-        frontier = list(subgroups)
+        cyclics: dict[frozenset[int], int] = {}
+        for g in range(len(G)):
+            cyclics.setdefault(frozenset(generated_indices(G, [g])), g)
+        subgroups = {C: [g] for C, g in cyclics.items()}
+        frontier = list(subgroups.items())
         while frontier:
-            fresh: list[frozenset[Perm]] = []
-            for A in frontier:
-                for C in cyclics:
-                    if C <= A:
+            fresh: list[tuple[frozenset[int], list[int]]] = []
+            for A, gens in frontier:
+                for c in cyclics.values():
+                    if c in A:
                         continue
-                    J = frozenset(closure(sorted(A | C), cap=len(G)).elements)
+                    joined = gens + [c]
+                    J = frozenset(generated_indices(G, joined))
                     if J not in subgroups:
-                        subgroups.add(J)
-                        fresh.append(J)
+                        subgroups[J] = joined
+                        fresh.append((J, joined))
             frontier = fresh
-        G._subgroups = sorted((tuple(sorted(s)) for s in subgroups), key=lambda t: (len(t), t))
+        listed = (tuple(sorted(G.elements[i] for i in s)) for s in subgroups)
+        G._subgroups = sorted(listed, key=lambda t: (len(t), t))
     return G._subgroups
 
 
@@ -275,49 +341,49 @@ def maximal_subgroups(G: FiniteGroup, cap: int = DEFAULT_SUBGROUP_CAP) -> list[t
     return G._maximal
 
 
-def cyclic_group(n: int) -> FiniteGroup:
+def cyclic_group(n: int, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
     """C_n as the rotation <(0 1 ... n-1)>; the trivial group when n = 1."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if n == 1:
-        return closure([Perm.identity(1)])
-    return closure([Perm(tuple((i + 1) % n for i in range(n)))])
+        return closure([Perm.identity(1)], cap)
+    return closure([Perm(tuple((i + 1) % n for i in range(n)))], cap)
 
 
-def symmetric_group(n: int) -> FiniteGroup:
+def symmetric_group(n: int, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
     """Sym(n) generated by (0 1) and the n-cycle (0 1 ... n-1)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if n == 1:
-        return closure([Perm.identity(1)])
+        return closure([Perm.identity(1)], cap)
     swap = Perm.from_cycles([(0, 1)], n)
     if n == 2:
-        return closure([swap])
-    return closure([swap, Perm(tuple((i + 1) % n for i in range(n)))])
+        return closure([swap], cap)
+    return closure([swap, Perm(tuple((i + 1) % n for i in range(n)))], cap)
 
 
-def alternating_group(n: int) -> FiniteGroup:
+def alternating_group(n: int, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
     """Alt(n) from a 3-cycle and a long even cycle; trivial for n <= 2."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if n <= 2:
-        return closure([Perm.identity(n)])
+        return closure([Perm.identity(n)], cap)
     three = Perm.from_cycles([(0, 1, 2)], n)
     if n == 3:
-        return closure([three])
+        return closure([three], cap)
     if n % 2:
         long_cycle = Perm.from_cycles([tuple(range(n))], n)
     else:
         long_cycle = Perm.from_cycles([tuple(range(1, n))], n)
-    return closure([three, long_cycle])
+    return closure([three, long_cycle], cap)
 
 
-def klein_four_group() -> FiniteGroup:
+def klein_four_group(cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
     """C2 x C2 as <(0 1)(2 3), (0 2)(1 3)> on four points."""
     return closure([
         Perm.from_cycles([(0, 1), (2, 3)], 4),
         Perm.from_cycles([(0, 2), (1, 3)], 4),
-    ])
+    ], cap)
 
 
 def dihedral_group(n: int) -> FiniteGroup:

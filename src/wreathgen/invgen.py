@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .groups import (FiniteGroup, Perm, class_of, closure, conjugacy_classes,
+from .groups import (FiniteGroup, Perm, class_of, conjugacy_classes, generated_indices,
                      maximal_subgroups)
 
 
@@ -44,17 +44,19 @@ def invariably_generates(G: FiniteGroup, S: Sequence[Perm], prune: bool = True
     conjugating a whole failing tuple simultaneously keeps it failing, so
     every failure is reachable with the first coordinate fixed.  Tuples are
     visited with class members in sorted order, which makes the witness
-    reproducible.
+    reproducible.  Each tuple is closed over element indices and the
+    closure stops past |G|/2, where only G itself can lie; a failing tuple
+    never gets there, so its generated order is exact.
     """
     elements = _checked_elements(G, S)
-    pools: list[Sequence[Perm]] = [class_of(G, s).members for s in elements]
+    pools = [[G.index_of(m) for m in class_of(G, s).members] for s in elements]
     if prune:
-        pools[0] = (elements[0],)
+        pools[0] = [G.index_of(elements[0])]
     for choice in itertools.product(*pools):
-        sub = closure(choice, cap=len(G)).order
+        sub = len(generated_indices(G, choice))
         if sub != len(G):
-            witness = IGWitness(tuple(zip(elements, choice)), sub)
-            return False, witness
+            picks = (G.elements[i] for i in choice)
+            return False, IGWitness(tuple(zip(elements, picks)), sub)
     return True, None
 
 

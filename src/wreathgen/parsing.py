@@ -13,7 +13,7 @@ from typing import NoReturn
 from .actions import FiniteAction, IntTranslation, regular_action
 from .classify import (FIG_FG, INT_TRANSLATION_ACTION, ActionDescriptor,
                        GroupDescriptor, IGStatus, descriptor_for_action)
-from .groups import (FiniteGroup, Perm, alternating_group, closure,
+from .groups import (DEFAULT_CLOSURE_CAP, FiniteGroup, Perm, alternating_group, closure,
                      cyclic_group, klein_four_group, symmetric_group)
 from .wreath import WreathElement, WreathProduct
 
@@ -202,29 +202,32 @@ def _perm_generators(p: _Parser) -> list[Perm]:
     return _perm_list(p, size.value)
 
 
-def _group_spec(p: _Parser) -> FiniteGroup:
+def _group_spec(p: _Parser, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
     tok = p.peek()
     if not p.at_word(*_GROUP_WORDS):
         p.error("expected a group spec (perm, cyclic, sym, alt, klein4)")
     word = p.advance().text.lower()
     if word == "klein4":
-        return klein_four_group()
+        return klein_four_group(cap)
     if word == "perm":
-        return closure(_perm_generators(p))
+        return closure(_perm_generators(p), cap)
     size = p.expect_int("the size")
     try:
         if word == "cyclic":
-            return cyclic_group(size.value)
+            return cyclic_group(size.value, cap)
         if word == "sym":
-            return symmetric_group(size.value)
-        return alternating_group(size.value)
+            return symmetric_group(size.value, cap)
+        return alternating_group(size.value, cap)
     except ValueError as exc:
         p.error(str(exc), size)
 
 
-def parse_group_spec(text: str) -> FiniteGroup:
-    """A named group or explicit generators: 'sym 3', 'perm 3: (0 1), (0 1 2)', ..."""
-    return _parse_whole(text, _group_spec)
+def parse_group_spec(text: str, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
+    """A named group or explicit generators: 'sym 3', 'perm 3: (0 1), (0 1 2)', ...
+
+    Raises GroupTooLargeError as soon as the group reaches cap + 1 elements.
+    """
+    return _parse_whole(text, _group_spec, cap)
 
 
 # -- chains and ambients -------------------------------------------------------

@@ -46,6 +46,13 @@ class TestClasses:
         assert code == 2
         assert "too large" in err
 
+    @pytest.mark.parametrize("argv", [["classes", "sym 9"], ["invgen", "sym 9", "--min"]])
+    def test_cap_refuses_before_building_the_group(self, capsys, argv):
+        # Sym(9) has 362,880 elements; closing stops at the 101st.
+        code, out, err = run(capsys, *argv, "--cap", "100")
+        assert code == 2 and out == ""
+        assert "too large" in err and "cap 100" in err
+
 
 class TestInvgen:
     def test_generating_pair(self, capsys):

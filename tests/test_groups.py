@@ -1,9 +1,12 @@
 """Permutations, closure, classes and subgroups, pinned to hand-checked values."""
 
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from wreathgen import groups
 from wreathgen.groups import (GroupTooLargeError, Perm, all_subgroups,
                               alternating_group, class_of, closure, compose,
                               conjugacy_classes, cyclic_group, dihedral_group,
@@ -26,6 +29,20 @@ class TestPerm:
             Perm((0, 0, 1))
         with pytest.raises(ValueError):
             Perm((0, 1, 3))
+
+    @given(perm_tuples(count=3))
+    def test_unchecked_products_and_inverses_equal_checked_ones(self, perms):
+        # compose and inverse build their results without re-validating them.
+        p, q, r = perms
+        built = [compose(p, q), p * q * r, p.inverse(), compose(q.inverse(), p)]
+        checked = [Perm(x.images) for x in built]
+        for x, y in zip(built, checked):
+            assert x == y and y == x
+            assert hash(x) == hash(y)
+            assert x <= y <= x and not x < y and not y < x
+        for (x, y), (x2, y2) in itertools.product(zip(built, checked), repeat=2):
+            assert (x < x2) == (y < y2) == (x < y2) == (y < x2)
+        assert len(set(built) | set(checked)) == len(set(built))
 
     def test_compose_applies_left_factor_first(self):
         # 0 -> 1 under (0 1), then 1 -> 2 under (0 1 2)
@@ -111,6 +128,21 @@ class TestClosure:
         assert dihedral_group(4).order == 8
         assert quaternion_group().order == 8
 
+    def test_right_maps_multiply_on_the_right(self):
+        G = symmetric_group(4)
+        for i in (0, 1, 7, 23):
+            assert G.right_map(i) == [G.index_of(x * G.elements[i]) for x in G.elements]
+        assert G.right_map(7) is G.right_map(7)
+        assert G.right_map(0) == list(range(24))
+
+    def test_right_maps_past_the_budget_are_built_but_not_kept(self, monkeypatch):
+        monkeypatch.setattr(groups, "RIGHT_MAP_BUDGET", 3 * 24)
+        G = symmetric_group(4)
+        maps = [G.right_map(i) for i in range(24)]
+        assert sorted(G._right_maps) == [0, 1, 2]
+        assert maps == [[G.index_of(x * g) for x in G.elements] for g in G.elements]
+        assert generates(G, G.generators) and not generates(G, G.generators[1:])
+
     def test_listing_equality_and_membership(self):
         G = closure([SWAP3, ROT3])
         assert G == closure([SWAP3, ROT3])
@@ -120,6 +152,7 @@ class TestClosure:
         assert set(G.elements) == set(H.elements)
         assert G != H
         assert SWAP3 in G and Perm((1, 0, 2)) in G
+        assert (1, 0, 2) not in G and Perm((1, 0, 2, 3)) not in G
         assert G.index_of(SWAP3) == 1
 
 

@@ -9,6 +9,7 @@ from wreathgen.groups import (Perm, alternating_group, class_of, closure,
                               symmetric_group)
 from wreathgen.invgen import (invariably_generates, invariably_generates_oracle,
                               min_invariable_size)
+from wreathgen.parsing import parse_perm
 
 SYM3 = symmetric_group(3)
 SWAP = Perm.from_cycles([(0, 1)], 3)
@@ -81,6 +82,19 @@ class TestOracle:
             for S in itertools.combinations(G.elements, size):
                 ok, _ = invariably_generates(G, list(S))
                 assert ok == invariably_generates_oracle(G, list(S))
+
+    def test_agrees_on_sym5(self):
+        G = symmetric_group(5)
+        sets = [["(0 1)", "(0 1 2 3 4)"], ["(0 1)", "(0 1 2 3)"], ["(0 1 2)", "(0 1 2 3)"],
+                ["(0 1)(2 3)", "(0 1 2 3 4)"], ["(0 1 2)(3 4)", "(0 1 2 3)"],
+                ["(0 1 2 3 4)", "(0 1 2)", "(0 1)(2 3)"], ["(0 1 2 3)", "(0 1 2 3 4)"]]
+        answers = []
+        for cycles in sets:
+            S = [parse_perm(c, 5) for c in cycles]
+            ok, _ = invariably_generates(G, S)
+            assert ok == invariably_generates_oracle(G, S), cycles
+            answers.append(ok)
+        assert True in answers and False in answers
 
     def test_abelian_groups_reduce_to_plain_generation(self):
         # Classes are singletons, so invariable generation is generation.

@@ -1,0 +1,166 @@
+"""The index-based closure kernel against test-local copies of the Perm-space
+code it replaced: closure orders, tuple-search witnesses, conjugacy classes
+and the subgroup lattice must all come out the same."""
+
+import itertools
+
+import pytest
+
+from wreathgen.groups import (FiniteGroup, Perm, all_subgroups, alternating_group,
+                              class_of, closure, compose, conjugacy_classes, cyclic_group,
+                              dihedral_group, generated_indices, generates,
+                              klein_four_group, quaternion_group, symmetric_group)
+from wreathgen.invgen import invariably_generates
+from wreathgen.parsing import parse_ambient
+
+# -- the replaced code, kept here as the reference ----------------------------------
+
+
+def old_closure(generators):
+    """Breadth-first closure in Perm space: the elements in discovery order."""
+    identity = Perm.identity(generators[0].degree)
+    elements, seen = [identity], {identity}
+    i = 0
+    while i < len(elements):
+        x = elements[i]
+        i += 1
+        for g in generators:
+            y = compose(x, g)
+            if y not in seen:
+                seen.add(y)
+                elements.append(y)
+    return elements
+
+
+def old_invariably_generates(G, S, prune):
+    elements = list(dict.fromkeys(S))
+    pools = [class_of(G, s).members for s in elements]
+    if prune:
+        pools[0] = (elements[0],)
+    for choice in itertools.product(*pools):
+        sub = len(old_closure(choice))
+        if sub != len(G):
+            return False, tuple(zip(elements, choice)), sub
+    return True, None, None
+
+
+def old_conjugacy_classes(G):
+    """Each class as the set of conjugates of its rep by every element of G."""
+    inverses = {a: a.inverse() for a in G.elements}
+    classes, assigned = [], set()
+    for rep in G.elements:
+        if rep in assigned:
+            continue
+        members = {compose(compose(inverses[a], rep), a) for a in G.elements}
+        assigned |= members
+        classes.append((rep, tuple(sorted(members))))
+    return classes
+
+
+def old_all_subgroups(G):
+    """The fixpoint of pairwise joins of cyclic subgroups, closing A | C."""
+    cyclics = {frozenset(old_closure([g])) for g in G.elements}
+    subgroups = set(cyclics)
+    frontier = list(subgroups)
+    while frontier:
+        fresh = []
+        for A in frontier:
+            for C in cyclics:
+                if C <= A:
+                    continue
+                J = frozenset(old_closure(sorted(A | C)))
+                if J not in subgroups:
+                    subgroups.add(J)
+                    fresh.append(J)
+        frontier = fresh
+    return sorted((tuple(sorted(s)) for s in subgroups), key=lambda t: (len(t), t))
+
+
+# -- groups -------------------------------------------------------------------------
+
+
+def perm_group(degree, *cycle_lists) -> FiniteGroup:
+    return closure([Perm.from_cycles(cycles, degree) for cycles in cycle_lists])
+
+
+def embedded_72() -> FiniteGroup:
+    """Sym(3) wr C2 in its imprimitive action on six points."""
+    P, _ = parse_ambient("sym 3 wr (cyclic 2, natural)").imprimitive_embedding()
+    return P
+
+
+GROUPS = {
+    "sym4": symmetric_group(4),
+    "q8": quaternion_group(),
+    "d4": dihedral_group(4),
+    "embedded72": embedded_72(),
+}
+
+
+def nonidentity_reps(G):
+    return [c.representative for c in conjugacy_classes(G)][1:]
+
+
+class TestClosureKernel:
+    @pytest.mark.parametrize("name", sorted(GROUPS))
+    def test_order_equals_perm_closure_on_every_conjugate_pair(self, name):
+        # Up to simultaneous conjugation a pair is (class rep, anything), so
+        # on the order-72 group those pairs cover every conjugate tuple.
+        G = GROUPS[name]
+        assert G.order == {"sym4": 24, "q8": 8, "d4": 8, "embedded72": 72}[name]
+        firsts = G.elements if G.order <= 24 else [c.representative for c in conjugacy_classes(G)]
+        proper = 0
+        for x, y in itertools.product(firsts, G.elements):
+            expected = len(old_closure([x, y]))
+            got = generated_indices(G, [G.index_of(x), G.index_of(y)])
+            assert len(got) == expected, (x, y)
+            assert generates(G, [x, y]) is (expected == G.order)
+            if expected < G.order:
+                proper += 1
+                assert sorted(G.elements[i] for i in got) == sorted(old_closure([x, y]))
+        assert proper > 0
+
+    @pytest.mark.parametrize("name", sorted(GROUPS))
+    def test_tuple_search_keeps_witnesses_and_orders(self, name):
+        G = GROUPS[name]
+        failures = 0
+        for k, prune in itertools.product((1, 2), (True, False)):
+            for S in itertools.permutations(nonidentity_reps(G), k):
+                ok, witness = invariably_generates(G, S, prune)
+                old_ok, old_choice, old_order = old_invariably_generates(G, S, prune)
+                assert ok is old_ok, S
+                if not ok:
+                    failures += 1
+                    assert witness.choice == old_choice
+                    assert witness.generated_order == old_order < G.order
+        assert failures > 0
+
+    def test_whole_group_stops_past_half(self):
+        G = symmetric_group(4)
+        swap, four_cycle = G.generators
+        assert generated_indices(G, [G.index_of(swap), G.index_of(four_cycle)]) == range(24)
+        assert len(generated_indices(G, [G.index_of(four_cycle)])) == 4
+
+
+class TestConjugacyClasses:
+    @pytest.mark.parametrize("G", [symmetric_group(5), alternating_group(5),
+                                   quaternion_group(), GROUPS["embedded72"]],
+                             ids=["sym5", "alt5", "q8", "embedded72"])
+    def test_generator_orbits_equal_all_conjugator_classes(self, G):
+        got = [(c.representative, c.members) for c in conjugacy_classes(G)]
+        assert got == old_conjugacy_classes(G)
+
+
+class TestSubgroups:
+    @pytest.mark.parametrize("G", [
+        cyclic_group(1), symmetric_group(3), klein_four_group(), quaternion_group(),
+        dihedral_group(4), alternating_group(4), dihedral_group(6), cyclic_group(12),
+        symmetric_group(4), dihedral_group(12),
+        # C2^3 and C2 x D4 have subgroups that need three generators.
+        perm_group(6, [(0, 1)], [(2, 3)], [(4, 5)]),
+        perm_group(6, [(0, 1)], [(2, 3, 4, 5)], [(2, 4)]),
+    ], ids=["c1", "sym3", "klein4", "q8", "d4", "alt4", "d6", "c12", "sym4", "d12",
+            "c2^3", "c2xd4"])
+    def test_joins_of_stored_generators_equal_the_old_fixpoint(self, G):
+        assert len(G) <= 24
+        assert all_subgroups(G) == old_all_subgroups(G)

@@ -7,7 +7,7 @@ import pytest
 from wreathgen.actions import FiniteAction, IntTranslation
 from wreathgen.classify import (ActionDescriptor, GroupDescriptor, IGStatus,
                                 INT_TRANSLATION_ACTION)
-from wreathgen.groups import Perm, symmetric_group
+from wreathgen.groups import GroupTooLargeError, Perm, symmetric_group
 from wreathgen.parsing import (ParseError, ambient_from_chain,
                                chain_to_descriptors, format_perm,
                                format_wreath_element, parse_ambient,
@@ -94,6 +94,16 @@ class TestGroupSpecs:
             parse_group_spec("sym 0")
         with pytest.raises(ParseError):
             parse_group_spec("cyclic")
+
+    def test_cap_refuses_while_closing(self):
+        # Sym(9) has 362,880 elements; the refusal comes at the 101st.
+        with pytest.raises(GroupTooLargeError, match="cap 100"):
+            parse_group_spec("sym 9", cap=100)
+        for spec in ("cyclic 5", "alt 4", "klein4", "perm 3: (0 1), (0 1 2)"):
+            order = parse_group_spec(spec).order
+            assert parse_group_spec(spec, cap=order).order == order
+            with pytest.raises(GroupTooLargeError):
+                parse_group_spec(spec, cap=order - 1)
 
 
 class TestChains:
