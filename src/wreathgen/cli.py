@@ -9,6 +9,7 @@ input or anything the grammars reject.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -63,6 +64,10 @@ def _cmd_classes(args: argparse.Namespace) -> Output:
 
 
 def _cmd_invgen(args: argparse.Namespace) -> Output:
+    if args.min and args.elements is not None:
+        raise ValueError("--min searches for its own set; drop the ELEMENTS argument")
+    if args.min and args.oracle:
+        raise ValueError("--oracle cross-checks a given set; it cannot be combined with --min")
     G = parse_group_spec(args.group, args.cap)
     if args.min:
         size, example = min_invariable_size(G)
@@ -213,7 +218,9 @@ def _cmd_verify(args: argparse.Namespace) -> Output:
     return Output(payload, lines, 1 if payload["failed"] else 0)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """Built on first use and kept: parse_args leaves no state in it between calls."""
     parser = argparse.ArgumentParser(
         prog="wreathgen",
         description="wreath-product arithmetic, invariable generation, classification")

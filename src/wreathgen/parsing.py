@@ -8,13 +8,13 @@ the same permutation, and format_wreath_element emits a valid expression.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NoReturn
+from typing import NamedTuple, NoReturn
 
 from .actions import FiniteAction, IntTranslation, regular_action
 from .classify import (FIG_FG, INT_TRANSLATION_ACTION, ActionDescriptor,
                        GroupDescriptor, IGStatus, descriptor_for_action)
-from .groups import (DEFAULT_CLOSURE_CAP, FiniteGroup, Perm, alternating_group, closure,
-                     cyclic_group, klein_four_group, symmetric_group)
+from .groups import (DEFAULT_CLOSURE_CAP, FiniteGroup, Perm, _trusted, alternating_group,
+                     closure, cyclic_group, klein_four_group, symmetric_group)
 from .wreath import WreathElement, WreathProduct
 
 
@@ -27,8 +27,7 @@ class ParseError(ValueError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # 'int' | 'word' | 'punct' | 'eof'
     text: str
     line: int
@@ -140,10 +139,10 @@ def _parse_whole(text: str, rule, *args):
 
 
 def _cycle_group(p: _Parser, degree: int) -> Perm:
-    """One or more parenthesized cycles, combined left to right."""
+    """One or more parenthesized cycles, combined left to right into one image list."""
     if not p.at_punct("("):
         p.error("expected a cycle")
-    result = Perm.identity(degree)
+    images = list(range(degree))
     while p.at_punct("("):
         p.advance()
         points: list[int] = []
@@ -157,9 +156,10 @@ def _cycle_group(p: _Parser, degree: int) -> Perm:
             seen.add(tok.value)
             points.append(tok.value)
         p.expect_punct(")")
-        if points:
-            result = result * Perm.from_cycles([points], degree)
-    return result
+        # Follow the product so far by this cycle.
+        cycle = dict(zip(points, points[1:] + points[:1]))
+        images = [cycle.get(y, y) for y in images]
+    return _trusted(tuple(images))
 
 
 def parse_perm(text: str, degree: int) -> Perm:

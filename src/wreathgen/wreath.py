@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
 from .actions import ActionSpec, FiniteAction, IntTranslation, apply, orbit_reps
-from .groups import FiniteGroup, GroupTooLargeError, Perm, closure
+from .groups import FiniteGroup, GroupTooLargeError, Perm, _trusted, closure
 
 DEFAULT_ENUMERATION_CAP = 100_000
 
@@ -62,6 +62,7 @@ class WreathProduct:
                 head: HeadElement) -> WreathElement:
         """Build an element from a point->base-element mapping and a head element."""
         items = base.items() if isinstance(base, Mapping) else base
+        identity = self.base_group.identity.images
         canonical: dict[int, Perm] = {}
         listed: set[int] = set()
         for x, g in items:
@@ -72,7 +73,7 @@ class WreathProduct:
             if x in listed:
                 raise ValueError(f"point {x} listed twice")
             listed.add(x)
-            if not g.is_identity():
+            if g.images != identity:
                 canonical[x] = g
         if not self.action.contains_head(head):
             raise ValueError(f"{head!r} is not a head element")
@@ -101,12 +102,13 @@ class WreathProduct:
             raise ValueError("wreath product over the integers is infinite")
         if self.order() > cap:
             raise GroupTooLargeError(f"group too large to enumerate: {self.order()} > {cap}")
-        points = list(self.action.points())
-        out = []
-        for head in self.action.head.elements:
-            for picks in itertools.product(self.base_group.elements, repeat=len(points)):
-                out.append(self.element(dict(zip(points, picks)), head))
-        return out
+        # Group elements on ascending points: canonical once identities are dropped.
+        points = self.action.points()
+        identity = self.base_group.identity.images
+        return [WreathElement(self, tuple((x, g) for x, g in zip(points, picks)
+                                          if g.images != identity), head)
+                for head in self.action.head.elements
+                for picks in itertools.product(self.base_group.elements, repeat=len(points))]
 
     def imprimitive_embedding(self, cap: int = DEFAULT_ENUMERATION_CAP
                               ) -> tuple[FiniteGroup, Callable[[WreathElement], Perm]]:
@@ -131,7 +133,7 @@ class WreathProduct:
                 xk = self.action.point_image(x, u.head)
                 for p in range(degree_g):
                     images[x * degree_g + p] = xk * degree_g + w_x.images[p]
-            return Perm(tuple(images))
+            return _trusted(tuple(images))
 
         gens = [self.base_embed(g, y)
                 for y in orbit_reps(self.action) for g in self.base_group.generators]

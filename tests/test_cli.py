@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from wreathgen import cli
 from wreathgen.cli import main
 
 
@@ -93,6 +94,18 @@ class TestInvgen:
         code, _, err = run(capsys, "invgen", "sym 3")
         assert code == 2
         assert "--min" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["invgen", "sym 3", "(0 1), (0 1 2)", "--min"], "drop the ELEMENTS"),
+        (["invgen", "sym 3", "--min", "--oracle"], "cannot be combined with --min"),
+        (["invgen", "sym 3", "(0 1), (0 1 2)", "--min", "--oracle"], "drop the ELEMENTS"),
+    ])
+    def test_min_refuses_elements_and_oracle(self, capsys, argv, message):
+        # --min searches for its own set, so a given set or an oracle check
+        # would be silently ignored.
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert message in err
 
 
 class TestClassify:
@@ -219,3 +232,40 @@ class TestVerify:
     def test_unknown_suite_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit):
             main(["verify", "frobnicate"])
+
+
+class TestParserReuse:
+    SEQUENCE = [
+        ["invgen", "sym 3", "--bogus"],
+        ["verify", "coset", "--seed", "5", "--count", "1", "--json"],
+        ["verify", "coset", "--count", "1", "--json"],
+        ["verify", "coset", "--count", "1"],
+        ["invgen", "sym 4", "--min", "--json"],
+    ]
+
+    @staticmethod
+    def outcome(capsys, argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_the_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_a_kept_parser_answers_as_a_fresh_one(self, capsys):
+        kept = [self.outcome(capsys, argv) for argv in self.SEQUENCE]
+        fresh = []
+        for argv in self.SEQUENCE:
+            cli._build_parser.cache_clear()
+            fresh.append(self.outcome(capsys, argv))
+        assert kept == fresh
+        assert kept[0][0] == 2 and "--bogus" in kept[0][2]
+        assert json.loads(kept[1][1])["seed"] == 5
+        # The seed given to the call before does not stick.
+        assert json.loads(kept[2][1])["seed"] == 0
+        assert not kept[3][1].startswith("{")
+        assert json.loads(kept[4][1])["minimal_size"] == 2
+        assert all(code == 0 for code, _, _ in kept[1:])

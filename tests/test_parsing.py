@@ -3,7 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from wreathgen import parsing
 from wreathgen.actions import FiniteAction, IntTranslation
 from wreathgen.classify import (ActionDescriptor, GroupDescriptor, IGStatus,
                                 INT_TRANSLATION_ACTION)
@@ -71,6 +74,91 @@ class TestPermGrammar:
             rng.shuffle(images)
             p = Perm(tuple(images))
             assert parse_perm(format_perm(p), 5) == p
+
+
+def reference_cycle_group(p, degree):
+    """The cycle grammar as one validated Perm.from_cycles per cycle,
+    multiplied into the product so far."""
+    if not p.at_punct("("):
+        p.error("expected a cycle")
+    result = Perm.identity(degree)
+    while p.at_punct("("):
+        p.advance()
+        points, seen = [], set()
+        while p.peek().kind == "int":
+            tok = p.advance()
+            if not 0 <= tok.value < degree:
+                p.error(f"point {tok.value} out of range for degree {degree}", tok)
+            if tok.value in seen:
+                p.error(f"point {tok.value} repeated in cycle", tok)
+            seen.add(tok.value)
+            points.append(tok.value)
+        p.expect_punct(")")
+        if points:
+            result = result * Perm.from_cycles([points], degree)
+    return result
+
+
+FULL_WIDTH = str.maketrans("0123456789", "０１２３４５６７８９")
+GAPS = st.sampled_from(["", " ", "  ", "\n", " \n  "])
+SEPARATORS = st.sampled_from([" ", "   ", "\n", "\n "])
+
+
+@st.composite
+def cycle_texts(draw, degree):
+    """Up to four cycles on degree points: mostly valid, some with points out
+    of range or repeated, in ASCII or full-width digits."""
+    cycles = draw(st.lists(st.one_of(
+        st.lists(st.integers(0, degree - 1), unique=True, max_size=min(4, degree)),
+        st.lists(st.integers(-2, degree + 1), max_size=4),
+    ), max_size=4))
+    text = draw(GAPS)
+    for cycle in cycles:
+        inner = "".join(f"{x}{draw(SEPARATORS)}" for x in cycle)
+        text += f"({draw(GAPS)}{inner}){draw(GAPS)}"
+    return text.translate(FULL_WIDTH) if draw(st.booleans()) else text
+
+
+@st.composite
+def degrees_and_texts(draw, max_perms):
+    degree = draw(st.integers(1, 9))
+    texts = draw(st.lists(cycle_texts(degree), min_size=1, max_size=max_perms))
+    return degree, ",".join(texts)
+
+
+def outcome(parse, text, degree):
+    """What a parse gives: its result, or its error's message and position."""
+    try:
+        return parse(text, degree)
+    except ParseError as exc:
+        return str(exc), exc.line, exc.col
+
+
+class TestCycleParserAgainstReference:
+    """The direct image-list parser gives the same permutation, or the same
+    error at the same place, as multiplying one validated Perm per cycle."""
+
+    @staticmethod
+    def reference(parse, text, degree):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(parsing, "_cycle_group", reference_cycle_group)
+            return outcome(parse, text, degree)
+
+    @given(degrees_and_texts(max_perms=1))
+    def test_parse_perm(self, case):
+        degree, text = case
+        assert outcome(parse_perm, text, degree) == self.reference(parse_perm, text, degree)
+
+    @given(degrees_and_texts(max_perms=3))
+    def test_parse_perm_list(self, case):
+        degree, text = case
+        assert (outcome(parse_perm_list, text, degree)
+                == self.reference(parse_perm_list, text, degree))
+
+    def test_examples_of_each_outcome(self):
+        for text, degree in [("(0 1)(1 2)", 3), ("(2)(0 4 1)()(3 0)", 5), ("", 3),
+                             ("(0 3)", 3), ("(0 1)\n(1 ２ 1)", 3), ("(0 1", 2)]:
+            assert outcome(parse_perm, text, degree) == self.reference(parse_perm, text, degree)
 
 
 class TestGroupSpecs:

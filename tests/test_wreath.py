@@ -1,14 +1,16 @@
 """Wreath-product arithmetic against the defining relation and a faithful copy."""
 
+import itertools
 import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wreathgen.actions import FiniteAction, IntTranslation, apply
+from wreathgen.actions import FiniteAction, IntTranslation, apply, regular_action
 from wreathgen.groups import (GroupTooLargeError, Perm, cyclic_group,
                               symmetric_group)
+from wreathgen.parsing import parse_ambient
 from wreathgen.wreath import (DEFAULT_ENUMERATION_CAP, WreathElement,
                               WreathProduct)
 
@@ -263,6 +265,36 @@ class TestFaithfulCopy:
         _, embed = SMALL.imprimitive_embedding()
         with pytest.raises(ValueError):
             embed(OVER_Z.identity())
+
+
+class TestDirectConstruction:
+    """enumerate_elements and the embedding build their results without the
+    checks of WreathProduct.element and Perm; they must give what those give."""
+
+    AMBIENTS = {
+        "natural": WreathProduct(SYM3, FiniteAction(C2)),
+        "regular": WreathProduct(C2, regular_action(SYM3)),
+        "trivial base": WreathProduct(cyclic_group(1), FiniteAction(SYM3)),
+        "alt 4 wr (cyclic 2, natural)": parse_ambient("alt 4 wr (cyclic 2, natural)"),
+    }
+
+    @pytest.mark.parametrize("name", AMBIENTS)
+    def test_enumeration_equals_building_through_element(self, name):
+        W = self.AMBIENTS[name]
+        points = list(W.action.points())
+        built = [W.element(dict(zip(points, picks)), head)
+                 for head in W.action.head.elements
+                 for picks in itertools.product(W.base_group.elements, repeat=len(points))]
+        assert W.enumerate_elements() == built
+
+    @pytest.mark.parametrize("name", AMBIENTS)
+    def test_embedded_images_are_valid_permutations(self, name):
+        W = self.AMBIENTS[name]
+        group, embed = W.imprimitive_embedding()
+        for u in W.enumerate_elements():
+            image = embed(u)
+            assert image == Perm(image.images)
+            assert image in group
 
 
 class TestAgainstFiniteWindow:
