@@ -39,17 +39,17 @@ class Perm:
     @classmethod
     def from_cycles(cls, cycles: Iterable[Sequence[int]], degree: int) -> Perm:
         """Build a permutation from cycles, applied left to right."""
-        result = cls.identity(degree)
+        images = list(range(degree))
         for cycle in cycles:
             if len(set(cycle)) != len(cycle):
                 raise ValueError(f"repeated point in cycle {tuple(cycle)}")
-            images = list(range(degree))
-            for i, point in enumerate(cycle):
+            for point in cycle:
                 if not 0 <= point < degree:
                     raise ValueError(f"point {point} out of range for degree {degree}")
-                images[point] = cycle[(i + 1) % len(cycle)]
-            result = compose(result, cls(tuple(images)))
-        return result
+            # Follow the product so far by this cycle.
+            step = dict(zip(cycle, [*cycle[1:], *cycle[:1]]))
+            images = [step.get(y, y) for y in images]
+        return _trusted(tuple(images))
 
     def __call__(self, x: int) -> int:
         return self.images[x]

@@ -1,116 +1,107 @@
 """Text grammars: cycle notation, group specs, wreath-element expressions, chains.
 
-All grammars are whitespace-insensitive and report errors with a line and
-column.  Formatting and parsing round-trip: format_perm always re-parses to
-the same permutation, and format_wreath_element emits a valid expression.
+One compiled regular expression scans the text into (kind, value, offset)
+tokens, which the rules read with one token of lookahead and no backtracking.
+All grammars are whitespace-insensitive; an error gives the line and column of
+its token, worked out from the offset only when it is raised.  Formatting and
+parsing round-trip: format_perm always re-parses to the same permutation, and
+format_wreath_element emits a valid expression.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import NamedTuple, NoReturn
+from functools import cached_property, partial
+from typing import Callable, NamedTuple, NoReturn
 
 from .actions import FiniteAction, IntTranslation, regular_action
 from .classify import (FIG_FG, INT_TRANSLATION_ACTION, ActionDescriptor,
                        GroupDescriptor, IGStatus, descriptor_for_action)
-from .groups import (DEFAULT_CLOSURE_CAP, FiniteGroup, Perm, _trusted, alternating_group,
-                     closure, cyclic_group, klein_four_group, symmetric_group)
+from .groups import (DEFAULT_CLOSURE_CAP, FiniteGroup, Perm, alternating_group, closure,
+                     cyclic_group, klein_four_group, symmetric_group)
 from .wreath import WreathElement, WreathProduct
 
 
 class ParseError(ValueError):
-    """A grammar error, carrying the 1-based line and column it occurred at."""
+    """A grammar error at an offset in the text, carrying its 1-based line and
+    column; only '\\n' starts a line."""
 
-    def __init__(self, message: str, line: int, col: int):
-        super().__init__(f"{message} (line {line}, column {col})")
-        self.line = line
-        self.col = col
+    def __init__(self, message: str, text: str, offset: int):
+        self.line = text.count("\n", 0, offset) + 1
+        self.col = offset - text.rfind("\n", 0, offset)
+        super().__init__(f"{message} (line {self.line}, column {self.col})")
 
 
 class Token(NamedTuple):
     kind: str  # 'int' | 'word' | 'punct' | 'eof'
-    text: str
-    line: int
-    col: int
-
-    @property
-    def value(self) -> int:
-        return int(self.text)
+    value: int | str  # an int for 'int', the text otherwise: no word is a punct
+    offset: int
 
 
-_PUNCT = set("(){},:*^@")
+# \s, \d and \w accept exactly str.isspace, str.isdecimal (the digits int()
+# accepts) and isalnum() or '_'; no class is str.isalpha, so _misread checks
+# words.  Whitespace only separates tokens: a match never skips anything else.
+_SCAN = re.compile(r"""\s*(?:
+    (?P<punct>[(){},:*^@])
+  | (?P<int>-?\d+)
+  | (?P<word>[^\W\d_]\w*(?:-[^\W\d_]\w*)*)
+  | (?P<bad>\S))""", re.X)
 
 
-def _tokenize(text: str) -> list[Token]:
+def _misread(word: str) -> int:
+    """Where a scanned word fails the word rule, or -1: 0 if it does not start
+    with a letter, else its first '-' not followed by one.  [^\\W\\d_] also takes
+    numerals such as '²', and a '-' before one starts no token either."""
+    if not word[0].isalpha():
+        return 0
+    i = word.find("-")
+    while i > 0 and word[i + 1].isalpha():
+        i = word.find("-", i + 1)
+    return i
+
+
+def _scan(text: str) -> list[Token]:
     tokens: list[Token] = []
-    line, col, i = 1, 1, 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        start_line, start_col = line, col
-        if ch in _PUNCT:
-            tokens.append(Token("punct", ch, start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        # isdecimal, not isdigit: it accepts exactly the digits int() accepts.
-        if ch.isdecimal() or (ch == "-" and i + 1 < len(text) and text[i + 1].isdecimal()):
-            j = i + 1
-            while j < len(text) and text[j].isdecimal():
-                j += 1
-            tokens.append(Token("int", text[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha():
-            j = i + 1
-            while j < len(text) and (
-                text[j].isalnum() or text[j] == "_"
-                or (text[j] == "-" and j + 1 < len(text) and text[j + 1].isalpha())
-            ):
-                j += 1
-            tokens.append(Token("word", text[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", start_line, start_col)
-    tokens.append(Token("eof", "", line, col))
+    for m in _SCAN.finditer(text):
+        kind = m.lastgroup
+        start, value = m.start(kind), m[kind]
+        if kind == "int":
+            value = int(value)
+        elif kind == "word" and (bad := _misread(value)) >= 0:
+            kind, start, value = "bad", start + bad, value[bad:]
+        if kind == "bad":
+            raise ParseError(f"unexpected character {value[0]!r}", text, start)
+        # tuple.__new__ skips the NamedTuple's Python-level __new__ on the
+        # scanner's hottest line.
+        tokens.append(tuple.__new__(Token, (kind, value, start)))
+    tokens.append(Token("eof", "", len(text)))
     return tokens
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+        self.text = text
+        self.tokens = _scan(text)
         self.i = 0
 
+    # The rules advance and look ahead only from a checked token, never from 'eof'.
     def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.i + ahead, len(self.tokens) - 1)]
+        return self.tokens[self.i + ahead]
 
     def advance(self) -> Token:
-        tok = self.tokens[self.i]
-        if tok.kind != "eof":
-            self.i += 1
-        return tok
+        self.i += 1
+        return self.tokens[self.i - 1]
 
     def error(self, message: str, token: Token | None = None) -> NoReturn:
-        tok = token or self.peek()
-        raise ParseError(message, tok.line, tok.col)
+        raise ParseError(message, self.text, (token or self.peek()).offset)
 
     def at_punct(self, ch: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "punct" and tok.text == ch
+        return self.tokens[self.i].value == ch
 
     def at_word(self, *words: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "word" and tok.text.lower() in words
+        tok = self.tokens[self.i]
+        return tok.kind == "word" and tok.value.lower() in words
 
     def expect_punct(self, ch: str) -> Token:
         if not self.at_punct(ch):
@@ -123,8 +114,11 @@ class _Parser:
         return self.advance()
 
     def expect_eof(self) -> None:
-        if self.peek().kind != "eof":
-            self.error(f"unexpected trailing input {self.peek().text!r}")
+        tok = self.peek()
+        if tok.kind != "eof":
+            # A token's text runs to the next token, less the whitespace between.
+            text = self.text[tok.offset:self.tokens[self.i + 1].offset].rstrip()
+            self.error(f"unexpected trailing input {text!r}")
 
 
 def _parse_whole(text: str, rule, *args):
@@ -139,10 +133,11 @@ def _parse_whole(text: str, rule, *args):
 
 
 def _cycle_group(p: _Parser, degree: int) -> Perm:
-    """One or more parenthesized cycles, combined left to right into one image list."""
+    """One or more parenthesized cycles, each point checked where it stands,
+    combined left to right by Perm.from_cycles."""
     if not p.at_punct("("):
         p.error("expected a cycle")
-    images = list(range(degree))
+    cycles: list[list[int]] = []
     while p.at_punct("("):
         p.advance()
         points: list[int] = []
@@ -156,10 +151,8 @@ def _cycle_group(p: _Parser, degree: int) -> Perm:
             seen.add(tok.value)
             points.append(tok.value)
         p.expect_punct(")")
-        # Follow the product so far by this cycle.
-        cycle = dict(zip(points, points[1:] + points[:1]))
-        images = [cycle.get(y, y) for y in images]
-    return _trusted(tuple(images))
+        cycles.append(points)
+    return Perm.from_cycles(cycles, degree)
 
 
 def parse_perm(text: str, degree: int) -> Perm:
@@ -169,7 +162,7 @@ def parse_perm(text: str, degree: int) -> Perm:
 
 def _perm_list(p: _Parser, degree: int) -> list[Perm]:
     perms = [_cycle_group(p, degree)]
-    while p.at_punct(",") and p.peek(1).kind == "punct" and p.peek(1).text == "(":
+    while p.at_punct(",") and p.peek(1).value == "(":
         p.advance()
         perms.append(_cycle_group(p, degree))
     return perms
@@ -190,9 +183,6 @@ def format_perm(perm: Perm) -> str:
 
 # -- group specs ---------------------------------------------------------------
 
-_GROUP_WORDS = ("perm", "cyclic", "sym", "alt", "klein4")
-
-
 def _perm_generators(p: _Parser) -> list[Perm]:
     """The 'N: gens' after 'perm' or 'perm-action': a degree, then generators on it."""
     size = p.expect_int("the degree")
@@ -202,24 +192,22 @@ def _perm_generators(p: _Parser) -> list[Perm]:
     return _perm_list(p, size.value)
 
 
-def _group_spec(p: _Parser, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
-    tok = p.peek()
-    if not p.at_word(*_GROUP_WORDS):
+_SIZED_GROUPS = {"cyclic": cyclic_group, "sym": symmetric_group, "alt": alternating_group}
+
+
+def _group_spec(p: _Parser) -> Callable[..., FiniteGroup]:
+    """A group spec, checked now and closed later: returns a function of the cap."""
+    if not p.at_word("perm", "klein4", *_SIZED_GROUPS):
         p.error("expected a group spec (perm, cyclic, sym, alt, klein4)")
-    word = p.advance().text.lower()
+    word = p.advance().value.lower()
     if word == "klein4":
-        return klein_four_group(cap)
+        return klein_four_group
     if word == "perm":
-        return closure(_perm_generators(p), cap)
+        return partial(closure, _perm_generators(p))
     size = p.expect_int("the size")
-    try:
-        if word == "cyclic":
-            return cyclic_group(size.value, cap)
-        if word == "sym":
-            return symmetric_group(size.value, cap)
-        return alternating_group(size.value, cap)
-    except ValueError as exc:
-        p.error(str(exc), size)
+    if size.value < 1:
+        p.error("n must be >= 1", size)
+    return partial(_SIZED_GROUPS[word], size.value)
 
 
 def parse_group_spec(text: str, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
@@ -227,7 +215,7 @@ def parse_group_spec(text: str, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
 
     Raises GroupTooLargeError as soon as the group reaches cap + 1 elements.
     """
-    return _parse_whole(text, _group_spec, cap)
+    return _parse_whole(text, lambda p: _group_spec(p)(cap))
 
 
 # -- chains and ambients -------------------------------------------------------
@@ -238,9 +226,14 @@ class ParsedLevel:
     """One level of a tower: a concrete group, an abstract descriptor, or the integers."""
 
     kind: str  # 'concrete' | 'abstract' | 'int-translation'
-    group: FiniteGroup | None
+    build: Callable[[], FiniteGroup] | None  # closes a concrete level's group
     descriptor: GroupDescriptor | None
     action: str | None  # None | 'natural' | 'regular' | 'int-translation' | 'torsion' | 'non-torsion'
+
+    @cached_property
+    def group(self) -> FiniteGroup | None:
+        """The concrete group, closed on first read; None for the other kinds."""
+        return self.build() if self.build else None
 
 
 def _descriptor(p: _Parser) -> GroupDescriptor:
@@ -248,11 +241,11 @@ def _descriptor(p: _Parser) -> GroupDescriptor:
     status_tok = p.peek()
     if not p.at_word("fig", "ig", "neg_ig"):
         p.error("expected a status: FIG, IG or NEG_IG")
-    status = IGStatus[p.advance().text.upper()]
+    status = IGStatus[p.advance().value.upper()]
     p.expect_punct(",")
     if not p.at_word("fg", "nonfg"):
         p.error("expected 'fg' or 'nonfg'")
-    fg = p.advance().text.lower() == "fg"
+    fg = p.advance().value.lower() == "fg"
     p.expect_punct("}")
     try:
         return GroupDescriptor(status, fg)
@@ -276,31 +269,35 @@ def _chain_level(p: _Parser, first: bool) -> ParsedLevel:
         gens = _perm_generators(p)
         if first:
             p.error("the first level is a group, not an action", tok)
-        return ParsedLevel("concrete", closure(gens), None, "natural")
+        return ParsedLevel("concrete", partial(closure, gens), None, "natural")
     if p.at_punct("("):
         open_tok = p.advance()
         if p.at_punct("{"):
-            kind, group, descriptor = "abstract", None, _descriptor(p)
+            kind, build, descriptor = "abstract", None, _descriptor(p)
             actions, expected = ("torsion", "non-torsion"), "'torsion' or 'non-torsion'"
         else:
-            kind, group, descriptor = "concrete", _group_spec(p), None
+            kind, build, descriptor = "concrete", _group_spec(p), None
             actions, expected = ("natural", "regular"), "an action: 'natural' or 'regular'"
         p.expect_punct(",")
         if not p.at_word(*actions):
             p.error(f"expected {expected}")
-        action = p.advance().text.lower()
+        action = p.advance().value.lower()
         p.expect_punct(")")
         if first:
             p.error("the first level carries no action", open_tok)
-        return ParsedLevel(kind, group, descriptor, action)
-    group = _group_spec(p)
+        return ParsedLevel(kind, build, descriptor, action)
+    build = _group_spec(p)
     if not first:
         p.error("a head level needs an action: (group, natural|regular) or int-translation")
-    return ParsedLevel("concrete", group, None, None)
+    return ParsedLevel("concrete", build, None, None)
 
 
 def parse_chain(text: str) -> list[ParsedLevel]:
-    """A tower spec: levels separated by 'wr', actions attached from level two on."""
+    """A tower spec: levels separated by 'wr', actions attached from level two on.
+
+    Every check on the text is made here; a concrete level's group is closed
+    only when its ParsedLevel.group is first read.
+    """
     p = _Parser(text)
     levels = [_chain_level(p, first=True)]
     while p.at_word("wr"):
@@ -310,22 +307,25 @@ def parse_chain(text: str) -> list[ParsedLevel]:
     return levels
 
 
+# The engine's view of each action word; the first level has no action.
+_ACTION_DESCRIPTORS = {
+    None: None,
+    "natural": descriptor_for_action(FiniteAction),
+    "regular": descriptor_for_action(FiniteAction),
+    "torsion": ActionDescriptor(True, True),
+    "non-torsion": ActionDescriptor(False, True),
+    "int-translation": INT_TRANSLATION_ACTION,
+}
+
+
 def chain_to_descriptors(levels: list[ParsedLevel]
                          ) -> list[tuple[GroupDescriptor, ActionDescriptor | None]]:
-    """Symbolic view of a parsed chain, ready for the classification engine."""
-    out: list[tuple[GroupDescriptor, ActionDescriptor | None]] = []
-    action_table = {
-        "natural": descriptor_for_action(FiniteAction),
-        "regular": descriptor_for_action(FiniteAction),
-        "torsion": ActionDescriptor(True, True),
-        "non-torsion": ActionDescriptor(False, True),
-        "int-translation": INT_TRANSLATION_ACTION,
-    }
-    for i, level in enumerate(levels):
-        group = level.descriptor if level.kind == "abstract" else FIG_FG
-        action = None if i == 0 else action_table[level.action]
-        out.append((group, action))
-    return out
+    """Symbolic view of a parsed chain, ready for the classification engine.
+
+    A concrete level reads as FIG, fg: no level's group is closed.
+    """
+    return [(level.descriptor if level.kind == "abstract" else FIG_FG,
+             _ACTION_DESCRIPTORS[level.action]) for level in levels]
 
 
 def ambient_from_chain(levels: list[ParsedLevel]) -> WreathProduct:
@@ -352,6 +352,9 @@ def parse_ambient(text: str) -> WreathProduct:
 # -- wreath-element expressions -------------------------------------------------
 
 
+_EXPECTED_ELEMENT = "expected an element: '(cycles)@point', 'h:(cycles)', 't' or 'id'"
+
+
 def _element_primary(p: _Parser, W: WreathProduct) -> WreathElement:
     action = W.action
     if p.at_word("id"):
@@ -372,36 +375,27 @@ def _element_primary(p: _Parser, W: WreathProduct) -> WreathElement:
         if perm not in action.head:
             p.error(f"{format_perm(perm)} is not in the head group", perm_tok)
         return W.head_embed(perm)
-    if p.at_punct("("):
-        # Either a base atom '(cycles)@point' or a parenthesized expression;
-        # try the atom first and backtrack if no '@' follows.
-        mark = p.i
-        perm_tok = p.peek()
-        cycle_err: ParseError | None = None
-        perm: Perm | None = None
-        try:
-            perm = _cycle_group(p, W.base_group.degree)
-        except ParseError as exc:
-            cycle_err = exc
-        if perm is not None and p.at_punct("@"):
-            p.advance()
-            if perm not in W.base_group:
-                p.error(f"{format_perm(perm)} is not in the base group", perm_tok)
-            point_tok = p.expect_int("a coordinate")
-            if not action.contains_point(point_tok.value):
-                p.error(f"point {point_tok.value} is not in the index set", point_tok)
-            return W.base_embed(perm, point_tok.value)
-        p.i = mark
-        try:
-            p.advance()
-            inner = _element_expr(p, W)
-            p.expect_punct(")")
-            return inner
-        except ParseError:
-            if cycle_err is not None:
-                raise cycle_err
-            raise
-    p.error("expected an element: '(cycles)@point', 'h:(cycles)', 't' or 'id'")
+    if not p.at_punct("("):
+        p.error(_EXPECTED_ELEMENT)
+    # '(' then '(' or a word opens a parenthesized expression; anything else
+    # opens a base atom '(cycles)@point'.
+    after = p.peek(1)
+    if after.kind == "word" or after.value == "(":
+        p.advance()
+        inner = _element_expr(p, W)
+        p.expect_punct(")")
+        return inner
+    perm_tok = p.peek()
+    perm = _cycle_group(p, W.base_group.degree)
+    if not p.at_punct("@"):
+        p.error(_EXPECTED_ELEMENT, after)
+    p.advance()
+    if perm not in W.base_group:
+        p.error(f"{format_perm(perm)} is not in the base group", perm_tok)
+    point_tok = p.expect_int("a coordinate")
+    if not action.contains_point(point_tok.value):
+        p.error(f"point {point_tok.value} is not in the index set", point_tok)
+    return W.base_embed(perm, point_tok.value)
 
 
 def _element_factor(p: _Parser, W: WreathProduct) -> WreathElement:

@@ -183,12 +183,13 @@ class WreathElement:
         action = self.ambient.action
         new_head = action.head_compose(self.head, other.head)
         k1_inv = action.head_inverse(self.head)
+        identity = self.ambient.base_group.identity.images
         merged = dict(self.base)
         for z, h in other.base:
             x = action.point_image(z, k1_inv)
             if x in merged:
                 g = merged.pop(x) * h
-                if not g.is_identity():
+                if g.images != identity:
                     merged[x] = g
             else:
                 merged[x] = h

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from wreathgen import cli
+from wreathgen import cli, groups, parsing
 from wreathgen.cli import main
 
 
@@ -121,6 +121,23 @@ class TestClassify:
         assert code == 0
         assert payload["status"] == "IG"
         assert len(payload["trace"]) == 3
+
+    def test_concrete_levels_are_read_without_closing(self, capsys, monkeypatch):
+        closures, closure = [], groups.closure
+
+        def counting_closure(*args, **kwargs):
+            closures.append(args)
+            return closure(*args, **kwargs)
+
+        for module in (groups, parsing):
+            monkeypatch.setattr(module, "closure", counting_closure)
+        # Sym(10) has 3,628,800 elements, past the default closure cap.
+        for chain in ("sym 10 wr int-translation",
+                      "alt 4 wr perm-action 3: (0 1), (0 1 2) wr (klein4, regular)"):
+            code, out, _ = run(capsys, "classify", chain)
+            assert code == 0
+            assert out.endswith("status: FIG\n")
+        assert closures == []
 
     def test_invalid_descriptor_exits_2(self, capsys):
         code, _, err = run(capsys, "classify", "{FIG, nonfg}")

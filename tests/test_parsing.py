@@ -10,7 +10,7 @@ from wreathgen import parsing
 from wreathgen.actions import FiniteAction, IntTranslation
 from wreathgen.classify import (ActionDescriptor, GroupDescriptor, IGStatus,
                                 INT_TRANSLATION_ACTION)
-from wreathgen.groups import GroupTooLargeError, Perm, symmetric_group
+from wreathgen.groups import GroupTooLargeError, Perm, closure, symmetric_group
 from wreathgen.parsing import (ParseError, ambient_from_chain,
                                chain_to_descriptors, format_perm,
                                format_wreath_element, parse_ambient,
@@ -161,6 +161,105 @@ class TestCycleParserAgainstReference:
             assert outcome(parse_perm, text, degree) == self.reference(parse_perm, text, degree)
 
 
+def reference_tokenize(text):
+    """The per-character tokenizer the regex scanner replaced: its tokens as
+    (kind, value, line, column) with ints as int, or its error message."""
+    tokens = []
+    line, col, i = 1, 1, 0
+    while i < len(text):
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch.isspace():
+            col += 1
+            i += 1
+            continue
+        start_line, start_col = line, col
+        if ch in "(){},:*^@":
+            tokens.append(("punct", ch, start_line, start_col))
+            i += 1
+            col += 1
+            continue
+        if ch.isdecimal() or (ch == "-" and i + 1 < len(text) and text[i + 1].isdecimal()):
+            j = i + 1
+            while j < len(text) and text[j].isdecimal():
+                j += 1
+            tokens.append(("int", int(text[i:j]), start_line, start_col))
+            col += j - i
+            i = j
+            continue
+        if ch.isalpha():
+            j = i + 1
+            while j < len(text) and (
+                text[j].isalnum() or text[j] == "_"
+                or (text[j] == "-" and j + 1 < len(text) and text[j + 1].isalpha())
+            ):
+                j += 1
+            tokens.append(("word", text[i:j], start_line, start_col))
+            col += j - i
+            i = j
+            continue
+        return f"unexpected character {ch!r} (line {start_line}, column {start_col})"
+    tokens.append(("eof", "", line, col))
+    return tokens
+
+
+def regex_scan(text):
+    """The scanner's tokens with their lines and columns, or its error."""
+    try:
+        tokens = parsing._scan(text)
+    except ParseError as exc:
+        return str(exc)
+    return [(tok.kind, tok.value, text.count("\n", 0, tok.offset) + 1,
+             tok.offset - text.rfind("\n", 0, tok.offset)) for tok in tokens]
+
+
+# Digits that are decimal ('２'), digits and numerals that are not ('²', '½'),
+# line breaks that are not '\n' ('\r', '\x85'), and the word joiners.
+SCANNER_ALPHABET = "ab_-0１9２²½ \n\r\x85(),:*^@{}x!"
+
+
+class TestScannerAgainstReference:
+    """The regex scanner gives the per-character tokenizer's kinds, values,
+    lines and columns, or its error at the same place."""
+
+    @given(st.text(alphabet=SCANNER_ALPHABET, max_size=24))
+    def test_random_text(self, text):
+        assert regex_scan(text) == reference_tokenize(text)
+
+    def test_examples_of_each_outcome(self):
+        for text in ["(0 ²)", "(0 ２)", "a-b-²c", "int-translation-", "x_1-2", "a\r\x85\nb",
+                     "-", "--1", "½", "\n\n  ", ""]:
+            assert regex_scan(text) == reference_tokenize(text)
+
+
+@st.composite
+def cycle_lists(draw):
+    """A degree and up to four cycles: mostly on distinct points in range."""
+    degree = draw(st.integers(1, 9))
+    cycles = draw(st.lists(st.one_of(
+        st.lists(st.integers(0, degree - 1), unique=True, max_size=degree),
+        st.lists(st.integers(-1, degree), max_size=4),
+    ), max_size=4))
+    return degree, cycles
+
+
+@given(cycle_lists())
+def test_from_cycles_matches_the_cycle_grammar(case):
+    degree, cycles = case
+    text = "".join("(" + " ".join(map(str, c)) + ")" for c in cycles) or "()"
+    try:
+        expected = Perm.from_cycles(cycles, degree)
+    except ValueError:
+        with pytest.raises(ParseError):
+            parse_perm(text, degree)
+    else:
+        assert parse_perm(text, degree) == expected
+
+
 class TestGroupSpecs:
     def test_named_groups(self):
         assert parse_group_spec("sym 3").order == 6
@@ -234,6 +333,23 @@ class TestChains:
             parse_chain("(sym 3, natural)")
         with pytest.raises(ParseError, match="first level"):
             parse_chain("({FIG, fg}, torsion) wr sym 3")
+
+    def test_groups_are_closed_when_read(self, monkeypatch):
+        closed = []
+        monkeypatch.setattr(parsing, "closure",
+                            lambda gens, *cap: closed.append(gens) or closure(gens, *cap))
+        levels = parse_chain("cyclic 2 wr perm-action 3: (0 1), (0 1 2)")
+        assert closed == []
+        assert levels[1].group is levels[1].group
+        assert levels[1].group.order == 6 and len(closed) == 1
+
+    def test_level_checks_stay_at_parse_time(self):
+        with pytest.raises(ParseError, match=r"n must be >= 1 \(line 1, column 18\)"):
+            parse_chain("sym 3 wr (cyclic 0, natural)")
+        with pytest.raises(ParseError, match=r"point 3 out of range.*column 31"):
+            parse_chain("cyclic 2 wr perm-action 3: (0 3)")
+        with pytest.raises(ParseError, match=r"point 0 repeated.*column 33"):
+            parse_chain("cyclic 2 wr perm-action 3: (0 1 0)")
 
     def test_chain_to_descriptors(self):
         chain = chain_to_descriptors(parse_chain(
@@ -331,3 +447,61 @@ class TestElementExpressions:
 
     def test_identity_formats_as_id(self):
         assert format_wreath_element(self.shifts.identity()) == "id"
+
+
+# Outcomes recorded from the grammar that tried cycles first and backtracked;
+# only errors inside a parenthesized expression have changed since.
+ELEMENT_OUTCOMES = [
+    ('finite', '((0 1)@0 * (1 2)@1)^2', ('value', 'id')),
+    ('finite', '(((0 1)@0))', ('value', '(0 1)@0')),
+    ('finite', '(h:(0 1) * (0 1 2)@1)^-1', ('value', '(0 2 1)@1 * h:(0 1)')),
+    ('shifts', '(id)', ('value', 'id')),
+    ('shifts', '(t * (0 1)@0)^3', ('value', '(0 1)@-3 * (0 1)@-2 * (0 1)@-1 * t^3')),
+    ('shifts', 't^-2 * (id * t)', ('value', 't^-1')),
+    ('finite', 'h:(0 1)(0 1)', ('value', 'id')),
+    ('shifts', '(\n(0 1 2)@-1 *\n t)^-2', ('value', '(0 2 1)@0 * (0 2 1)@1 * t^-2')),
+    ('finite', 'ID * H:(0 1)', ('value', 'h:(0 1)')),
+    ('shifts', 'h:(0 1)', ('error', "'h:' needs a finite head; use 't' powers for shifts (line 1, column 1)")),
+    ('finite', 't', ('error', "'t' denotes the unit shift; this head is a finite group (line 1, column 1)")),
+    ('finite', '(0 1)', ('error', "expected an element: '(cycles)@point', 'h:(cycles)', 't' or 'id' (line 1, column 2)")),
+    ('shifts', '(0 1)(1 2)', ('error', "expected an element: '(cycles)@point', 'h:(cycles)', 't' or 'id' (line 1, column 2)")),
+    ('finite', '(0 1)@', ('error', 'expected a coordinate (line 1, column 7)')),
+    ('finite', '(0 1)@2', ('error', 'point 2 is not in the index set (line 1, column 7)')),
+    ('shifts', '(0 3)@0', ('error', 'point 3 out of range for degree 3 (line 1, column 4)')),
+    ('finite', 'h:(0 1 2)', ('error', 'point 2 out of range for degree 2 (line 1, column 8)')),
+    ('shifts', 'id id', ('error', "unexpected trailing input 'id' (line 1, column 4)")),
+    ('shifts', '(0 1)@0 *', ('error', "expected an element: '(cycles)@point', 'h:(cycles)', 't' or 'id' (line 1, column 10)")),
+    ('shifts', 't^', ('error', 'expected an exponent (line 1, column 3)')),
+    ('finite', 'x', ('error', "expected an element: '(cycles)@point', 'h:(cycles)', 't' or 'id' (line 1, column 1)")),
+    ('finite', 'h(0 1)', ('error', "expected ':' (line 1, column 2)")),
+    ('shifts', '(0 1)@0 ２', ('error', "unexpected trailing input '２' (line 1, column 9)")),
+    ('shifts', '(0 1)@0 t', ('error', "unexpected trailing input 't' (line 1, column 9)")),
+    ('shifts', '(0 1 @0', ('error', "expected ')' (line 1, column 6)")),
+    ('finite', '()', ('error', "expected an element: '(cycles)@point', 'h:(cycles)', 't' or 'id' (line 1, column 2)")),
+    ('shifts', '(0 1)@0 ^ 2 ^ 2', ('error', "unexpected trailing input '^' (line 1, column 13)")),
+    ('shifts', 't ** 2', ('error', "expected an element: '(cycles)@point', 'h:(cycles)', 't' or 'id' (line 1, column 4)")),
+]
+
+
+class TestElementOutcomes:
+    @pytest.mark.parametrize("ambient, text, expected", ELEMENT_OUTCOMES)
+    def test_outcome(self, ambient, text, expected):
+        W = parse_ambient({"finite": "sym 3 wr (cyclic 2, natural)",
+                           "shifts": "sym 3 wr int-translation"}[ambient])
+        try:
+            got = "value", format_wreath_element(parse_wreath_element(text, W))
+        except ParseError as exc:
+            got = "error", str(exc)
+        assert got == expected
+
+    @pytest.mark.parametrize("text, message", [
+        ("((0 1)@0 * )", "expected an element: '(cycles)@point', 'h:(cycles)', 't' or 'id' "
+                         "(line 1, column 12)"),
+        ("(t * h)", "expected ':' (line 1, column 7)"),
+        ("((0 1)@0 * t", "expected ')' (line 1, column 13)"),
+        ("(t", "expected ')' (line 1, column 3)"),
+    ])
+    def test_errors_inside_parentheses_point_at_the_fault(self, text, message):
+        with pytest.raises(ParseError) as info:
+            parse_wreath_element(text, parse_ambient("sym 3 wr int-translation"))
+        assert str(info.value) == message
