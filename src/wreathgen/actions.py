@@ -6,8 +6,6 @@ from dataclasses import dataclass
 
 from .groups import FiniteGroup, Perm, closure, compose
 
-INFINITE = float("inf")
-
 
 @dataclass(frozen=True)
 class FiniteAction:
@@ -131,15 +129,6 @@ def cyclic_orbit(action: ActionSpec, x: int, k) -> list[int]:
         orbit.append(y)
         y = action.point_image(y, k)
     return orbit
-
-
-def cyclic_orbit_size(action: ActionSpec, x: int, k) -> int | float:
-    """|x·<k>|, or INFINITE for a nonzero shift of the integers."""
-    if isinstance(action, IntTranslation):
-        if not action.contains_point(x) or not action.contains_head(k):
-            raise ValueError("invalid point or shift")
-        return 1 if k == 0 else INFINITE
-    return len(cyclic_orbit(action, x, k))
 
 
 def regular_action(H: FiniteGroup) -> FiniteAction:

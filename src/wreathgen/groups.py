@@ -68,8 +68,8 @@ class Perm:
     def is_identity(self) -> bool:
         return self.images == tuple(range(len(self.images)))
 
-    def cycles(self, include_fixed: bool = False) -> list[tuple[int, ...]]:
-        """Disjoint cycle decomposition, each cycle starting at its least point."""
+    def cycles(self) -> list[tuple[int, ...]]:
+        """Nontrivial disjoint cycles, each starting at its least point."""
         seen = [False] * self.degree
         out: list[tuple[int, ...]] = []
         for start in range(self.degree):
@@ -82,12 +82,9 @@ class Perm:
                 cycle.append(x)
                 seen[x] = True
                 x = self.images[x]
-            if len(cycle) > 1 or include_fixed:
+            if len(cycle) > 1:
                 out.append(tuple(cycle))
         return out
-
-    def cycle_type(self) -> tuple[int, ...]:
-        return tuple(sorted(len(c) for c in self.cycles(include_fixed=True)))
 
     def __repr__(self) -> str:
         return f"Perm({self.images})"
@@ -293,18 +290,19 @@ def generates(G: FiniteGroup, S: Iterable[Perm]) -> bool:
     return len(generated_indices(G, map(G.index_of, gens))) == len(G)
 
 
-def all_subgroups(G: FiniteGroup, cap: int = DEFAULT_SUBGROUP_CAP) -> list[tuple[Perm, ...]]:
+def all_subgroups(G: FiniteGroup) -> list[tuple[Perm, ...]]:
     """Every subgroup of G, each as a sorted element tuple.
 
     Subgroups are produced by closing the set of cyclic subgroups under
     joins with a cyclic subgroup until no new subgroup appears; every
     subgroup is a join of the cyclic subgroups it contains, so the fixpoint
     is complete.  A join closes the joined subgroup's stored generators plus
-    the cyclic generator.  Only groups with at most `cap` elements are
-    accepted.
+    the cyclic generator.  Only groups with at most DEFAULT_SUBGROUP_CAP
+    elements are accepted, cached or not.
     """
-    if len(G) > cap:
-        raise GroupTooLargeError(f"group too large for subgroup enumeration: {len(G)} > {cap}")
+    if len(G) > DEFAULT_SUBGROUP_CAP:
+        raise GroupTooLargeError(
+            f"group too large for subgroup enumeration: {len(G)} > {DEFAULT_SUBGROUP_CAP}")
     if G._subgroups is None:
         cyclics: dict[frozenset[int], int] = {}
         for g in range(len(G)):
@@ -328,10 +326,10 @@ def all_subgroups(G: FiniteGroup, cap: int = DEFAULT_SUBGROUP_CAP) -> list[tuple
     return G._subgroups
 
 
-def maximal_subgroups(G: FiniteGroup, cap: int = DEFAULT_SUBGROUP_CAP) -> list[tuple[Perm, ...]]:
+def maximal_subgroups(G: FiniteGroup) -> list[tuple[Perm, ...]]:
     """The maximal elements of the proper-subgroup poset of G."""
+    subs = all_subgroups(G)
     if G._maximal is None:
-        subs = all_subgroups(G, cap=cap)
         proper = [frozenset(s) for s in subs if len(s) < len(G)]
         maximal = [
             s for s in proper
@@ -341,12 +339,23 @@ def maximal_subgroups(G: FiniteGroup, cap: int = DEFAULT_SUBGROUP_CAP) -> list[t
     return G._maximal
 
 
+def _refuse_above(cap: int, factors: Iterable[int]) -> None:
+    """Refuse, before any Perm is made, a group whose order (the product of
+    `factors`) is above cap; the product stops growing once it passes cap."""
+    order = 1
+    for f in factors:
+        if order > cap:
+            break
+        order *= f
+    if order > cap:
+        raise GroupTooLargeError(f"group too large: closure exceeded cap {cap}")
+
+
 def cyclic_group(n: int, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
     """C_n as the rotation <(0 1 ... n-1)>; the trivial group when n = 1."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n == 1:
-        return closure([Perm.identity(1)], cap)
+    _refuse_above(cap, [n])
     return closure([Perm(tuple((i + 1) % n for i in range(n)))], cap)
 
 
@@ -354,6 +363,7 @@ def symmetric_group(n: int, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
     """Sym(n) generated by (0 1) and the n-cycle (0 1 ... n-1)."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    _refuse_above(cap, range(2, n + 1))
     if n == 1:
         return closure([Perm.identity(1)], cap)
     swap = Perm.from_cycles([(0, 1)], n)
@@ -366,6 +376,7 @@ def alternating_group(n: int, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
     """Alt(n) from a 3-cycle and a long even cycle; trivial for n <= 2."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    _refuse_above(cap, range(3, n + 1))
     if n <= 2:
         return closure([Perm.identity(n)], cap)
     three = Perm.from_cycles([(0, 1, 2)], n)
@@ -380,6 +391,7 @@ def alternating_group(n: int, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
 
 def klein_four_group(cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
     """C2 x C2 as <(0 1)(2 3), (0 2)(1 3)> on four points."""
+    _refuse_above(cap, [4])
     return closure([
         Perm.from_cycles([(0, 1), (2, 3)], 4),
         Perm.from_cycles([(0, 2), (1, 3)], 4),

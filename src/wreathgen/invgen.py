@@ -36,22 +36,20 @@ def _checked_elements(G: FiniteGroup, S: Sequence[Perm]) -> list[Perm]:
     return elements
 
 
-def invariably_generates(G: FiniteGroup, S: Sequence[Perm], prune: bool = True
-                         ) -> tuple[bool, IGWitness | None]:
+def invariably_generates(G: FiniteGroup, S: Sequence[Perm]) -> tuple[bool, IGWitness | None]:
     """Exhaustive check over conjugate tuples; returns the first failing choice.
 
-    With `prune` on, the first element's conjugate is pinned to itself:
-    conjugating a whole failing tuple simultaneously keeps it failing, so
-    every failure is reachable with the first coordinate fixed.  Tuples are
-    visited with class members in sorted order, which makes the witness
-    reproducible.  Each tuple is closed over element indices and the
-    closure stops past |G|/2, where only G itself can lie; a failing tuple
-    never gets there, so its generated order is exact.
+    The first element's conjugate is pinned to itself: conjugating a whole
+    failing tuple simultaneously keeps it failing, so every failure is
+    reachable with the first coordinate fixed.  Tuples are visited with class
+    members in sorted order, which makes the witness reproducible.  Each tuple
+    is closed over element indices and the closure stops past |G|/2, where
+    only G itself can lie; a failing tuple never gets there, so its generated
+    order is exact.
     """
     elements = _checked_elements(G, S)
     pools = [[G.index_of(m) for m in class_of(G, s).members] for s in elements]
-    if prune:
-        pools[0] = [G.index_of(elements[0])]
+    pools[0] = [G.index_of(elements[0])]
     for choice in itertools.product(*pools):
         sub = len(generated_indices(G, choice))
         if sub != len(G):

@@ -213,9 +213,10 @@ def _group_spec(p: _Parser) -> Callable[..., FiniteGroup]:
 def parse_group_spec(text: str, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
     """A named group or explicit generators: 'sym 3', 'perm 3: (0 1), (0 1 2)', ...
 
-    Raises GroupTooLargeError as soon as the group reaches cap + 1 elements.
+    The whole text is read before any group is built.  GroupTooLargeError comes
+    at once for a named group of order above cap, at cap + 1 elements for 'perm'.
     """
-    return _parse_whole(text, lambda p: _group_spec(p)(cap))
+    return _parse_whole(text, _group_spec)(cap)
 
 
 # -- chains and ambients -------------------------------------------------------

@@ -96,12 +96,12 @@ class WreathProduct:
             raise ValueError("wreath product over the integers is infinite")
         return len(self.base_group) ** self.action.degree * len(self.action.head)
 
-    def enumerate_elements(self, cap: int = DEFAULT_ENUMERATION_CAP) -> list[WreathElement]:
+    def enumerate_elements(self) -> list[WreathElement]:
         """All elements, head-major: base tuples cycle fastest, rightmost point fastest."""
-        if isinstance(self.action, IntTranslation):
-            raise ValueError("wreath product over the integers is infinite")
-        if self.order() > cap:
-            raise GroupTooLargeError(f"group too large to enumerate: {self.order()} > {cap}")
+        order = self.order()
+        if order > DEFAULT_ENUMERATION_CAP:
+            raise GroupTooLargeError(
+                f"group too large to enumerate: {order} > {DEFAULT_ENUMERATION_CAP}")
         # Group elements on ascending points: canonical once identities are dropped.
         points = self.action.points()
         identity = self.base_group.identity.images
@@ -110,16 +110,17 @@ class WreathProduct:
                 for head in self.action.head.elements
                 for picks in itertools.product(self.base_group.elements, repeat=len(points))]
 
-    def imprimitive_embedding(self, cap: int = DEFAULT_ENUMERATION_CAP
-                              ) -> tuple[FiniteGroup, Callable[[WreathElement], Perm]]:
+    def imprimitive_embedding(self) -> tuple[FiniteGroup, Callable[[WreathElement], Perm]]:
         """A faithful permutation copy on points (x, p), plus the embedding map.
 
         The pair (x, p) is encoded as x * degree(base) + p and moves to
         (x.k, p.w(x)); the returned group is the closure of the embedded
         generators and has the full wreath-product order.
         """
-        if isinstance(self.action, IntTranslation):
-            raise ValueError("wreath product over the integers is infinite")
+        order = self.order()
+        if order > DEFAULT_ENUMERATION_CAP:
+            raise GroupTooLargeError(
+                f"group too large to embed: {order} > {DEFAULT_ENUMERATION_CAP}")
         degree_g = self.base_group.degree
         points = list(self.action.points())
 
@@ -138,10 +139,8 @@ class WreathProduct:
         gens = [self.base_embed(g, y)
                 for y in orbit_reps(self.action) for g in self.base_group.generators]
         gens += [self.head_embed(k) for k in self._head_generators()]
-        if self.order() > cap:
-            raise GroupTooLargeError(f"group too large to embed: {self.order()} > {cap}")
-        group = closure([embed(u) for u in gens], cap=self.order())
-        if len(group) != self.order():
+        group = closure([embed(u) for u in gens], cap=order)
+        if len(group) != order:
             raise RuntimeError("embedded copy has wrong order")
         return group, embed
 

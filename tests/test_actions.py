@@ -4,9 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wreathgen.actions import (INFINITE, FiniteAction, IntTranslation, apply,
-                               cyclic_orbit, cyclic_orbit_size, orbit_reps,
-                               regular_action)
+from wreathgen.actions import (FiniteAction, IntTranslation, apply, cyclic_orbit,
+                               orbit_reps, regular_action)
 from wreathgen.groups import Perm, closure, cyclic_group, symmetric_group
 
 SYM3_ACTION = FiniteAction(symmetric_group(3))
@@ -66,12 +65,6 @@ class TestOrbits:
     def test_cyclic_orbit_of_a_nonzero_shift_is_rejected(self):
         with pytest.raises(ValueError):
             cyclic_orbit(SHIFTS, 0, 1)
-
-    def test_cyclic_orbit_sizes(self):
-        rot = Perm.from_cycles([(0, 1, 2)], 3)
-        assert cyclic_orbit_size(SYM3_ACTION, 0, rot) == 3
-        assert cyclic_orbit_size(SHIFTS, 0, 0) == 1
-        assert cyclic_orbit_size(SHIFTS, 0, -2) == INFINITE
 
 
 class TestTorsionType:

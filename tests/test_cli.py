@@ -49,10 +49,36 @@ class TestClasses:
 
     @pytest.mark.parametrize("argv", [["classes", "sym 9"], ["invgen", "sym 9", "--min"]])
     def test_cap_refuses_before_building_the_group(self, capsys, argv):
-        # Sym(9) has 362,880 elements; closing stops at the 101st.
+        # Sym(9) has 362,880 elements; it is refused before any is built.
         code, out, err = run(capsys, *argv, "--cap", "100")
         assert code == 2 and out == ""
         assert "too large" in err and "cap 100" in err
+
+
+class TestKnownOrders:
+    """Named groups whose order is past the cap exit 2 before any Perm or group is built."""
+
+    @pytest.mark.parametrize("argv", [
+        ["classes", "sym 200"],
+        ["classes", "sym 1000"],
+        ["classes", "alt 1000000000"],
+        ["wreath", "eval", "sym 10 wr int-translation", "t"],
+        ["construct", "gamma", "sym 10"],
+    ])
+    def test_refused_before_building(self, capsys, monkeypatch, argv):
+        built = []
+
+        def unbuilt(*args, **kwargs):
+            built.append(args)
+            raise AssertionError("a permutation or a group was built")
+
+        for module in (groups, parsing):
+            monkeypatch.setattr(module, "closure", unbuilt)
+        monkeypatch.setattr(groups.Perm, "from_cycles", unbuilt)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: group too large: closure exceeded cap 1000000\n"
+        assert built == []
 
 
 class TestInvgen:

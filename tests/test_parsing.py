@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wreathgen import parsing
+from wreathgen import groups, parsing
 from wreathgen.actions import FiniteAction, IntTranslation
 from wreathgen.classify import (ActionDescriptor, GroupDescriptor, IGStatus,
                                 INT_TRANSLATION_ACTION)
@@ -283,14 +283,32 @@ class TestGroupSpecs:
             parse_group_spec("cyclic")
 
     def test_cap_refuses_while_closing(self):
-        # Sym(9) has 362,880 elements; the refusal comes at the 101st.
+        # Sym(9) has 362,880 elements; it is refused before any is built.
         with pytest.raises(GroupTooLargeError, match="cap 100"):
             parse_group_spec("sym 9", cap=100)
-        for spec in ("cyclic 5", "alt 4", "klein4", "perm 3: (0 1), (0 1 2)"):
+        for spec in ("cyclic 5", "alt 4", "klein4", "perm 3: (0 1), (0 1 2)",
+                     "sym 1", "alt 1", "alt 2", "cyclic 1", "sym 4"):
             order = parse_group_spec(spec).order
             assert parse_group_spec(spec, cap=order).order == order
-            with pytest.raises(GroupTooLargeError):
+            with pytest.raises(GroupTooLargeError, match=f"closure exceeded cap {order - 1}$"):
                 parse_group_spec(spec, cap=order - 1)
+
+    def test_trailing_input_is_reported_before_closing(self, monkeypatch):
+        closures, closure = [], groups.closure
+
+        def counting_closure(*args, **kwargs):
+            closures.append(args)
+            return closure(*args, **kwargs)
+
+        for module in (groups, parsing):
+            monkeypatch.setattr(module, "closure", counting_closure)
+        with pytest.raises(ParseError, match=r"^unexpected trailing input 'x' \(line 1, column 15\)$"):
+            parse_group_spec("perm 3: (0 1) x")
+        assert closures == []
+        # Sym(10) is past the default cap: the trailing text is still what is reported.
+        with pytest.raises(ParseError, match=r"^unexpected trailing input 'x' \(line 1, column 8\)$"):
+            parse_group_spec("sym 10 x")
+        assert closures == []
 
 
 class TestChains:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from wreathgen import wreath
 from wreathgen.actions import FiniteAction, IntTranslation, apply, regular_action
 from wreathgen.groups import (GroupTooLargeError, Perm, cyclic_group,
                               symmetric_group)
@@ -82,8 +83,10 @@ class TestAmbient:
     def test_infinite_ambient_has_no_order(self):
         with pytest.raises(ValueError):
             OVER_Z.order()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="infinite"):
             OVER_Z.enumerate_elements()
+        with pytest.raises(ValueError, match="infinite"):
+            OVER_Z.imprimitive_embedding()
 
     def test_element_drops_identity_coordinates(self):
         u = SMALL.element({0: C2.identity, 1: C2.elements[1]}, C2.identity)
@@ -110,10 +113,22 @@ class TestAmbient:
         assert listed == SMALL.enumerate_elements()
         assert listed[0] == SMALL.identity()
 
-    def test_enumeration_cap(self):
+    def test_enumeration_cap(self, monkeypatch):
+        monkeypatch.setattr(wreath, "DEFAULT_ENUMERATION_CAP", 10)
         W = WreathProduct(SYM3, FiniteAction(C2))
-        with pytest.raises(GroupTooLargeError):
-            W.enumerate_elements(cap=10)
+        with pytest.raises(GroupTooLargeError, match="to enumerate: 72 > 10"):
+            W.enumerate_elements()
+
+    def test_embedding_cap_comes_before_any_generator(self, monkeypatch):
+        monkeypatch.setattr(wreath, "DEFAULT_ENUMERATION_CAP", 10)
+        W = WreathProduct(SYM3, FiniteAction(C2))
+
+        def unbuilt(*args):
+            raise AssertionError("a generator was built")
+
+        monkeypatch.setattr(WreathProduct, "base_embed", unbuilt)
+        with pytest.raises(GroupTooLargeError, match="to embed: 72 > 10"):
+            W.imprimitive_embedding()
 
 
 class TestElementArithmetic:
