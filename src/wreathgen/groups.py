@@ -8,10 +8,15 @@ from typing import Iterable, Iterator, Sequence
 
 DEFAULT_CLOSURE_CAP = 1_000_000
 DEFAULT_SUBGROUP_CAP = 200
-# Right-multiplication maps a group keeps, counted in list slots (8 bytes
-# each): every element's map fits up to order 2048, and a search over a
-# bigger group builds the maps past this budget afresh on each use.
+# Rows a group keeps, counted in list slots (8 bytes each): its
+# right-multiplication maps, the rows of its product memo and its inverse
+# memo, each of |G| slots.  Every element's map fits up to order 2048, and a
+# search over a bigger group builds the maps past this budget afresh on each
+# use; products and inverses past it are worked out and not kept.
 RIGHT_MAP_BUDGET = 1 << 22
+# Image entries (order times degree) a named group may hold: Sym(9) has
+# 3.3 million, and C_100000 would need 10^10.
+IMAGE_ENTRY_BUDGET = 1 << 22
 
 
 class GroupTooLargeError(Exception):
@@ -125,19 +130,27 @@ class FiniteGroup:
     Elements are listed breadth-first from the identity using the generators
     in the order given, so the listing is reproducible run to run.  Instances
     are treated as immutable after construction; the caches they carry are
-    populated lazily and never change an observable value.
+    populated lazily and never change an observable value.  `identity`,
+    `product` and `inverse` return the group's own element objects, so
+    equal results are the same object.
     """
 
     def __init__(self, degree: int, generators: Sequence[Perm], elements: Sequence[Perm]):
         self.degree = degree
         self.generators = tuple(generators)
         self.elements = tuple(elements)
-        self.identity = Perm.identity(degree)
+        fixed = tuple(range(degree))
+        self.identity = next((p for p in self.elements if p.images == fixed), None)
+        if self.identity is None:
+            raise ValueError("the element list lacks the identity")
         self._classes: list[ConjClass] | None = None
         self._class_index: list[int] = []
         self._subgroups: list[tuple[Perm, ...]] | None = None
         self._maximal: list[tuple[Perm, ...]] | None = None
         self._right_maps: dict[int, list[int]] = {}
+        # Row i of the product memo holds elements[i] * elements[j] at j.
+        self._products: dict[int, list[Perm | None]] = {}
+        self._inverses: list[Perm | None] | None = None
         self._hash: int | None = None
 
     @property
@@ -168,9 +181,44 @@ class FiniteGroup:
         if m is None:
             g, index = self.elements[i].images, self._index
             m = [index[tuple([g[k] for k in x.images])] for x in self.elements]
-            if (len(self._right_maps) + 1) * len(m) <= RIGHT_MAP_BUDGET:
+            if self._room_for_a_row():
                 self._right_maps[i] = m
         return m
+
+    def _room_for_a_row(self) -> bool:
+        """Whether one more row of |G| slots fits in RIGHT_MAP_BUDGET."""
+        rows = len(self._right_maps) + len(self._products) + (self._inverses is not None)
+        return (rows + 1) * len(self.elements) <= RIGHT_MAP_BUDGET
+
+    def product(self, g: Perm, h: Perm) -> Perm:
+        """The group's own element g * h, for elements g and h of the group;
+        worked out on first use and kept while the memo fits RIGHT_MAP_BUDGET."""
+        index = self._index
+        i, j = index[g.images], index[h.images]
+        row = self._products.get(i)
+        if row is None and self._room_for_a_row():
+            row = self._products[i] = [None] * len(self.elements)
+        p = None if row is None else row[j]
+        if p is None:
+            hi = h.images
+            p = self.elements[index[tuple([hi[k] for k in g.images])]]
+            if row is not None:
+                row[j] = p
+        return p
+
+    def inverse(self, g: Perm) -> Perm:
+        """The group's own element g^-1, for an element g of the group; kept
+        like a product."""
+        i = self._index[g.images]
+        row = self._inverses
+        if row is None and self._room_for_a_row():
+            row = self._inverses = [None] * len(self.elements)
+        p = None if row is None else row[i]
+        if p is None:
+            p = self.elements[self._index[g.inverse().images]]
+            if row is not None:
+                row[i] = p
+        return p
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FiniteGroup):
@@ -339,9 +387,11 @@ def maximal_subgroups(G: FiniteGroup) -> list[tuple[Perm, ...]]:
     return G._maximal
 
 
-def _refuse_above(cap: int, factors: Iterable[int]) -> None:
+def _refuse_above(cap: int, factors: Iterable[int], degree: int) -> None:
     """Refuse, before any Perm is made, a group whose order (the product of
-    `factors`) is above cap; the product stops growing once it passes cap."""
+    `factors`) is above cap, or whose elements of this degree would hold
+    more than IMAGE_ENTRY_BUDGET images; the product stops growing once it
+    passes cap."""
     order = 1
     for f in factors:
         if order > cap:
@@ -349,13 +399,17 @@ def _refuse_above(cap: int, factors: Iterable[int]) -> None:
         order *= f
     if order > cap:
         raise GroupTooLargeError(f"group too large: closure exceeded cap {cap}")
+    if order * degree > IMAGE_ENTRY_BUDGET:
+        raise GroupTooLargeError(
+            f"group too large: {order} elements of degree {degree} hold "
+            f"{order * degree} image entries > {IMAGE_ENTRY_BUDGET}")
 
 
 def cyclic_group(n: int, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
     """C_n as the rotation <(0 1 ... n-1)>; the trivial group when n = 1."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    _refuse_above(cap, [n])
+    _refuse_above(cap, [n], n)
     return closure([Perm(tuple((i + 1) % n for i in range(n)))], cap)
 
 
@@ -363,7 +417,7 @@ def symmetric_group(n: int, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
     """Sym(n) generated by (0 1) and the n-cycle (0 1 ... n-1)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    _refuse_above(cap, range(2, n + 1))
+    _refuse_above(cap, range(2, n + 1), n)
     if n == 1:
         return closure([Perm.identity(1)], cap)
     swap = Perm.from_cycles([(0, 1)], n)
@@ -376,7 +430,7 @@ def alternating_group(n: int, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
     """Alt(n) from a 3-cycle and a long even cycle; trivial for n <= 2."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    _refuse_above(cap, range(3, n + 1))
+    _refuse_above(cap, range(3, n + 1), n)
     if n <= 2:
         return closure([Perm.identity(n)], cap)
     three = Perm.from_cycles([(0, 1, 2)], n)
@@ -391,7 +445,7 @@ def alternating_group(n: int, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
 
 def klein_four_group(cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
     """C2 x C2 as <(0 1)(2 3), (0 2)(1 3)> on four points."""
-    _refuse_above(cap, [4])
+    _refuse_above(cap, [4], 4)
     return closure([
         Perm.from_cycles([(0, 1), (2, 3)], 4),
         Perm.from_cycles([(0, 2), (1, 3)], 4),

@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property, partial
-from typing import Callable, NamedTuple, NoReturn
+from functools import cached_property, lru_cache, partial
+from typing import Callable, NamedTuple, NoReturn, Sequence
 
 from .actions import FiniteAction, IntTranslation, regular_action
 from .classify import (FIG_FG, INT_TRANSLATION_ACTION, ActionDescriptor,
                        GroupDescriptor, IGStatus, descriptor_for_action)
-from .groups import (DEFAULT_CLOSURE_CAP, FiniteGroup, Perm, alternating_group, closure,
-                     cyclic_group, klein_four_group, symmetric_group)
+from .groups import (DEFAULT_CLOSURE_CAP, FiniteGroup, Perm, _trusted, alternating_group,
+                     closure, cyclic_group, klein_four_group, symmetric_group)
 from .wreath import WreathElement, WreathProduct
 
 
@@ -175,7 +175,15 @@ def parse_perm_list(text: str, degree: int) -> list[Perm]:
 
 def format_perm(perm: Perm) -> str:
     """Canonical cycle notation: fixed points omitted, '()' for the identity."""
-    cycles = perm.cycles()
+    return _cycle_text(perm.images)
+
+
+# Keyed by image tuples; a program formats few distinct permutations over and
+# over (a base group's elements, a head's), and a listing of a big group
+# only cycles through the cache.
+@lru_cache(maxsize=1024)
+def _cycle_text(images: tuple[int, ...]) -> str:
+    cycles = _trusted(images).cycles()
     if not cycles:
         return "()"
     return "".join("(" + " ".join(str(x) for x in c) + ")" for c in cycles)
@@ -421,9 +429,12 @@ def parse_wreath_element(text: str, W: WreathProduct) -> WreathElement:
     return _parse_whole(text, _element_expr, W)
 
 
-def format_wreath_element(u: WreathElement) -> str:
-    """A re-parsable expression for u; 'id' for the identity."""
-    parts = [f"{format_perm(g)}@{x}" for x, g in u.base]
+def format_wreath_element(u: WreathElement, coordinates: Sequence[str] | None = None) -> str:
+    """A re-parsable expression for u; 'id' for the identity.  `coordinates`
+    are the cycle texts of u's base coordinates in order, if already made."""
+    if coordinates is None:
+        coordinates = [format_perm(g) for _, g in u.base]
+    parts = [f"{text}@{x}" for (x, _), text in zip(u.base, coordinates, strict=True)]
     head = u.head
     if isinstance(u.ambient.action, IntTranslation):
         if head == 1:

@@ -60,20 +60,26 @@ class WreathProduct:
 
     def element(self, base: Mapping[int, Perm] | Iterable[tuple[int, Perm]],
                 head: HeadElement) -> WreathElement:
-        """Build an element from a point->base-element mapping and a head element."""
+        """Build an element from a point->base-element mapping and a head element.
+
+        Each coordinate is stored as the base group's own element equal to it.
+        """
         items = base.items() if isinstance(base, Mapping) else base
-        identity = self.base_group.identity.images
+        group = self.base_group
+        elements, index, identity = group.elements, group._index, group.identity
         canonical: dict[int, Perm] = {}
         listed: set[int] = set()
         for x, g in items:
             if not self.action.contains_point(x):
                 raise ValueError(f"point {x!r} is not in the index set")
-            if g not in self.base_group:
+            i = index.get(g.images) if isinstance(g, Perm) else None
+            if i is None:
                 raise ValueError(f"{g!r} is not in the base group")
             if x in listed:
                 raise ValueError(f"point {x} listed twice")
             listed.add(x)
-            if g.images != identity:
+            g = elements[i]
+            if g is not identity:
                 canonical[x] = g
         if not self.action.contains_head(head):
             raise ValueError(f"{head!r} is not a head element")
@@ -104,9 +110,9 @@ class WreathProduct:
                 f"group too large to enumerate: {order} > {DEFAULT_ENUMERATION_CAP}")
         # Group elements on ascending points: canonical once identities are dropped.
         points = self.action.points()
-        identity = self.base_group.identity.images
+        identity = self.base_group.identity
         return [WreathElement(self, tuple((x, g) for x, g in zip(points, picks)
-                                          if g.images != identity), head)
+                                          if g is not identity), head)
                 for head in self.action.head.elements
                 for picks in itertools.product(self.base_group.elements, repeat=len(points))]
 
@@ -173,31 +179,36 @@ class WreathElement:
 
         Costs one dict pass over each operand plus a sort of the result:
         each entry (z, h) of the right operand lands at x = z.k1^-1, and
-        only points in both supports compose two base elements.
+        only points in both supports multiply two base elements, through
+        the base group's memo of products.
         """
         if not isinstance(other, WreathElement):
             return NotImplemented
-        if self.ambient != other.ambient:
+        if self.ambient is not other.ambient and self.ambient != other.ambient:
             raise ValueError("elements live in different ambient wreath products")
         action = self.ambient.action
         new_head = action.head_compose(self.head, other.head)
         k1_inv = action.head_inverse(self.head)
-        identity = self.ambient.base_group.identity.images
+        point_image = action.point_image
+        group = self.ambient.base_group
+        product, identity = group.product, group.identity
         merged = dict(self.base)
         for z, h in other.base:
-            x = action.point_image(z, k1_inv)
-            if x in merged:
-                g = merged.pop(x) * h
-                if g.images != identity:
-                    merged[x] = g
-            else:
+            x = point_image(z, k1_inv)
+            g = merged.pop(x, None)
+            if g is None:
                 merged[x] = h
+            else:
+                g = product(g, h)
+                if g is not identity:
+                    merged[x] = g
         return WreathElement(self.ambient, tuple(sorted(merged.items())), new_head)
 
     def inverse(self) -> WreathElement:
         action = self.ambient.action
         k_inv = action.head_inverse(self.head)
-        flipped = {action.point_image(x, self.head): g.inverse() for x, g in self.base}
+        point_image, inverse = action.point_image, self.ambient.base_group.inverse
+        flipped = {point_image(x, self.head): inverse(g) for x, g in self.base}
         return WreathElement(self.ambient, tuple(sorted(flipped.items())), k_inv)
 
     def __pow__(self, n: int) -> WreathElement:

@@ -80,6 +80,31 @@ class TestKnownOrders:
         assert err == "error: group too large: closure exceeded cap 1000000\n"
         assert built == []
 
+    def test_image_entries_past_the_budget_are_refused_before_building(self, capsys, monkeypatch):
+        # C_100000 is under the order cap, but its elements would hold 10^10 images.
+        built = []
+
+        def unbuilt(*args, **kwargs):
+            built.append(args)
+            raise AssertionError("a permutation or a group was built")
+
+        for module in (groups, parsing):
+            monkeypatch.setattr(module, "closure", unbuilt)
+        monkeypatch.setattr(groups.Perm, "__post_init__", unbuilt)
+        code, out, err = run(capsys, "classes", "cyclic 100000")
+        assert (code, out) == (2, "")
+        assert err == ("error: group too large: 100000 elements of degree 100000 hold "
+                       "10000000000 image entries > 4194304\n")
+        assert built == []
+
+    def test_named_groups_within_the_image_budget_still_build(self, capsys):
+        # Sym(9) holds 362,880 * 9 = 3.3 million images; the check passes it
+        # (building it takes seconds, so only the check runs here).
+        groups._refuse_above(groups.DEFAULT_CLOSURE_CAP, range(2, 10), 9)
+        code, payload, _ = run_json(capsys, "classes", "cyclic 1000")
+        assert code == 0
+        assert payload["group"] == {"degree": 1000, "order": 1000}
+
 
 class TestInvgen:
     def test_generating_pair(self, capsys):

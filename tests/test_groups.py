@@ -8,11 +8,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from wreathgen import groups
-from wreathgen.groups import (GroupTooLargeError, Perm, all_subgroups,
+from wreathgen.actions import IntTranslation
+from wreathgen.groups import (FiniteGroup, GroupTooLargeError, Perm, all_subgroups,
                               alternating_group, class_of, closure, compose,
                               conjugacy_classes, cyclic_group, dihedral_group,
                               generates, klein_four_group, maximal_subgroups,
                               quaternion_group, symmetric_group)
+from wreathgen.wreath import WreathProduct
 
 SWAP3 = Perm.from_cycles([(0, 1)], 3)
 ROT3 = Perm.from_cycles([(0, 1, 2)], 3)
@@ -145,6 +147,27 @@ class TestClosure:
         assert sorted(G._right_maps) == [0, 1, 2]
         assert maps == [[G.index_of(x * g) for x in G.elements] for g in G.elements]
         assert generates(G, G.generators) and not generates(G, G.generators[1:])
+
+    def test_a_directly_built_group_answers_with_its_own_elements(self):
+        # Listed so that the identity comes last, not first.
+        G = FiniteGroup(3, [SWAP3, ROT3], reversed(closure([SWAP3, ROT3]).elements))
+        assert G.identity is G.elements[5] and G.identity.is_identity()
+        for g, h in itertools.product(G.elements, repeat=2):
+            p = G.product(Perm(g.images), Perm(h.images))
+            assert p == compose(g, h) and p is G.elements[G.index_of(p)]
+            assert G.product(g, h) is p
+        for g in G.elements:
+            inverse = G.inverse(Perm(g.images))
+            assert inverse == g.inverse() and inverse is G.elements[G.index_of(inverse)]
+            assert G.product(g, inverse) is G.identity
+        # Wreath arithmetic drops a coordinate once it is this group's identity.
+        W = WreathProduct(G, IntTranslation())
+        u = W.element({0: SWAP3, 1: ROT3}, 0)
+        assert u * u.inverse() == W.identity() and u ** 6 == W.identity()
+
+    def test_an_element_list_without_the_identity_is_refused(self):
+        with pytest.raises(ValueError, match="lacks the identity"):
+            FiniteGroup(3, [SWAP3], [SWAP3])
 
     def test_listing_equality_and_membership(self):
         G = closure([SWAP3, ROT3])

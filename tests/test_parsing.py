@@ -67,6 +67,20 @@ class TestPermGrammar:
         assert format_perm(SWAP) == "(0 1)"
         assert format_perm(Perm((1, 0, 3, 2))) == "(0 1)(2 3)"
 
+    @given(st.integers(min_value=1, max_value=9).flatmap(
+        lambda n: st.permutations(range(n))))
+    def test_format_equals_an_uncached_copy(self, images):
+        p = Perm(tuple(images))
+        assert format_perm(p) == uncached_format(p)  # first sight, or a hit
+        assert format_perm(Perm(tuple(images))) == uncached_format(p)  # a hit
+
+    def test_format_past_a_full_cache(self):
+        # Sym(7) has 5040 elements, more than the cache keeps: it fills,
+        # then evicts, and every text stays right.
+        for _ in range(2):
+            for p in symmetric_group(7):
+                assert format_perm(p) == uncached_format(p)
+
     def test_format_parse_roundtrip(self):
         rng = random.Random(61)
         for _ in range(100):
@@ -74,6 +88,11 @@ class TestPermGrammar:
             rng.shuffle(images)
             p = Perm(tuple(images))
             assert parse_perm(format_perm(p), 5) == p
+
+
+def uncached_format(p):
+    """format_perm without its cache: each cycle from its least point."""
+    return "".join("(" + " ".join(map(str, c)) + ")" for c in p.cycles()) or "()"
 
 
 def reference_cycle_group(p, degree):

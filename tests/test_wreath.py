@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wreathgen import wreath
+from wreathgen import groups, wreath
 from wreathgen.actions import FiniteAction, IntTranslation, apply, regular_action
 from wreathgen.groups import (GroupTooLargeError, Perm, cyclic_group,
                               symmetric_group)
@@ -23,16 +23,16 @@ SYM3_WR_C3 = WreathProduct(SYM3, FiniteAction(cyclic_group(3)))
 SWAP = Perm.from_cycles([(0, 1)], 3)
 
 
-def random_z_element(rng, max_shift=4, window=8):
-    coords = {x: rng.choice(SYM3.elements)
+def random_z_element(rng, max_shift=4, window=8, W=OVER_Z):
+    coords = {x: rng.choice(W.base_group.elements)
               for x in range(-window, window + 1) if rng.random() < 0.3}
-    return OVER_Z.element(coords, rng.randint(-max_shift, max_shift))
+    return W.element(coords, rng.randint(-max_shift, max_shift))
 
 
 def random_element(rng, W):
-    """A random element of either ambient: a shift ambient or a finite one."""
-    if W is OVER_Z:
-        return random_z_element(rng)
+    """A random element of either kind of ambient: a shift ambient or a finite one."""
+    if isinstance(W.action, IntTranslation):
+        return random_z_element(rng, W=W)
     coords = {x: rng.choice(W.base_group.elements)
               for x in W.action.points() if rng.random() < 0.5}
     return W.element(coords, rng.choice(W.action.head.elements))
@@ -62,6 +62,47 @@ def union_mul(u, v):
             merged[x] = g
     return WreathElement(u.ambient, tuple(sorted(merged.items())),
                          action.head_compose(u.head, v.head))
+
+
+def compose_mul(u, v):
+    """The product as it was made before the base group's memo: a fresh Perm
+    through compose for each point in both supports."""
+    action = u.ambient.action
+    k1_inv = action.head_inverse(u.head)
+    identity = u.ambient.base_group.identity.images
+    merged = dict(u.base)
+    for z, h in v.base:
+        x = action.point_image(z, k1_inv)
+        if x in merged:
+            g = merged.pop(x) * h
+            if g.images != identity:
+                merged[x] = g
+        else:
+            merged[x] = h
+    return WreathElement(u.ambient, tuple(sorted(merged.items())),
+                         action.head_compose(u.head, v.head))
+
+
+def compose_inverse(u):
+    """The inverse as it was made before the memo: Perm.inverse per coordinate."""
+    action = u.ambient.action
+    flipped = {action.point_image(x, u.head): g.inverse() for x, g in u.base}
+    return WreathElement(u.ambient, tuple(sorted(flipped.items())),
+                         action.head_inverse(u.head))
+
+
+def compose_pow(u, n):
+    """Square-and-multiply over compose_mul and compose_inverse."""
+    if n < 0:
+        return compose_pow(compose_inverse(u), -n)
+    result, square = u.ambient.identity(), u
+    while n:
+        if n & 1:
+            result = compose_mul(result, square)
+        n >>= 1
+        if n:
+            square = compose_mul(square, square)
+    return result
 
 
 class TestAmbient:
@@ -219,6 +260,48 @@ class TestFastPathsAgainstDefinitions:
         for n in (2000, 4097):
             assert u ** n == OVER_Z.element({-i: SWAP for i in range(n)}, n)
             assert u ** -n == (u ** n).inverse()
+
+
+KERNEL_AMBIENTS = ["sym 3 wr int-translation", "alt 4 wr (cyclic 2, natural)",
+                   "cyclic 2 wr (sym 3, regular)"]
+
+
+class TestBaseGroupMemo:
+    """`*`, `inverse` and `**` through the base group's memo of products and
+    inverses, against the compose-based copies above."""
+
+    @pytest.mark.parametrize("rows", [None, 2], ids=["kept", "past-budget"])
+    @pytest.mark.parametrize("spec", KERNEL_AMBIENTS)
+    def test_memo_arithmetic_equals_the_compose_copy(self, monkeypatch, spec, rows):
+        if rows is not None:
+            # Room for two rows of the base group's memos, then no more.
+            order = len(parse_ambient(spec).base_group)
+            monkeypatch.setattr(groups, "RIGHT_MAP_BUDGET", rows * order)
+        W = parse_ambient(spec)
+        G = W.base_group
+
+        def kept_slots():
+            kept = len(G._right_maps) + len(G._products) + (G._inverses is not None)
+            return kept * len(G)
+
+        def own(u):
+            return all(g is G.elements[G.index_of(g)] for _, g in u.base)
+
+        rng = random.Random(71)
+        for _ in range(300):
+            # Coordinates given as copies: element() swaps in G's own objects.
+            u, v = (W.element({x: Perm(g.images) for x, g in w.base}, w.head)
+                    for w in (random_element(rng, W), random_element(rng, W)))
+            n = rng.randint(-9, 9)
+            product, inverse, power = u * v, u.inverse(), u ** n
+            assert product == compose_mul(u, v)
+            assert inverse == compose_inverse(u)
+            assert power == compose_pow(u, n)
+            assert all(map(own, (u, v, product, inverse, power)))
+            assert kept_slots() <= groups.RIGHT_MAP_BUDGET
+        if rows is not None:
+            # The memo is full: products and inverses past it were made and not kept.
+            assert kept_slots() == groups.RIGHT_MAP_BUDGET
 
 
 class TestPowerBudget:
