@@ -128,11 +128,10 @@ def _cmd_classify(args: argparse.Namespace) -> Output:
 def _cmd_wreath_eval(args: argparse.Namespace) -> Output:
     element = parse_wreath_element(args.expr, parse_ambient(args.ambient))
     head = element.head if isinstance(element.head, int) else format_perm(element.head)
-    texts = [format_perm(g) for _, g in element.base]
     payload = {
         "ambient": args.ambient,
-        "element": format_wreath_element(element, texts),
-        "base": {str(x): text for (x, _), text in zip(element.base, texts, strict=True)},
+        "element": format_wreath_element(element),
+        "base": {str(x): format_perm(g) for x, g in element.base},
         "head": head,
     }
     return Output(payload, [

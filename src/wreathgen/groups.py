@@ -9,14 +9,19 @@ from typing import Iterable, Iterator, Sequence
 DEFAULT_CLOSURE_CAP = 1_000_000
 DEFAULT_SUBGROUP_CAP = 200
 # Rows a group keeps, counted in list slots (8 bytes each): its
-# right-multiplication maps, the rows of its product memo and its inverse
-# memo, each of |G| slots.  Every element's map fits up to order 2048, and a
-# search over a bigger group builds the maps past this budget afresh on each
-# use; products and inverses past it are worked out and not kept.
+# right-multiplication maps and its row of inverses, each of |G| slots.  All
+# of them fit up to order 2047; a search over a bigger group builds the maps
+# past this budget afresh on each use, and inverses past it are worked out
+# and not kept.  Products are read from the maps only while building every
+# map costs at most this many image lookups, |G|^2 times the degree: Sym(6)
+# and C_161 qualify, C_162 multiplies directly.
 RIGHT_MAP_BUDGET = 1 << 22
-# Image entries (order times degree) a named group may hold: Sym(9) has
-# 3.3 million, and C_100000 would need 10^10.
-IMAGE_ENTRY_BUDGET = 1 << 22
+# Image entries (order times degree) a named group may hold.  Under a 600 MB
+# address-space limit `classes 'cyclic n'` built C_5000 (25 million entries)
+# and ran out of memory at C_5500; this leaves a margin below that.  C_4096
+# is the largest cyclic group that passes, Sym(9) holds 3.3 million entries,
+# Alt(10) 18 million and C_100000 10^10.
+IMAGE_ENTRY_BUDGET = 1 << 24
 
 
 class GroupTooLargeError(Exception):
@@ -148,8 +153,6 @@ class FiniteGroup:
         self._subgroups: list[tuple[Perm, ...]] | None = None
         self._maximal: list[tuple[Perm, ...]] | None = None
         self._right_maps: dict[int, list[int]] = {}
-        # Row i of the product memo holds elements[i] * elements[j] at j.
-        self._products: dict[int, list[Perm | None]] = {}
         self._inverses: list[Perm | None] | None = None
         self._hash: int | None = None
 
@@ -186,29 +189,28 @@ class FiniteGroup:
         return m
 
     def _room_for_a_row(self) -> bool:
-        """Whether one more row of |G| slots fits in RIGHT_MAP_BUDGET."""
-        rows = len(self._right_maps) + len(self._products) + (self._inverses is not None)
+        """Whether one more row of |G| slots fits in RIGHT_MAP_BUDGET beside
+        the maps and the row of inverses kept so far."""
+        rows = len(self._right_maps) + (self._inverses is not None)
         return (rows + 1) * len(self.elements) <= RIGHT_MAP_BUDGET
 
     def product(self, g: Perm, h: Perm) -> Perm:
-        """The group's own element g * h, for elements g and h of the group;
-        worked out on first use and kept while the memo fits RIGHT_MAP_BUDGET."""
+        """The group's own element g * h, for elements g and h of the group:
+        read from h's right-multiplication map while building all of the
+        maps is cheap, worked out directly otherwise."""
         index = self._index
-        i, j = index[g.images], index[h.images]
-        row = self._products.get(i)
-        if row is None and self._room_for_a_row():
-            row = self._products[i] = [None] * len(self.elements)
-        p = None if row is None else row[j]
-        if p is None:
+        if len(self.elements) ** 2 * self.degree > RIGHT_MAP_BUDGET:
             hi = h.images
-            p = self.elements[index[tuple([hi[k] for k in g.images])]]
-            if row is not None:
-                row[j] = p
-        return p
+            return self.elements[index[tuple([hi[k] for k in g.images])]]
+        j = index[h.images]
+        m = self._right_maps.get(j)
+        if m is None:
+            m = self.right_map(j)
+        return self.elements[m[index[g.images]]]
 
     def inverse(self, g: Perm) -> Perm:
         """The group's own element g^-1, for an element g of the group; kept
-        like a product."""
+        in a row of |G| slots while it fits in RIGHT_MAP_BUDGET."""
         i = self._index[g.images]
         row = self._inverses
         if row is None and self._room_for_a_row():

@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
-from typing import Callable, NamedTuple, NoReturn, Sequence
+from typing import Callable, NamedTuple, NoReturn
 
 from .actions import FiniteAction, IntTranslation, regular_action
 from .classify import (FIG_FG, INT_TRANSLATION_ACTION, ActionDescriptor,
@@ -429,12 +429,9 @@ def parse_wreath_element(text: str, W: WreathProduct) -> WreathElement:
     return _parse_whole(text, _element_expr, W)
 
 
-def format_wreath_element(u: WreathElement, coordinates: Sequence[str] | None = None) -> str:
-    """A re-parsable expression for u; 'id' for the identity.  `coordinates`
-    are the cycle texts of u's base coordinates in order, if already made."""
-    if coordinates is None:
-        coordinates = [format_perm(g) for _, g in u.base]
-    parts = [f"{text}@{x}" for (x, _), text in zip(u.base, coordinates, strict=True)]
+def format_wreath_element(u: WreathElement) -> str:
+    """A re-parsable expression for u; 'id' for the identity."""
+    parts = [f"{format_perm(g)}@{x}" for x, g in u.base]
     head = u.head
     if isinstance(u.ambient.action, IntTranslation):
         if head == 1:

@@ -80,8 +80,17 @@ class TestKnownOrders:
         assert err == "error: group too large: closure exceeded cap 1000000\n"
         assert built == []
 
-    def test_image_entries_past_the_budget_are_refused_before_building(self, capsys, monkeypatch):
-        # C_100000 is under the order cap, but its elements would hold 10^10 images.
+    @pytest.mark.parametrize("argv, order, degree", [
+        (["classes", "cyclic 100000"], 100000, 100000),
+        (["classes", "cyclic 4097"], 4097, 4097),
+        (["classes", "alt 10", "--cap", "2000000"], 1814400, 10),
+        (["classes", "sym 10", "--cap", "4000000"], 3628800, 10),
+        (["wreath", "eval", "cyclic 5000 wr int-translation", "t"], 5000, 5000),
+    ])
+    def test_image_entries_past_the_budget_are_refused_before_building(
+            self, capsys, monkeypatch, argv, order, degree):
+        # Each is under its order cap, but its elements would hold more than
+        # IMAGE_ENTRY_BUDGET = 2^24 images.
         built = []
 
         def unbuilt(*args, **kwargs):
@@ -91,16 +100,28 @@ class TestKnownOrders:
         for module in (groups, parsing):
             monkeypatch.setattr(module, "closure", unbuilt)
         monkeypatch.setattr(groups.Perm, "__post_init__", unbuilt)
-        code, out, err = run(capsys, "classes", "cyclic 100000")
+        code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
-        assert err == ("error: group too large: 100000 elements of degree 100000 hold "
-                       "10000000000 image entries > 4194304\n")
+        assert err == (f"error: group too large: {order} elements of degree {degree} hold "
+                       f"{order * degree} image entries > 16777216\n")
         assert built == []
 
-    def test_named_groups_within_the_image_budget_still_build(self, capsys):
-        # Sym(9) holds 362,880 * 9 = 3.3 million images; the check passes it
-        # (building it takes seconds, so only the check runs here).
-        groups._refuse_above(groups.DEFAULT_CLOSURE_CAP, range(2, 10), 9)
+    @pytest.mark.parametrize("spec", ["cyclic 4096", "sym 9"])
+    def test_named_groups_within_the_image_budget_pass_the_check(self, monkeypatch, spec):
+        # C_4096 holds exactly 2^24 images and Sym(9) 3.3 million: the check
+        # lets them through to the closure, stubbed here as building them
+        # takes seconds.
+        class Reached(Exception):
+            pass
+
+        def reached(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr(groups, "closure", reached)
+        with pytest.raises(Reached):
+            cli.main(["classes", spec])
+
+    def test_a_named_group_within_the_image_budget_builds(self, capsys):
         code, payload, _ = run_json(capsys, "classes", "cyclic 1000")
         assert code == 0
         assert payload["group"] == {"degree": 1000, "order": 1000}

@@ -165,6 +165,15 @@ class TestClosure:
         u = W.element({0: SWAP3, 1: ROT3}, 0)
         assert u * u.inverse() == W.identity() and u ** 6 == W.identity()
 
+    def test_products_use_the_maps_only_while_building_them_all_is_cheap(self):
+        # 161^3 image lookups fill every map of C_161, within RIGHT_MAP_BUDGET;
+        # C_162 would need more, so its products are worked out directly.
+        for n, mapped in ((161, True), (162, False)):
+            G = cyclic_group(n)
+            g, h = G.elements[5], G.elements[7]
+            assert G.product(g, h) is G.elements[G.index_of(compose(g, h))]
+            assert sorted(G._right_maps) == ([G.index_of(h)] if mapped else [])
+
     def test_an_element_list_without_the_identity_is_refused(self):
         with pytest.raises(ValueError, match="lacks the identity"):
             FiniteGroup(3, [SWAP3], [SWAP3])

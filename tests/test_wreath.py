@@ -267,22 +267,21 @@ KERNEL_AMBIENTS = ["sym 3 wr int-translation", "alt 4 wr (cyclic 2, natural)",
 
 
 class TestBaseGroupMemo:
-    """`*`, `inverse` and `**` through the base group's memo of products and
-    inverses, against the compose-based copies above."""
+    """`*`, `inverse` and `**` through the base group's right-multiplication
+    maps and row of inverses, against the compose-based copies above."""
 
-    @pytest.mark.parametrize("rows", [None, 2], ids=["kept", "past-budget"])
+    @pytest.mark.parametrize("kept", [True, False], ids=["kept", "past-budget"])
     @pytest.mark.parametrize("spec", KERNEL_AMBIENTS)
-    def test_memo_arithmetic_equals_the_compose_copy(self, monkeypatch, spec, rows):
-        if rows is not None:
-            # Room for two rows of the base group's memos, then no more.
+    def test_memo_arithmetic_equals_the_compose_copy(self, monkeypatch, spec, kept):
+        if not kept:
+            # Less than one row of the base group: nothing is kept.
             order = len(parse_ambient(spec).base_group)
-            monkeypatch.setattr(groups, "RIGHT_MAP_BUDGET", rows * order)
+            monkeypatch.setattr(groups, "RIGHT_MAP_BUDGET", order - 1)
         W = parse_ambient(spec)
         G = W.base_group
 
         def kept_slots():
-            kept = len(G._right_maps) + len(G._products) + (G._inverses is not None)
-            return kept * len(G)
+            return (len(G._right_maps) + (G._inverses is not None)) * len(G)
 
         def own(u):
             return all(g is G.elements[G.index_of(g)] for _, g in u.base)
@@ -299,9 +298,12 @@ class TestBaseGroupMemo:
             assert power == compose_pow(u, n)
             assert all(map(own, (u, v, product, inverse, power)))
             assert kept_slots() <= groups.RIGHT_MAP_BUDGET
-        if rows is not None:
-            # The memo is full: products and inverses past it were made and not kept.
-            assert kept_slots() == groups.RIGHT_MAP_BUDGET
+        if kept:
+            # Products and inverses were read from the kept rows.
+            assert G._right_maps and G._inverses is not None
+        else:
+            # They were all worked out and none was kept.
+            assert kept_slots() == 0
 
 
 class TestPowerBudget:
