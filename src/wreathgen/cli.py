@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import random
 import sys
 from typing import NamedTuple, Sequence
@@ -285,12 +286,20 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ParseError, ValueError, GroupTooLargeError, CoordinateContractError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.json:
-        payload = {"schema_version": SCHEMA_VERSION, "command": args.command, **out.payload}
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for line in out.lines:
-            print(line)
+    try:
+        if args.json:
+            payload = {"schema_version": SCHEMA_VERSION, "command": args.command, **out.payload}
+            print(json.dumps(payload, indent=2, sort_keys=True))
+        else:
+            for line in out.lines:
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe early.  As the Python docs advise for
+        # SIGPIPE, send what is left to devnull, so that the flush at exit
+        # does not fail again and print a traceback.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     if out.error:
         print(f"error: {out.error}", file=sys.stderr)
     return out.code

@@ -12,9 +12,9 @@ DEFAULT_SUBGROUP_CAP = 200
 # right-multiplication maps and its row of inverses, each of |G| slots.  All
 # of them fit up to order 2047; a search over a bigger group builds the maps
 # past this budget afresh on each use, and inverses past it are worked out
-# and not kept.  Products are read from the maps only while building every
-# map costs at most this many image lookups, |G|^2 times the degree: Sym(6)
-# and C_161 qualify, C_162 multiplies directly.
+# and not kept.  Products are kept in the maps, a slot at a time, only while
+# building every map would cost at most this many image lookups, |G|^2 times
+# the degree: Sym(6) and C_161 qualify, C_162 multiplies directly.
 RIGHT_MAP_BUDGET = 1 << 22
 # Image entries (order times degree) a named group may hold.  Under a 600 MB
 # address-space limit `classes 'cyclic n'` built C_5000 (25 million entries)
@@ -49,17 +49,14 @@ class Perm:
     @classmethod
     def from_cycles(cls, cycles: Iterable[Sequence[int]], degree: int) -> Perm:
         """Build a permutation from cycles, applied left to right."""
-        images = list(range(degree))
+        cycles = list(cycles)
         for cycle in cycles:
             if len(set(cycle)) != len(cycle):
                 raise ValueError(f"repeated point in cycle {tuple(cycle)}")
             for point in cycle:
                 if not 0 <= point < degree:
                     raise ValueError(f"point {point} out of range for degree {degree}")
-            # Follow the product so far by this cycle.
-            step = dict(zip(cycle, [*cycle[1:], *cycle[:1]]))
-            images = [step.get(y, y) for y in images]
-        return _trusted(tuple(images))
+        return _cycles_product(cycles, degree)
 
     def __call__(self, x: int) -> int:
         return self.images[x]
@@ -107,6 +104,21 @@ def _trusted(images: tuple[int, ...]) -> Perm:
     return p
 
 
+def _cycles_product(cycles: Iterable[Sequence[int]], degree: int) -> Perm:
+    """The product, left to right, of cycles of distinct points below degree,
+    unchecked.  Following the product so far by a cycle moves the images of
+    the points it sends onto the cycle: O(degree) once, then O(len) a cycle."""
+    images = list(range(degree))
+    source = images[:]  # source[y]: the point the product so far sends to y
+    for cycle in cycles:
+        if cycle:
+            moved = [source[y] for y in cycle]
+            for x, y in zip(moved, [*cycle[1:], cycle[0]]):
+                images[x] = y
+                source[y] = x
+    return _trusted(tuple(images))
+
+
 def compose(p: Perm, q: Perm) -> Perm:
     """Product under the right-action convention: x -> q(p(x)), with p acting first."""
     qi = q.images
@@ -152,7 +164,10 @@ class FiniteGroup:
         self._class_index: list[int] = []
         self._subgroups: list[tuple[Perm, ...]] | None = None
         self._maximal: list[tuple[Perm, ...]] | None = None
+        # Right-multiplication rows, -1 in a slot not yet filled; the maps
+        # right_map has filled whole are listed in _whole_maps.
         self._right_maps: dict[int, list[int]] = {}
+        self._whole_maps: set[int] = set()
         self._inverses: list[Perm | None] | None = None
         self._hash: int | None = None
 
@@ -178,14 +193,16 @@ class FiniteGroup:
         return self._index[p.images]
 
     def right_map(self, i: int) -> list[int]:
-        """j -> the index of elements[j] * elements[i]; built on first use and
-        kept while the group's maps fit in RIGHT_MAP_BUDGET."""
-        m = self._right_maps.get(i)
-        if m is None:
-            g, index = self.elements[i].images, self._index
-            m = [index[tuple([g[k] for k in x.images])] for x in self.elements]
-            if self._room_for_a_row():
-                self._right_maps[i] = m
+        """j -> the index of elements[j] * elements[i], every slot filled:
+        built on first use, in place of any row `product` has begun, and kept
+        while the group's rows fit in RIGHT_MAP_BUDGET."""
+        if i in self._whole_maps:
+            return self._right_maps[i]
+        g, index = self.elements[i].images, self._index
+        m = [index[tuple([g[k] for k in x.images])] for x in self.elements]
+        if i in self._right_maps or self._room_for_a_row():
+            self._right_maps[i] = m
+            self._whole_maps.add(i)
         return m
 
     def _room_for_a_row(self) -> bool:
@@ -195,18 +212,25 @@ class FiniteGroup:
         return (rows + 1) * len(self.elements) <= RIGHT_MAP_BUDGET
 
     def product(self, g: Perm, h: Perm) -> Perm:
-        """The group's own element g * h, for elements g and h of the group:
-        read from h's right-multiplication map while building all of the
-        maps is cheap, worked out directly otherwise."""
-        index = self._index
-        if len(self.elements) ** 2 * self.degree > RIGHT_MAP_BUDGET:
-            hi = h.images
-            return self.elements[index[tuple([hi[k] for k in g.images])]]
-        j = index[h.images]
-        m = self._right_maps.get(j)
-        if m is None:
-            m = self.right_map(j)
-        return self.elements[m[index[g.images]]]
+        """The group's own element g * h, for elements g and h of the group.
+
+        While building all of the maps would be cheap, it is kept in h's
+        right-multiplication row, whose slots are filled as products need
+        them; otherwise, or when no row fits, it is worked out directly.
+        """
+        index, hi = self._index, h.images
+        if len(self.elements) ** 2 * self.degree <= RIGHT_MAP_BUDGET:
+            j = index[hi]
+            row = self._right_maps.get(j)
+            if row is None and self._room_for_a_row():
+                row = self._right_maps[j] = [-1] * len(self.elements)
+            if row is not None:
+                i = index[g.images]
+                k = row[i]
+                if k < 0:
+                    k = row[i] = index[tuple([hi[x] for x in g.images])]
+                return self.elements[k]
+        return self.elements[index[tuple([hi[x] for x in g.images])]]
 
     def inverse(self, g: Perm) -> Perm:
         """The group's own element g^-1, for an element g of the group; kept

@@ -3,9 +3,11 @@
 One compiled regular expression scans the text into (kind, value, offset)
 tokens, which the rules read with one token of lookahead and no backtracking.
 All grammars are whitespace-insensitive; an error gives the line and column of
-its token, worked out from the offset only when it is raised.  Formatting and
-parsing round-trip: format_perm always re-parses to the same permutation, and
-format_wreath_element emits a valid expression.
+its token, worked out from the offset only when it is raised.  parse_perm
+first tries a second pattern that reads a well-formed cycle text whole, and
+leaves any other text to the token grammar, the one reporter of errors.
+Formatting and parsing round-trip: format_perm always re-parses to the same
+permutation, and format_wreath_element emits a valid expression.
 """
 
 from __future__ import annotations
@@ -18,8 +20,9 @@ from typing import Callable, NamedTuple, NoReturn
 from .actions import FiniteAction, IntTranslation, regular_action
 from .classify import (FIG_FG, INT_TRANSLATION_ACTION, ActionDescriptor,
                        GroupDescriptor, IGStatus, descriptor_for_action)
-from .groups import (DEFAULT_CLOSURE_CAP, FiniteGroup, Perm, _trusted, alternating_group,
-                     closure, cyclic_group, klein_four_group, symmetric_group)
+from .groups import (DEFAULT_CLOSURE_CAP, FiniteGroup, Perm, _cycles_product, _trusted,
+                     alternating_group, closure, cyclic_group, klein_four_group,
+                     symmetric_group)
 from .wreath import WreathElement, WreathProduct
 
 
@@ -133,31 +136,64 @@ def _parse_whole(text: str, rule, *args):
 
 
 def _cycle_group(p: _Parser, degree: int) -> Perm:
-    """One or more parenthesized cycles, each point checked where it stands,
-    combined left to right by Perm.from_cycles."""
-    if not p.at_punct("("):
+    """One or more parenthesized cycles, read by token index, each point
+    checked where it stands; the cycles combine left to right."""
+    tokens, i = p.tokens, p.i
+    if tokens[i].value != "(":
         p.error("expected a cycle")
     cycles: list[list[int]] = []
-    while p.at_punct("("):
-        p.advance()
+    while tokens[i].value == "(":
+        i += 1
         points: list[int] = []
         seen: set[int] = set()
-        while p.peek().kind == "int":
-            tok = p.advance()
-            if not 0 <= tok.value < degree:
-                p.error(f"point {tok.value} out of range for degree {degree}", tok)
-            if tok.value in seen:
-                p.error(f"point {tok.value} repeated in cycle", tok)
-            seen.add(tok.value)
-            points.append(tok.value)
+        while (tok := tokens[i]).kind == "int":
+            i += 1
+            x = tok.value
+            if not 0 <= x < degree:
+                p.error(f"point {x} out of range for degree {degree}", tok)
+            if x in seen:
+                p.error(f"point {x} repeated in cycle", tok)
+            seen.add(x)
+            points.append(x)
+        p.i = i
         p.expect_punct(")")
+        i += 1
         cycles.append(points)
-    return Perm.from_cycles(cycles, degree)
+    p.i = i
+    return _cycles_product(cycles, degree)
+
+
+# Whole texts of parenthesized runs of decimal integers, with whitespace
+# between the integers and around the parentheses; \d+(\s+\d+)* splits a
+# run of digits one way only, so a failing match does not backtrack.
+_CYCLES = re.compile(r"\s*(?:\((?:\s*\d+(?:\s+\d+)*)?\s*\)\s*)+")
+
+
+def _read_cycles(text: str, degree: int) -> Perm | None:
+    """The permutation a well-formed cycle text denotes, or None for any text
+    the grammar would refuse; it leaves the error and its position to the
+    grammar.  The pattern admits no sign, so only the top of the range and
+    repeats are left to check."""
+    if _CYCLES.fullmatch(text) is None:
+        return None
+    cycles = [[int(s) for s in chunk.split()]
+              for chunk in text.replace(")", " ").split("(")[1:]]
+    for cycle in cycles:
+        if cycle and (max(cycle) >= degree or len(set(cycle)) < len(cycle)):
+            return None
+    return _cycles_product(cycles, degree)
 
 
 def parse_perm(text: str, degree: int) -> Perm:
-    """Cycle notation for one permutation, e.g. '(0 1)(2 3)' or '()' for identity."""
-    return _parse_whole(text, _cycle_group, degree)
+    """Cycle notation for one permutation, e.g. '(0 1)(2 3)' or '()' for identity.
+
+    A well-formed text is read whole by _read_cycles; any other goes to the
+    cycle grammar, which reports the fault.
+    """
+    perm = _read_cycles(text, degree)
+    if perm is None:
+        perm = _parse_whole(text, _cycle_group, degree)
+    return perm
 
 
 def _perm_list(p: _Parser, degree: int) -> list[Perm]:

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
 from .actions import ActionSpec, FiniteAction, IntTranslation, apply, orbit_reps
-from .groups import FiniteGroup, GroupTooLargeError, Perm, _trusted, closure
+from .groups import (IMAGE_ENTRY_BUDGET, FiniteGroup, GroupTooLargeError, Perm, _trusted,
+                     closure)
 
 DEFAULT_ENUMERATION_CAP = 100_000
 
@@ -218,9 +219,10 @@ class WreathElement:
         the support of u shifted by 0, -h, ..., -(|n|-1)h: at most
         len(u.base) * |n| points, and at most the width of u's support plus
         (|n|-1)|h|.  When the smaller of the two is above
-        DEFAULT_ENUMERATION_CAP, GroupTooLargeError is raised before any
-        product is formed.  A pure base element, or any element of a finite
-        ambient, keeps its support bounded and is never refused.
+        DEFAULT_ENUMERATION_CAP, or its coordinates would hold more than
+        IMAGE_ENTRY_BUDGET image entries, GroupTooLargeError is raised before
+        any product is formed.  A pure base element, or any element of a
+        finite ambient, keeps its support bounded and is never refused.
         """
         if n < 0:
             return self.inverse() ** (-n)
@@ -231,6 +233,12 @@ class WreathElement:
                 raise GroupTooLargeError(
                     f"power too large: its support may reach {estimate} points "
                     f"> {DEFAULT_ENUMERATION_CAP}")
+            degree = self.ambient.base_group.degree
+            if estimate * degree > IMAGE_ENTRY_BUDGET:
+                raise GroupTooLargeError(
+                    f"power too large: its support may reach {estimate} points of "
+                    f"degree {degree}, {estimate * degree} image entries "
+                    f"> {IMAGE_ENTRY_BUDGET}")
         result = self.ambient.identity()
         square = self
         while n:

@@ -1,11 +1,18 @@
 """The command line, driven in-process through main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from wreathgen import cli, groups, parsing
+from wreathgen import cli, groups, parsing, wreath
 from wreathgen.cli import main
+from wreathgen.wreath import WreathElement
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run(capsys, *argv):
@@ -250,6 +257,62 @@ class TestWreathEval:
         assert code == 2
         assert out == ""
         assert err == "error: power too large: its support may reach 99999999 points > 100000\n"
+
+    def test_powers_past_the_image_budget_exit_2_before_any_product(self, capsys, monkeypatch):
+        # About 50,000 coordinates of degree 1000: within the support cap,
+        # but past IMAGE_ENTRY_BUDGET, so the power is refused up front.
+        products = 0
+        mul = WreathElement.__mul__
+
+        def counting_mul(u, v):
+            nonlocal products
+            products += 1
+            return mul(u, v)
+
+        r = " ".join(map(str, range(1000)))
+        argv = ["wreath", "eval", "cyclic 1000 wr int-translation", f"(({r})@0 * ({r})@1 * t)"]
+        monkeypatch.setattr(WreathElement, "__mul__", counting_mul)
+        assert run(capsys, *argv)[0] == 0
+        unpowered, products = products, 0
+        argv[-1] += "^49999"
+        code, out, err = run(capsys, *argv, "--json")
+        assert (code, out) == (2, "")
+        assert err == ("error: power too large: its support may reach 50000 points of "
+                       "degree 1000, 50000000 image entries > 16777216\n")
+        assert products == unpowered
+
+    def test_powers_within_the_image_budget_run(self, capsys):
+        # 50,000 coordinates of degree 3: 150,000 image entries.
+        code, payload, _ = run_json(capsys, "wreath", "eval", "sym 3 wr int-translation",
+                                    "((0 1)@0 * (0 1 2)@1 * t)^49999")
+        assert code == 0
+        assert payload["head"] == 49999 and len(payload["base"]) == 50000
+
+    def test_the_image_budget_is_support_times_degree(self, capsys, monkeypatch):
+        # ((0 1)@0 * (0 1 2)@1 * t)^99 may reach 100 points of degree 3.
+        argv = ("wreath", "eval", "sym 3 wr int-translation", "((0 1)@0 * (0 1 2)@1 * t)^99")
+        monkeypatch.setattr(wreath, "IMAGE_ENTRY_BUDGET", 300)
+        assert run_json(capsys, *argv)[0] == 0
+        monkeypatch.setattr(wreath, "IMAGE_ENTRY_BUDGET", 299)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.endswith("100 points of degree 3, 300 image entries > 299\n")
+
+    def test_a_closed_pipe_ends_the_command_quietly(self):
+        # About 1.9 MB of output: the command is still writing when the
+        # reader stops after 300 bytes.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "wreathgen.cli", "wreath", "eval",
+             "sym 3 wr int-translation", "((0 1)@0 * (0 1 2)@1 * t)^49999"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")})
+        head = proc.stdout.read(300)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert head.startswith(b"element: (0 1)@-49998 * ")
+        assert err == b""
 
 
 class TestConstruct:

@@ -1,6 +1,7 @@
 """Permutations, closure, classes and subgroups, pinned to hand-checked values."""
 
 import itertools
+import random
 from functools import partial
 
 import pytest
@@ -173,6 +174,38 @@ class TestClosure:
             g, h = G.elements[5], G.elements[7]
             assert G.product(g, h) is G.elements[G.index_of(compose(g, h))]
             assert sorted(G._right_maps) == ([G.index_of(h)] if mapped else [])
+
+    def test_a_product_fills_one_slot_of_its_row(self):
+        G = cyclic_group(161)
+        g, h = G.elements[5], G.elements[7]
+        G.product(g, h)
+        row = G._right_maps[G.index_of(h)]
+        assert [k for k in row if k >= 0] == [G.index_of(compose(g, h))]
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_rows_filled_in_any_order_give_the_same_answers(self, seed):
+        # Products fill slots, right_map completes rows and generated_indices
+        # reads them, interleaved at random; a fresh group is the reference.
+        rng = random.Random(seed)
+        G, fresh = dihedral_group(6), dihedral_group(6)
+        n = len(G)
+        pairs = list(itertools.product(range(n), repeat=2))
+        rng.shuffle(pairs)
+        for step, (i, j) in enumerate(pairs[:200]):
+            g, h = G.elements[i], G.elements[j]
+            assert G.product(g, h) is G.elements[G.index_of(compose(g, h))]
+            if step % 7 == 0:
+                k = rng.randrange(n)
+                assert G.right_map(k) == [G.index_of(compose(x, G.elements[k]))
+                                          for x in G.elements]
+            if step % 11 == 0:
+                gens = rng.sample(range(n), rng.randint(1, 2))
+                assert (sorted(groups.generated_indices(G, gens))
+                        == sorted(groups.generated_indices(fresh, gens)))
+        for i, j in pairs:
+            assert G.product(G.elements[i], G.elements[j]) == compose(G.elements[i],
+                                                                      G.elements[j])
+        assert all(G.right_map(k) == fresh.right_map(k) for k in range(n))
 
     def test_an_element_list_without_the_identity_is_refused(self):
         with pytest.raises(ValueError, match="lacks the identity"):

@@ -153,12 +153,27 @@ def outcome(parse, text, degree):
         return str(exc), exc.line, exc.col
 
 
+def reference_parse_perm(text, degree):
+    """parse_perm with no whole-text reader: the token grammar alone, one
+    validated Perm per cycle."""
+    return parsing._parse_whole(text, reference_cycle_group, degree)
+
+
+# Digits that are decimal ('２') and not ('²'), signs and joiners the cycle
+# pattern refuses, and line breaks that are not '\n'.
+CYCLE_ALPHABET = "()-+_,x0123456789２²\n\r\x85 "
+
+
 class TestCycleParserAgainstReference:
-    """The direct image-list parser gives the same permutation, or the same
-    error at the same place, as multiplying one validated Perm per cycle."""
+    """The whole-text reader and the direct image-list grammar give the same
+    permutation, or the same error at the same place, as multiplying one
+    validated Perm per cycle."""
 
     @staticmethod
     def reference(parse, text, degree):
+        if parse is parse_perm:
+            # Patching _cycle_group would leave the reader in the path.
+            return outcome(reference_parse_perm, text, degree)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(parsing, "_cycle_group", reference_cycle_group)
             return outcome(parse, text, degree)
@@ -166,6 +181,10 @@ class TestCycleParserAgainstReference:
     @given(degrees_and_texts(max_perms=1))
     def test_parse_perm(self, case):
         degree, text = case
+        assert outcome(parse_perm, text, degree) == self.reference(parse_perm, text, degree)
+
+    @given(st.integers(1, 9), st.text(alphabet=CYCLE_ALPHABET, max_size=20))
+    def test_parse_perm_on_random_text(self, degree, text):
         assert outcome(parse_perm, text, degree) == self.reference(parse_perm, text, degree)
 
     @given(degrees_and_texts(max_perms=3))
@@ -176,7 +195,9 @@ class TestCycleParserAgainstReference:
 
     def test_examples_of_each_outcome(self):
         for text, degree in [("(0 1)(1 2)", 3), ("(2)(0 4 1)()(3 0)", 5), ("", 3),
-                             ("(0 3)", 3), ("(0 1)\n(1 ２ 1)", 3), ("(0 1", 2)]:
+                             ("(0 3)", 3), ("(0 1)\n(1 ２ 1)", 3), ("(0 1", 2),
+                             (" ( )\r\x85", 2), ("(0-1)", 2), ("(+1)", 2), ("(1_0)", 2),
+                             ("(01)", 2), ("(0 ²)", 3), ("(0 1),(1 2)", 3), ("(0 1)x", 2)]:
             assert outcome(parse_perm, text, degree) == self.reference(parse_perm, text, degree)
 
 
