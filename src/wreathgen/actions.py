@@ -36,10 +36,10 @@ class FiniteAction:
         return self.head.identity
 
     def head_compose(self, a: Perm, b: Perm) -> Perm:
-        return compose(a, b)
+        return self.head.product(a, b)
 
     def head_inverse(self, h: Perm) -> Perm:
-        return h.inverse()
+        return self.head.inverse(h)
 
     def contains_head(self, h: object) -> bool:
         return isinstance(h, Perm) and h in self.head

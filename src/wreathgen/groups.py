@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 DEFAULT_CLOSURE_CAP = 1_000_000
@@ -112,7 +113,7 @@ def _cycles_product(cycles: Iterable[Sequence[int]], degree: int) -> Perm:
     source = images[:]  # source[y]: the point the product so far sends to y
     for cycle in cycles:
         if cycle:
-            moved = [source[y] for y in cycle]
+            moved = [*map(source.__getitem__, cycle)]
             for x, y in zip(moved, [*cycle[1:], cycle[0]]):
                 images[x] = y
                 source[y] = x
@@ -276,18 +277,21 @@ def closure(generators: Sequence[Perm], cap: int = DEFAULT_CLOSURE_CAP) -> Finit
             raise ValueError(f"degree mismatch among generators: {g.degree} vs {degree}")
     if cap < 1:
         raise GroupTooLargeError(f"group too large: closure exceeded cap {cap}")
-    identity = Perm.identity(degree)
-    elements = [identity]
-    seen = {identity.images}
-    for x in elements:
-        for g in gens:
-            y = compose(x, g)
-            if y.images not in seen:
-                if len(elements) >= cap:
-                    raise GroupTooLargeError(f"group too large: closure exceeded cap {cap}")
-                seen.add(y.images)
-                elements.append(y)
-    return FiniteGroup(degree, gens, elements)
+    images = [tuple(range(degree))]
+    # itemgetter(*x)(g) is x then g; below degree 2 only the identity exists.
+    if degree > 1:
+        seen = set(images)
+        gen_images = [g.images for g in gens]
+        for x in images:
+            image_of = itemgetter(*x)
+            for g in gen_images:
+                y = image_of(g)
+                if y not in seen:
+                    if len(images) >= cap:
+                        raise GroupTooLargeError(f"group too large: closure exceeded cap {cap}")
+                    seen.add(y)
+                    images.append(y)
+    return FiniteGroup(degree, gens, list(map(_trusted, images)))
 
 
 def generated_indices(G: FiniteGroup, generators: Iterable[int]) -> Sequence[int]:
@@ -432,11 +436,14 @@ def _refuse_above(cap: int, factors: Iterable[int], degree: int) -> None:
 
 
 def cyclic_group(n: int, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
-    """C_n as the rotation <(0 1 ... n-1)>; the trivial group when n = 1."""
+    """C_n as the rotation r = (0 1 ... n-1), trivial when n = 1, listed as
+    r^0, ..., r^(n-1): the order closure([r]) finds them in."""
     if n < 1:
         raise ValueError("n must be >= 1")
     _refuse_above(cap, [n], n)
-    return closure([Perm(tuple((i + 1) % n for i in range(n)))], cap)
+    r = Perm(tuple((i + 1) % n for i in range(n)))
+    twice = tuple(range(n)) * 2
+    return FiniteGroup(n, [r], [_trusted(twice[k:k + n]) for k in range(n)])
 
 
 def symmetric_group(n: int, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
@@ -476,19 +483,3 @@ def klein_four_group(cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
         Perm.from_cycles([(0, 1), (2, 3)], 4),
         Perm.from_cycles([(0, 2), (1, 3)], 4),
     ], cap)
-
-
-def dihedral_group(n: int) -> FiniteGroup:
-    """D_n of order 2n acting on the vertices of an n-gon, n >= 3."""
-    if n < 3:
-        raise ValueError("n must be >= 3")
-    rotation = Perm(tuple((i + 1) % n for i in range(n)))
-    reflection = Perm(tuple((n - i) % n for i in range(n)))
-    return closure([rotation, reflection])
-
-
-def quaternion_group() -> FiniteGroup:
-    """The quaternion group of order 8 as permutations of eight points."""
-    i = Perm.from_cycles([(0, 2, 1, 3), (4, 6, 5, 7)], 8)
-    j = Perm.from_cycles([(0, 4, 1, 5), (2, 7, 3, 6)], 8)
-    return closure([i, j])

@@ -176,8 +176,7 @@ def _read_cycles(text: str, degree: int) -> Perm | None:
     repeats are left to check."""
     if _CYCLES.fullmatch(text) is None:
         return None
-    cycles = [[int(s) for s in chunk.split()]
-              for chunk in text.replace(")", " ").split("(")[1:]]
+    cycles = [[*map(int, chunk.split())] for chunk in text.replace(")", " ").split("(")[1:]]
     for cycle in cycles:
         if cycle and (max(cycle) >= degree or len(set(cycle)) < len(cycle)):
             return None

@@ -14,8 +14,9 @@ runs a construction-time self-test of that relation on its generators.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable
 
 from .actions import ActionSpec, FiniteAction, IntTranslation, apply, orbit_reps
 from .groups import (IMAGE_ENTRY_BUDGET, FiniteGroup, GroupTooLargeError, Perm, _trusted,
@@ -36,7 +37,12 @@ class WreathProduct:
     def __post_init__(self) -> None:
         if not isinstance(self.action, (FiniteAction, IntTranslation)):
             raise TypeError(f"unsupported action: {self.action!r}")
+        # Every element's hash hashes its ambient, so work that out once.
+        object.__setattr__(self, "_hash", hash((self.base_group, self.action)))
         self._self_test()
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def _head_generators(self) -> list[HeadElement]:
         if isinstance(self.action, IntTranslation):
@@ -46,11 +52,15 @@ class WreathProduct:
     def _self_test(self) -> None:
         # The multiplication formula is only trusted because this relation
         # holds literally; check it on generators before handing out elements.
+        reps = orbit_reps(self.action)
+        heads = []
+        for k in self._head_generators():
+            kk = self.head_embed(k)
+            heads.append((k, kk, kk.inverse()))
         for g in self.base_group.generators:
-            for k in self._head_generators():
-                kk = self.head_embed(k)
-                for y in orbit_reps(self.action):
-                    lhs = kk.inverse() * self.base_embed(g, y) * kk
+            for k, kk, kk_inv in heads:
+                for y in reps:
+                    lhs = kk_inv * self.base_embed(g, y) * kk
                     rhs = self.base_embed(g, apply(self.action, y, k))
                     if lhs != rhs:
                         raise RuntimeError(
@@ -68,10 +78,11 @@ class WreathProduct:
         items = base.items() if isinstance(base, Mapping) else base
         group = self.base_group
         elements, index, identity = group.elements, group._index, group.identity
+        contains_point = self.action.contains_point
         canonical: dict[int, Perm] = {}
         listed: set[int] = set()
         for x, g in items:
-            if not self.action.contains_point(x):
+            if not contains_point(x):
                 raise ValueError(f"point {x!r} is not in the index set")
             i = index.get(g.images) if isinstance(g, Perm) else None
             if i is None:
@@ -84,7 +95,7 @@ class WreathProduct:
                 canonical[x] = g
         if not self.action.contains_head(head):
             raise ValueError(f"{head!r} is not a head element")
-        return WreathElement(self, tuple(sorted(canonical.items())), head)
+        return _element(self, tuple(sorted(canonical.items())), head)
 
     def identity(self) -> WreathElement:
         return self.element({}, self.action.head_identity())
@@ -112,8 +123,8 @@ class WreathProduct:
         # Group elements on ascending points: canonical once identities are dropped.
         points = self.action.points()
         identity = self.base_group.identity
-        return [WreathElement(self, tuple((x, g) for x, g in zip(points, picks)
-                                          if g is not identity), head)
+        return [_element(self, tuple((x, g) for x, g in zip(points, picks)
+                                     if g is not identity), head)
                 for head in self.action.head.elements
                 for picks in itertools.product(self.base_group.elements, repeat=len(points))]
 
@@ -203,14 +214,14 @@ class WreathElement:
                 g = product(g, h)
                 if g is not identity:
                     merged[x] = g
-        return WreathElement(self.ambient, tuple(sorted(merged.items())), new_head)
+        return _element(self.ambient, tuple(sorted(merged.items())), new_head)
 
     def inverse(self) -> WreathElement:
         action = self.ambient.action
         k_inv = action.head_inverse(self.head)
         point_image, inverse = action.point_image, self.ambient.base_group.inverse
         flipped = {point_image(x, self.head): inverse(g) for x, g in self.base}
-        return WreathElement(self.ambient, tuple(sorted(flipped.items())), k_inv)
+        return _element(self.ambient, tuple(sorted(flipped.items())), k_inv)
 
     def __pow__(self, n: int) -> WreathElement:
         """u^n by square-and-multiply: at most 2 log2|n| + 1 products.
@@ -257,3 +268,12 @@ class WreathElement:
         entries = ", ".join(f"{x}: {g.images}" for x, g in self.base)
         head = self.head.images if isinstance(self.head, Perm) else f"shift({self.head:+d})"
         return f"WreathElement({{{entries}}}, head={head})"
+
+
+def _element(ambient: WreathProduct, base: tuple, head: HeadElement) -> WreathElement:
+    """A WreathElement, unchecked, from sorted coordinates that are the base
+    group's own elements, none the identity, and a head element."""
+    u = object.__new__(WreathElement)
+    d = u.__dict__
+    d["ambient"], d["base"], d["head"] = ambient, base, head
+    return u

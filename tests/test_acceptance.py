@@ -13,11 +13,12 @@ from wreathgen.classify import (FIG_FG, INT_TRANSLATION_ACTION, ActionDescriptor
                                 GroupDescriptor, IGStatus, iterated_status,
                                 iterated_status_direct, wreath_status_with_rule)
 from wreathgen.groups import (Perm, alternating_group, class_of, closure,
-                              cyclic_group, dihedral_group, klein_four_group,
-                              quaternion_group, symmetric_group)
+                              cyclic_group, klein_four_group, symmetric_group)
 from wreathgen.invgen import (invariably_generates, invariably_generates_oracle,
                               min_invariable_size)
 from wreathgen.verify import run_suites
+
+from small_groups import dihedral_group, quaternion_group
 
 SWAP = Perm.from_cycles([(0, 1)], 3)
 OTHER = Perm.from_cycles([(0, 2)], 3)

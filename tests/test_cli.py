@@ -116,15 +116,17 @@ class TestKnownOrders:
     @pytest.mark.parametrize("spec", ["cyclic 4096", "sym 9"])
     def test_named_groups_within_the_image_budget_pass_the_check(self, monkeypatch, spec):
         # C_4096 holds exactly 2^24 images and Sym(9) 3.3 million: the check
-        # lets them through to the closure, stubbed here as building them
-        # takes seconds.
+        # lets them through to the group's construction.  C_4096 is listed
+        # without a closure, so the stub is FiniteGroup, which both reach;
+        # Sym(9) is still closed first (about a second), and their classes,
+        # which would take seconds more, are never found.
         class Reached(Exception):
             pass
 
         def reached(*args, **kwargs):
             raise Reached
 
-        monkeypatch.setattr(groups, "closure", reached)
+        monkeypatch.setattr(groups.FiniteGroup, "__init__", reached)
         with pytest.raises(Reached):
             cli.main(["classes", spec])
 

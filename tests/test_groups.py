@@ -12,10 +12,11 @@ from wreathgen import groups
 from wreathgen.actions import IntTranslation
 from wreathgen.groups import (FiniteGroup, GroupTooLargeError, Perm, all_subgroups,
                               alternating_group, class_of, closure, compose,
-                              conjugacy_classes, cyclic_group, dihedral_group,
-                              generates, klein_four_group, maximal_subgroups,
-                              quaternion_group, symmetric_group)
+                              conjugacy_classes, cyclic_group, generates,
+                              klein_four_group, maximal_subgroups, symmetric_group)
 from wreathgen.wreath import WreathProduct
+
+from small_groups import dihedral_group, quaternion_group
 
 SWAP3 = Perm.from_cycles([(0, 1)], 3)
 ROT3 = Perm.from_cycles([(0, 1, 2)], 3)

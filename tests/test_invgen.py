@@ -5,12 +5,12 @@ import itertools
 import pytest
 
 from wreathgen.groups import (Perm, alternating_group, class_of, closure,
-                              cyclic_group, dihedral_group, klein_four_group,
-                              symmetric_group)
+                              cyclic_group, klein_four_group, symmetric_group)
 from wreathgen.invgen import (invariably_generates, invariably_generates_oracle,
                               min_invariable_size)
 from wreathgen.parsing import parse_perm
 
+from small_groups import dihedral_group
 from test_kernel_equivalence import old_invariably_generates
 
 SYM3 = symmetric_group(3)

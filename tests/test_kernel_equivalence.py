@@ -1,17 +1,23 @@
-"""The index-based closure kernel against test-local copies of the Perm-space
-code it replaced: closure orders, tuple-search witnesses, conjugacy classes
-and the subgroup lattice must all come out the same."""
+"""The index-based closure kernel, the image-tuple closure, the listed cyclic
+groups and wreath arithmetic with finite heads against test-local copies of
+the Perm-space code they replaced: element orders, closure orders,
+tuple-search witnesses, conjugacy classes, the subgroup lattice and wreath
+products must all come out the same."""
 
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wreathgen.groups import (FiniteGroup, Perm, all_subgroups, alternating_group,
-                              class_of, closure, compose, conjugacy_classes, cyclic_group,
-                              dihedral_group, generated_indices, generates,
-                              klein_four_group, quaternion_group, symmetric_group)
+from wreathgen.groups import (FiniteGroup, GroupTooLargeError, Perm, all_subgroups,
+                              alternating_group, class_of, closure, compose,
+                              conjugacy_classes, cyclic_group, generated_indices, generates,
+                              klein_four_group, symmetric_group)
 from wreathgen.invgen import invariably_generates
 from wreathgen.parsing import parse_ambient
+
+from small_groups import dihedral_group, quaternion_group
 
 # -- the replaced code, kept here as the reference ----------------------------------
 
@@ -166,3 +172,116 @@ class TestSubgroups:
     def test_joins_of_stored_generators_equal_the_old_fixpoint(self, G):
         assert len(G) <= 24
         assert all_subgroups(G) == old_all_subgroups(G)
+
+
+class TestImageTupleClosure:
+    """closure searches over image tuples and cyclic_group lists its
+    elements; both must give old_closure's elements in its order."""
+
+    NAMED = {
+        **{f"sym {n}": symmetric_group(n) for n in range(1, 7)},
+        **{f"alt {n}": alternating_group(n) for n in range(1, 7)},
+        **{f"cyclic {n}": cyclic_group(n) for n in range(1, 65)},
+        "klein4": klein_four_group(),
+    }
+
+    @staticmethod
+    def check(gens, expected):
+        """closure(gens) lists `expected`, passes at cap |G| and is refused
+        at cap |G| - 1."""
+        order = len(expected)
+        assert list(closure(gens, cap=order).elements) == expected
+        with pytest.raises(GroupTooLargeError,
+                           match=f"^group too large: closure exceeded cap {order - 1}$"):
+            closure(gens, cap=order - 1)
+
+    @pytest.mark.parametrize("name", NAMED)
+    def test_named_groups_keep_the_perm_space_order(self, name):
+        G = self.NAMED[name]
+        expected = old_closure(list(G.generators))
+        assert list(G.elements) == expected
+        self.check(list(G.generators), expected)
+
+    @pytest.mark.parametrize("n", range(1, 65))
+    def test_cyclic_groups_are_listed_as_closure_finds_them(self, n):
+        G = cyclic_group(n)
+        (r,) = G.generators
+        assert r == Perm(tuple((i + 1) % n for i in range(n)))
+        assert G.elements == closure([r]).elements
+        assert G.identity is G.elements[0]
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 7).flatmap(lambda n: st.lists(
+        st.permutations(range(n)).map(lambda p: Perm(tuple(p))), min_size=1, max_size=3)))
+    def test_drawn_generator_lists_keep_the_perm_space_order(self, gens):
+        self.check(gens, old_closure(gens))
+
+
+def old_mul(u, v):
+    """(w1, k1)(w2, k2) = (x -> w1(x) * w2(x.k1), k1 k2) over every point,
+    heads and coordinates through compose."""
+    W = u.ambient
+    identity = W.base_group.identity
+    left, right = dict(u.base), dict(v.base)
+    base = {x: compose(left.get(x, identity), right.get(u.head.images[x], identity))
+            for x in W.action.points()}
+    return W.element({x: g for x, g in base.items() if not g.is_identity()},
+                     compose(u.head, v.head))
+
+
+def old_inverse(u):
+    """(w, k)^-1 = (x.k -> w(x)^-1, k^-1), through Perm.inverse."""
+    flipped = {u.head.images[x]: g.inverse() for x, g in u.base}
+    return u.ambient.element(flipped, u.head.inverse())
+
+
+def old_pow(u, n):
+    """u^n as |n| products by u or by its inverse."""
+    step = u if n >= 0 else old_inverse(u)
+    result = u.ambient.identity()
+    for _ in range(abs(n)):
+        result = old_mul(result, step)
+    return result
+
+
+FINITE_WREATH = [
+    "cyclic 2 wr (cyclic 2, natural)", "klein4 wr (cyclic 2, natural)",
+    "cyclic 2 wr (sym 3, natural)", "cyclic 2 wr (klein4, natural)",
+    "sym 3 wr (cyclic 2, natural)", "cyclic 3 wr (sym 3, natural)",
+    "alt 4 wr (cyclic 2, natural)", "cyclic 2 wr (sym 3, regular)",
+    "sym 3 wr (cyclic 3, natural)",
+]
+
+
+class TestFiniteHeads:
+    """Finite heads multiply through the head group's own elements; the
+    products, inverses and powers must equal the compose-based copies."""
+
+    @pytest.mark.parametrize("spec", FINITE_WREATH)
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_arithmetic_equals_the_compose_copy(self, spec, data):
+        W = parse_ambient(spec)
+        G, H = W.base_group, W.action.head
+
+        def draw():
+            # Copies of the groups' elements, so nothing starts out shared.
+            picks = data.draw(st.lists(st.integers(0, len(G) - 1), min_size=H.degree,
+                                       max_size=H.degree))
+            head = H.elements[data.draw(st.integers(0, len(H) - 1))]
+            return W.element({x: Perm(G.elements[i].images) for x, i in enumerate(picks)},
+                             Perm(head.images))
+
+        u, v = draw(), draw()
+        results = [(u * v, old_mul(u, v)), (u.inverse(), old_inverse(u))]
+        results += [(u ** n, old_pow(u, n)) for n in range(-5, 6)]
+        for got, expected in results:
+            assert got == expected
+            assert got.head is H.elements[H.index_of(got.head)]
+
+    @pytest.mark.parametrize("spec", FINITE_WREATH + ["sym 3 wr int-translation"])
+    def test_equal_ambients_hash_equal(self, spec):
+        W, again = parse_ambient(spec), parse_ambient(spec)
+        assert W is not again and W == again
+        assert hash(W) == hash(again) == hash((W.base_group, W.action))
+        assert hash(W.identity()) == hash(again.identity())

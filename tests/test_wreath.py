@@ -116,6 +116,18 @@ class TestAmbient:
                         assert kk.inverse() * W.base_embed(g, y) * kk == \
                             W.base_embed(g, apply(W.action, y, k))
 
+    @pytest.mark.parametrize("action_type, spec", [
+        (FiniteAction, "cyclic 3 wr (cyclic 3, natural)"),
+        (FiniteAction, "cyclic 2 wr (sym 3, regular)"),
+        (IntTranslation, "sym 3 wr int-translation"),
+    ])
+    def test_the_self_test_refuses_a_broken_convention(self, monkeypatch, action_type, spec):
+        # Taking each head element for its own inverse breaks the relation
+        # on a head generator of order above 2.
+        monkeypatch.setattr(action_type, "head_inverse", lambda self, h: h)
+        with pytest.raises(RuntimeError, match="^conjugation convention violated: "):
+            parse_ambient(spec)
+
     def test_orders(self):
         assert SMALL.order() == 8
         assert WreathProduct(SYM3, FiniteAction(C2)).order() == 72
