@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groups import FiniteGroup, Perm, closure, compose
+from .groups import FiniteGroup, Perm, _refuse_above, closure, compose
 
 
 @dataclass(frozen=True)
@@ -132,7 +132,10 @@ def cyclic_orbit(action: ActionSpec, x: int, k) -> list[int]:
 
 
 def regular_action(H: FiniteGroup) -> FiniteAction:
-    """H permuting its own element list by right multiplication."""
+    """H permuting its own element list by right multiplication: |H|
+    elements of degree |H|, refused before any Perm is made when they would
+    hold more than IMAGE_ENTRY_BUDGET image entries."""
+    _refuse_above(len(H), [len(H)], len(H))
     gens = []
     for h in H.generators:
         gens.append(Perm(tuple(H.index_of(compose(x, h)) for x in H.elements)))

@@ -9,13 +9,10 @@ from typing import Iterable, Iterator, Sequence
 
 DEFAULT_CLOSURE_CAP = 1_000_000
 DEFAULT_SUBGROUP_CAP = 200
-# Rows a group keeps, counted in list slots (8 bytes each): its
-# right-multiplication maps and its row of inverses, each of |G| slots.  All
-# of them fit up to order 2047; a search over a bigger group builds the maps
-# past this budget afresh on each use, and inverses past it are worked out
-# and not kept.  Products are kept in the maps, a slot at a time, only while
-# building every map would cost at most this many image lookups, |G|^2 times
-# the degree: Sym(6) and C_161 qualify, C_162 multiplies directly.
+# A group keeps a table of right-multiplication rows, each of |G| list slots
+# (8 bytes each), exactly when all |G| rows fit in this many slots: up to
+# order 2048.  A bigger group multiplies directly and closes subgroups over
+# image tuples.
 RIGHT_MAP_BUDGET = 1 << 22
 # Image entries (order times degree) a named group may hold.  Under a 600 MB
 # address-space limit `classes 'cyclic n'` built C_5000 (25 million entries)
@@ -165,11 +162,14 @@ class FiniteGroup:
         self._class_index: list[int] = []
         self._subgroups: list[tuple[Perm, ...]] | None = None
         self._maximal: list[tuple[Perm, ...]] | None = None
-        # Right-multiplication rows, -1 in a slot not yet filled; the maps
-        # right_map has filled whole are listed in _whole_maps.
-        self._right_maps: dict[int, list[int]] = {}
+        n = len(self.elements)
+        # The table of right-multiplication rows, kept when all n of them fit
+        # in RIGHT_MAP_BUDGET: -1 in a slot not yet filled, and the rows
+        # right_map has filled whole listed in _whole_maps.  The row of
+        # inverses is never larger than the element list: every group keeps it.
+        self._rows: list | None = [None] * n if n * n <= RIGHT_MAP_BUDGET else None
         self._whole_maps: set[int] = set()
-        self._inverses: list[Perm | None] | None = None
+        self._inverses: list[Perm | None] = [None] * n
         self._hash: int | None = None
 
     @property
@@ -195,56 +195,41 @@ class FiniteGroup:
 
     def right_map(self, i: int) -> list[int]:
         """j -> the index of elements[j] * elements[i], every slot filled:
-        built on first use, in place of any row `product` has begun, and kept
-        while the group's rows fit in RIGHT_MAP_BUDGET."""
-        if i in self._whole_maps:
-            return self._right_maps[i]
-        g, index = self.elements[i].images, self._index
-        m = [index[tuple([g[k] for k in x.images])] for x in self.elements]
-        if i in self._right_maps or self._room_for_a_row():
-            self._right_maps[i] = m
+        built on first use, in place of any row `product` has begun, and
+        kept.  Only a group that keeps a table has rows."""
+        if i not in self._whole_maps:
+            g, index = self.elements[i].images, self._index
+            self._rows[i] = [index[tuple([g[k] for k in x.images])] for x in self.elements]
             self._whole_maps.add(i)
-        return m
-
-    def _room_for_a_row(self) -> bool:
-        """Whether one more row of |G| slots fits in RIGHT_MAP_BUDGET beside
-        the maps and the row of inverses kept so far."""
-        rows = len(self._right_maps) + (self._inverses is not None)
-        return (rows + 1) * len(self.elements) <= RIGHT_MAP_BUDGET
+        return self._rows[i]
 
     def product(self, g: Perm, h: Perm) -> Perm:
         """The group's own element g * h, for elements g and h of the group.
 
-        While building all of the maps would be cheap, it is kept in h's
-        right-multiplication row, whose slots are filled as products need
-        them; otherwise, or when no row fits, it is worked out directly.
+        A group that keeps a table keeps it in h's right-multiplication row,
+        whose slots are filled as products need them; a bigger group works
+        it out directly.
         """
-        index, hi = self._index, h.images
-        if len(self.elements) ** 2 * self.degree <= RIGHT_MAP_BUDGET:
-            j = index[hi]
-            row = self._right_maps.get(j)
-            if row is None and self._room_for_a_row():
-                row = self._right_maps[j] = [-1] * len(self.elements)
-            if row is not None:
-                i = index[g.images]
-                k = row[i]
-                if k < 0:
-                    k = row[i] = index[tuple([hi[x] for x in g.images])]
-                return self.elements[k]
-        return self.elements[index[tuple([hi[x] for x in g.images])]]
+        index, hi, rows = self._index, h.images, self._rows
+        if rows is None:
+            return self.elements[index[tuple([hi[x] for x in g.images])]]
+        j = index[hi]
+        row = rows[j]
+        if row is None:
+            row = rows[j] = [-1] * len(self.elements)
+        i = index[g.images]
+        k = row[i]
+        if k < 0:
+            k = row[i] = index[tuple([hi[x] for x in g.images])]
+        return self.elements[k]
 
     def inverse(self, g: Perm) -> Perm:
-        """The group's own element g^-1, for an element g of the group; kept
-        in a row of |G| slots while it fits in RIGHT_MAP_BUDGET."""
+        """The group's own element g^-1, for an element g of the group, kept
+        in the row of inverses."""
         i = self._index[g.images]
-        row = self._inverses
-        if row is None and self._room_for_a_row():
-            row = self._inverses = [None] * len(self.elements)
-        p = None if row is None else row[i]
+        p = self._inverses[i]
         if p is None:
-            p = self.elements[self._index[g.inverse().images]]
-            if row is not None:
-                row[i] = p
+            p = self._inverses[i] = self.elements[self._index[g.inverse().images]]
         return p
 
     def __eq__(self, other: object) -> bool:
@@ -275,36 +260,48 @@ def closure(generators: Sequence[Perm], cap: int = DEFAULT_CLOSURE_CAP) -> Finit
     for g in gens:
         if g.degree != degree:
             raise ValueError(f"degree mismatch among generators: {g.degree} vs {degree}")
-    if cap < 1:
+    images = _closed_images([g.images for g in gens], degree, cap)
+    if len(images) > cap:
         raise GroupTooLargeError(f"group too large: closure exceeded cap {cap}")
+    return FiniteGroup(degree, gens, list(map(_trusted, images)))
+
+
+def _closed_images(gen_images: list[tuple[int, ...]], degree: int, stop: int) -> list[tuple]:
+    """The image tuples of the group generated by gen_images, breadth-first
+    from the identity, multiplying by the generators in the order given; the
+    search ends as soon as more than `stop` have been found."""
     images = [tuple(range(degree))]
     # itemgetter(*x)(g) is x then g; below degree 2 only the identity exists.
     if degree > 1:
         seen = set(images)
-        gen_images = [g.images for g in gens]
         for x in images:
             image_of = itemgetter(*x)
             for g in gen_images:
                 y = image_of(g)
                 if y not in seen:
-                    if len(images) >= cap:
-                        raise GroupTooLargeError(f"group too large: closure exceeded cap {cap}")
                     seen.add(y)
                     images.append(y)
-    return FiniteGroup(degree, gens, list(map(_trusted, images)))
+                    if len(images) > stop:
+                        return images
+    return images
 
 
 def generated_indices(G: FiniteGroup, generators: Iterable[int]) -> Sequence[int]:
     """Indices of the subgroup of G generated by the elements at `generators`.
 
-    A breadth-first search from the identity over G's right-multiplication
-    maps.  It stops once more than half of G is reached: a proper subgroup
-    has at most |G|/2 elements (Lagrange), so the subgroup is then G itself
-    and range(len(G)) is returned.
+    A breadth-first search from the identity: over G's right-multiplication
+    rows when G keeps a table, otherwise over image tuples.  It stops once
+    more than half of G is reached: a proper subgroup has at most |G|/2
+    elements (Lagrange), so the subgroup is then G itself and range(len(G))
+    is returned.
     """
-    maps = [G.right_map(i) for i in dict.fromkeys(generators)]
+    gens = dict.fromkeys(generators)
     n = len(G)
     half = n // 2
+    if G._rows is None:
+        images = _closed_images([G.elements[i].images for i in gens], G.degree, half)
+        return range(n) if len(images) > half else [*map(G._index.__getitem__, images)]
+    maps = [G.right_map(i) for i in gens]
     start = G.index_of(G.identity)
     found = [start]
     seen = bytearray(n)

@@ -42,10 +42,10 @@ def invariably_generates(G: FiniteGroup, S: Sequence[Perm]) -> tuple[bool, IGWit
     The first element's conjugate is pinned to itself: conjugating a whole
     failing tuple simultaneously keeps it failing, so every failure is
     reachable with the first coordinate fixed.  Tuples are visited with class
-    members in sorted order, which makes the witness reproducible.  Each tuple
-    is closed over element indices and the closure stops past |G|/2, where
-    only G itself can lie; a failing tuple never gets there, so its generated
-    order is exact.
+    members in sorted order, which makes the witness reproducible.  Each
+    tuple's closure (`generated_indices`) stops past |G|/2, where only G
+    itself can lie; a failing tuple never gets there, so its generated order
+    is exact.
     """
     elements = _checked_elements(G, S)
     pools = [[G.index_of(m) for m in class_of(G, s).members] for s in elements]

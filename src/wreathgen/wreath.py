@@ -192,7 +192,7 @@ class WreathElement:
         Costs one dict pass over each operand plus a sort of the result:
         each entry (z, h) of the right operand lands at x = z.k1^-1, and
         only points in both supports multiply two base elements, through
-        the base group's memo of products.
+        the base group's `product`.
         """
         if not isinstance(other, WreathElement):
             return NotImplemented

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from wreathgen.actions import (FiniteAction, IntTranslation, apply, cyclic_orbit,
                                orbit_reps, regular_action)
-from wreathgen.groups import Perm, closure, cyclic_group, symmetric_group
+from wreathgen import groups
+from wreathgen.groups import GroupTooLargeError, Perm, closure, cyclic_group, symmetric_group
 
 SYM3_ACTION = FiniteAction(symmetric_group(3))
 SHIFTS = IntTranslation()
@@ -90,6 +91,24 @@ class TestRegularAction:
         for k in action.head.elements:
             if any(k.images[x] == x for x in range(action.degree)):
                 assert k.is_identity()
+
+    def test_regular_action_within_the_image_entry_budget_is_built(self, monkeypatch):
+        # Six elements of degree 6: 36 image entries.
+        monkeypatch.setattr(groups, "IMAGE_ENTRY_BUDGET", 36)
+        assert len(regular_action(symmetric_group(3)).head) == 6
+
+    def test_regular_action_past_the_image_entry_budget_is_refused_before_any_perm(
+            self, monkeypatch):
+        H = symmetric_group(3)
+
+        def unbuilt(*args):
+            raise AssertionError("a permutation was built")
+
+        monkeypatch.setattr(groups, "IMAGE_ENTRY_BUDGET", 35)
+        monkeypatch.setattr(Perm, "__post_init__", unbuilt)
+        with pytest.raises(GroupTooLargeError,
+                           match="6 elements of degree 6 hold 36 image entries > 35$"):
+            regular_action(H)
 
     def test_regular_action_of_cyclic_group_is_the_rotation(self):
         action = regular_action(cyclic_group(4))

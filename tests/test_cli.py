@@ -113,6 +113,15 @@ class TestKnownOrders:
                        f"{order * degree} image entries > 16777216\n")
         assert built == []
 
+    @pytest.mark.parametrize("head, order", [("sym 8", 40320), ("sym 7", 5040)])
+    def test_regular_heads_past_the_image_budget_are_refused(self, capsys, head, order):
+        # The regular action of a group of order n is n elements of degree n.
+        code, out, err = run(capsys, "construct", "torsion-igset",
+                             f"cyclic 2 wr ({head}, regular)")
+        assert (code, out) == (2, "")
+        assert err == (f"error: group too large: {order} elements of degree {order} hold "
+                       f"{order * order} image entries > 16777216\n")
+
     @pytest.mark.parametrize("spec", ["cyclic 4096", "sym 9"])
     def test_named_groups_within_the_image_budget_pass_the_check(self, monkeypatch, spec):
         # C_4096 holds exactly 2^24 images and Sym(9) 3.3 million: the check

@@ -142,12 +142,19 @@ class TestClosure:
         assert G.right_map(7) is G.right_map(7)
         assert G.right_map(0) == list(range(24))
 
-    def test_right_maps_past_the_budget_are_built_but_not_kept(self, monkeypatch):
-        monkeypatch.setattr(groups, "RIGHT_MAP_BUDGET", 3 * 24)
+    def test_past_the_budget_a_group_keeps_no_rows(self, monkeypatch):
+        tabled = symmetric_group(4)
+        # One slot short of all 24 rows: the group is built without a table.
+        monkeypatch.setattr(groups, "RIGHT_MAP_BUDGET", 24 * 24 - 1)
         G = symmetric_group(4)
-        maps = [G.right_map(i) for i in range(24)]
-        assert sorted(G._right_maps) == [0, 1, 2]
-        assert maps == [[G.index_of(x * g) for x in G.elements] for g in G.elements]
+        assert tabled._rows is not None and G._rows is None
+        for k in (1, 2):
+            for gens in itertools.combinations(range(24), k):
+                assert (list(groups.generated_indices(G, gens))
+                        == list(groups.generated_indices(tabled, gens)))
+        for g, h in itertools.product(G.elements, repeat=2):
+            assert G.product(g, h) is G.elements[G.index_of(compose(g, h))]
+        assert G._rows is None
         assert generates(G, G.generators) and not generates(G, G.generators[1:])
 
     def test_a_directly_built_group_answers_with_its_own_elements(self):
@@ -167,20 +174,20 @@ class TestClosure:
         u = W.element({0: SWAP3, 1: ROT3}, 0)
         assert u * u.inverse() == W.identity() and u ** 6 == W.identity()
 
-    def test_products_use_the_maps_only_while_building_them_all_is_cheap(self):
-        # 161^3 image lookups fill every map of C_161, within RIGHT_MAP_BUDGET;
-        # C_162 would need more, so its products are worked out directly.
-        for n, mapped in ((161, True), (162, False)):
+    def test_a_group_keeps_rows_exactly_when_all_of_them_fit(self):
+        # 2048 rows of 2048 slots fill RIGHT_MAP_BUDGET; C_2049 multiplies
+        # directly.
+        for n, tabled in ((2048, True), (2049, False)):
             G = cyclic_group(n)
             g, h = G.elements[5], G.elements[7]
             assert G.product(g, h) is G.elements[G.index_of(compose(g, h))]
-            assert sorted(G._right_maps) == ([G.index_of(h)] if mapped else [])
+            assert (G._rows is not None) is tabled
 
     def test_a_product_fills_one_slot_of_its_row(self):
         G = cyclic_group(161)
         g, h = G.elements[5], G.elements[7]
         G.product(g, h)
-        row = G._right_maps[G.index_of(h)]
+        row = G._rows[G.index_of(h)]
         assert [k for k in row if k >= 0] == [G.index_of(compose(g, h))]
 
     @pytest.mark.parametrize("seed", range(12))

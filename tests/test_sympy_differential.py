@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wreathgen import groups
 from wreathgen.groups import (Perm, closure, compose, conjugacy_classes,
                               generated_indices, generates)
 
@@ -42,10 +43,17 @@ def test_orders_and_classes_match(gens):
     assert {frozenset(m.images for m in c.members) for c in classes} == ref_members
 
 
+@pytest.mark.parametrize("tabled", [True, False], ids=["tabled", "past-table"])
 @settings(max_examples=40, deadline=None)
 @given(generator_lists(), st.data())
-def test_generates_and_subgroup_orders_match(gens, data):
-    G = closure(gens)
+def test_generates_and_subgroup_orders_match(tabled, gens, data):
+    # A group keeps right-multiplication rows only when built under a budget
+    # that holds all of them; under a budget of 0 it closes over image tuples.
+    with pytest.MonkeyPatch.context() as patch:
+        if not tabled:
+            patch.setattr(groups, "RIGHT_MAP_BUDGET", 0)
+        G = closure(gens)
+    assert (G._rows is not None) is tabled
     picks = data.draw(st.lists(st.sampled_from(G.elements), min_size=1, max_size=3))
     sub_order = PermutationGroup([to_sympy(p) for p in picks]).order()
     assert generates(G, picks) is (sub_order == G.order)

@@ -286,14 +286,11 @@ class TestBaseGroupMemo:
     @pytest.mark.parametrize("spec", KERNEL_AMBIENTS)
     def test_memo_arithmetic_equals_the_compose_copy(self, monkeypatch, spec, kept):
         if not kept:
-            # Less than one row of the base group: nothing is kept.
+            # One slot short of all the base group's rows: it keeps no table.
             order = len(parse_ambient(spec).base_group)
-            monkeypatch.setattr(groups, "RIGHT_MAP_BUDGET", order - 1)
+            monkeypatch.setattr(groups, "RIGHT_MAP_BUDGET", order * order - 1)
         W = parse_ambient(spec)
         G = W.base_group
-
-        def kept_slots():
-            return (len(G._right_maps) + (G._inverses is not None)) * len(G)
 
         def own(u):
             return all(g is G.elements[G.index_of(g)] for _, g in u.base)
@@ -309,13 +306,14 @@ class TestBaseGroupMemo:
             assert inverse == compose_inverse(u)
             assert power == compose_pow(u, n)
             assert all(map(own, (u, v, product, inverse, power)))
-            assert kept_slots() <= groups.RIGHT_MAP_BUDGET
+        # Inverses were read from the row of inverses.
+        assert any(G._inverses)
         if kept:
-            # Products and inverses were read from the kept rows.
-            assert G._right_maps and G._inverses is not None
+            # Products were read from the table's rows.
+            assert any(G._rows)
         else:
-            # They were all worked out and none was kept.
-            assert kept_slots() == 0
+            # They were all worked out directly.
+            assert G._rows is None
 
 
 class TestPowerBudget:
