@@ -45,7 +45,7 @@ class FiniteAction:
         return isinstance(h, Perm) and h in self.head
 
     def contains_point(self, x: object) -> bool:
-        return isinstance(x, int) and 0 <= x < self.degree
+        return isinstance(x, int) and not isinstance(x, bool) and 0 <= x < self.degree
 
     def point_image(self, x: int, h: Perm) -> int:
         return h.images[x]

@@ -9,10 +9,10 @@ from typing import Iterable, Iterator, Sequence
 
 DEFAULT_CLOSURE_CAP = 1_000_000
 DEFAULT_SUBGROUP_CAP = 200
-# A group keeps a table of right-multiplication rows, each of |G| list slots
-# (8 bytes each), exactly when all |G| rows fit in this many slots: up to
-# order 2048.  A bigger group multiplies directly and closes subgroups over
-# image tuples.
+# A group keeps a table of right-multiplication rows for the subgroup kernel,
+# each of |G| list slots (8 bytes each), exactly when all |G| rows fit in this
+# many slots: up to order 2048.  A bigger group closes subgroups over image
+# tuples.
 RIGHT_MAP_BUDGET = 1 << 22
 # Image entries (order times degree) a named group may hold.  Under a 600 MB
 # address-space limit `classes 'cyclic n'` built C_5000 (25 million entries)
@@ -164,11 +164,10 @@ class FiniteGroup:
         self._maximal: list[tuple[Perm, ...]] | None = None
         n = len(self.elements)
         # The table of right-multiplication rows, kept when all n of them fit
-        # in RIGHT_MAP_BUDGET: -1 in a slot not yet filled, and the rows
-        # right_map has filled whole listed in _whole_maps.  The row of
-        # inverses is never larger than the element list: every group keeps it.
+        # in RIGHT_MAP_BUDGET: None for a row right_map has not built.  The
+        # row of inverses is never larger than the element list: every group
+        # keeps it.
         self._rows: list | None = [None] * n if n * n <= RIGHT_MAP_BUDGET else None
-        self._whole_maps: set[int] = set()
         self._inverses: list[Perm | None] = [None] * n
         self._hash: int | None = None
 
@@ -194,34 +193,18 @@ class FiniteGroup:
         return self._index[p.images]
 
     def right_map(self, i: int) -> list[int]:
-        """j -> the index of elements[j] * elements[i], every slot filled:
-        built on first use, in place of any row `product` has begun, and
+        """j -> the index of elements[j] * elements[i]: built on first use and
         kept.  Only a group that keeps a table has rows."""
-        if i not in self._whole_maps:
+        row = self._rows[i]
+        if row is None:
             g, index = self.elements[i].images, self._index
-            self._rows[i] = [index[tuple([g[k] for k in x.images])] for x in self.elements]
-            self._whole_maps.add(i)
-        return self._rows[i]
+            row = self._rows[i] = [index[tuple([g[k] for k in x.images])] for x in self.elements]
+        return row
 
     def product(self, g: Perm, h: Perm) -> Perm:
-        """The group's own element g * h, for elements g and h of the group.
-
-        A group that keeps a table keeps it in h's right-multiplication row,
-        whose slots are filled as products need them; a bigger group works
-        it out directly.
-        """
-        index, hi, rows = self._index, h.images, self._rows
-        if rows is None:
-            return self.elements[index[tuple([hi[x] for x in g.images])]]
-        j = index[hi]
-        row = rows[j]
-        if row is None:
-            row = rows[j] = [-1] * len(self.elements)
-        i = index[g.images]
-        k = row[i]
-        if k < 0:
-            k = row[i] = index[tuple([hi[x] for x in g.images])]
-        return self.elements[k]
+        """The group's own element g * h, for elements g and h of the group."""
+        hi = h.images
+        return self.elements[self._index[tuple([hi[x] for x in g.images])]]
 
     def inverse(self, g: Perm) -> Perm:
         """The group's own element g^-1, for an element g of the group, kept
@@ -348,10 +331,9 @@ def conjugacy_classes(G: FiniteGroup) -> list[ConjClass]:
 
 
 def class_of(G: FiniteGroup, s: Perm) -> ConjClass:
-    classes = conjugacy_classes(G)
     if s not in G:
         raise ValueError(f"{s!r} is not an element of the group")
-    return classes[G._class_index[G.index_of(s)]]
+    return conjugacy_classes(G)[G._class_index[G.index_of(s)]]
 
 
 def generates(G: FiniteGroup, S: Iterable[Perm]) -> bool:

@@ -175,25 +175,29 @@ class TestClosure:
         assert u * u.inverse() == W.identity() and u ** 6 == W.identity()
 
     def test_a_group_keeps_rows_exactly_when_all_of_them_fit(self):
-        # 2048 rows of 2048 slots fill RIGHT_MAP_BUDGET; C_2049 multiplies
-        # directly.
+        # 2048 rows of 2048 slots fill RIGHT_MAP_BUDGET; C_2049 keeps no
+        # table.  Both multiply directly.
         for n, tabled in ((2048, True), (2049, False)):
             G = cyclic_group(n)
             g, h = G.elements[5], G.elements[7]
             assert G.product(g, h) is G.elements[G.index_of(compose(g, h))]
             assert (G._rows is not None) is tabled
 
-    def test_a_product_fills_one_slot_of_its_row(self):
+    def test_products_begin_no_row_and_right_map_builds_whole_ones(self):
         G = cyclic_group(161)
-        g, h = G.elements[5], G.elements[7]
-        G.product(g, h)
-        row = G._rows[G.index_of(h)]
-        assert [k for k in row if k >= 0] == [G.index_of(compose(g, h))]
+        for g, h in itertools.product(G.elements[:9], repeat=2):
+            assert G.product(g, h) is G.elements[G.index_of(compose(g, h))]
+        assert G._rows == [None] * 161
+        for i in (0, 7, 160):
+            assert G.right_map(i) == [G.index_of(compose(x, G.elements[i]))
+                                      for x in G.elements]
+        assert [i for i, row in enumerate(G._rows) if row is not None] == [0, 7, 160]
+        assert G.right_map(7) is G._rows[7]
 
     @pytest.mark.parametrize("seed", range(12))
     def test_rows_filled_in_any_order_give_the_same_answers(self, seed):
-        # Products fill slots, right_map completes rows and generated_indices
-        # reads them, interleaved at random; a fresh group is the reference.
+        # Products, right_map building rows and generated_indices reading
+        # them, interleaved at random; a fresh group is the reference.
         rng = random.Random(seed)
         G, fresh = dihedral_group(6), dihedral_group(6)
         n = len(G)
@@ -262,6 +266,13 @@ class TestConjugacyClasses:
         assert SWAP3 in class_of(G, Perm((0, 2, 1)))
         with pytest.raises(ValueError):
             class_of(G, Perm((0, 1, 2, 3)))
+
+    def test_class_of_refuses_an_outsider_before_computing_any_class(self):
+        G = symmetric_group(4)
+        with pytest.raises(ValueError, match="is not an element of the group"):
+            class_of(G, Perm((0, 1, 2)))
+        assert G._classes is None
+        assert len(class_of(G, G.elements[1])) == 6 and G._classes is not None
 
 
 class TestGenerates:

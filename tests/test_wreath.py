@@ -8,7 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from wreathgen import groups, wreath
-from wreathgen.actions import FiniteAction, IntTranslation, apply, regular_action
+from wreathgen.actions import (FiniteAction, IntTranslation, apply, cyclic_orbit,
+                               regular_action)
 from wreathgen.groups import (GroupTooLargeError, Perm, cyclic_group,
                               symmetric_group)
 from wreathgen.parsing import parse_ambient
@@ -159,6 +160,23 @@ class TestAmbient:
         with pytest.raises(ValueError):
             OVER_Z.element({0: SYM3.elements[1]}, True)
 
+    def test_a_bool_is_no_point_of_either_action(self):
+        # True == 1 is a point of the natural action of C_2, but not as a bool:
+        # `(0 1)@True` would not read back.
+        W = parse_ambient("sym 3 wr (cyclic 2, natural)")
+        flip = W.action.head.elements[1]
+        for ambient in (W, OVER_Z):
+            with pytest.raises(ValueError, match="^point True is not in the index set$"):
+                ambient.element({True: SWAP}, ambient.action.head_identity())
+            with pytest.raises(ValueError, match="^point True is not in the index set$"):
+                ambient.base_embed(SWAP, True)
+            with pytest.raises(ValueError, match="^point True is not in the action's index set$"):
+                apply(ambient.action, True, ambient.action.head_identity())
+        with pytest.raises(ValueError, match="^point True is not in the action's index set$"):
+            cyclic_orbit(W.action, True, flip)
+        assert W.base_embed(SWAP, 1).coordinate(1) == SWAP
+        assert cyclic_orbit(W.action, 1, flip) == [1, 0]
+
     def test_enumeration_is_deterministic_and_complete(self):
         listed = SMALL.enumerate_elements()
         assert len(listed) == 8
@@ -279,8 +297,8 @@ KERNEL_AMBIENTS = ["sym 3 wr int-translation", "alt 4 wr (cyclic 2, natural)",
 
 
 class TestBaseGroupMemo:
-    """`*`, `inverse` and `**` through the base group's right-multiplication
-    maps and row of inverses, against the compose-based copies above."""
+    """`*`, `inverse` and `**` through the base group's `product` and row of
+    inverses, against the compose-based copies above."""
 
     @pytest.mark.parametrize("kept", [True, False], ids=["kept", "past-budget"])
     @pytest.mark.parametrize("spec", KERNEL_AMBIENTS)
@@ -308,11 +326,10 @@ class TestBaseGroupMemo:
             assert all(map(own, (u, v, product, inverse, power)))
         # Inverses were read from the row of inverses.
         assert any(G._inverses)
+        # Products were worked out directly: the arithmetic began no row.
         if kept:
-            # Products were read from the table's rows.
-            assert any(G._rows)
+            assert not any(G._rows)
         else:
-            # They were all worked out directly.
             assert G._rows is None
 
 
