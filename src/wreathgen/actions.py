@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .groups import FiniteGroup, Perm, _refuse_above, closure, compose
 
@@ -47,8 +48,9 @@ class FiniteAction:
     def contains_point(self, x: object) -> bool:
         return isinstance(x, int) and not isinstance(x, bool) and 0 <= x < self.degree
 
-    def point_image(self, x: int, h: Perm) -> int:
-        return h.images[x]
+    def point_map(self, h: Perm) -> Callable[[int], int]:
+        """x -> x.h, as a C-level callable."""
+        return h.images.__getitem__
 
 
 @dataclass(frozen=True)
@@ -77,8 +79,9 @@ class IntTranslation:
     def contains_point(self, x: object) -> bool:
         return isinstance(x, int) and not isinstance(x, bool)
 
-    def point_image(self, x: int, s: int) -> int:
-        return x + s
+    def point_map(self, s: int) -> Callable[[int], int]:
+        """x -> x + s, as a C-level callable."""
+        return s.__add__
 
 
 ActionSpec = FiniteAction | IntTranslation
@@ -90,13 +93,14 @@ def apply(action: ActionSpec, x: int, h) -> int:
         raise ValueError(f"point {x!r} is not in the action's index set")
     if not action.contains_head(h):
         raise ValueError(f"{h!r} is not a head element of this action")
-    return action.point_image(x, h)
+    return action.point_map(h)(x)
 
 
 def orbit_reps(action: ActionSpec) -> list[int]:
     """One representative per head orbit: the least point of each, ascending."""
     if isinstance(action, IntTranslation):
         return [0]
+    moves = [action.point_map(g) for g in action.head.generators]
     seen: set[int] = set()
     reps: list[int] = []
     for x in action.points():
@@ -107,8 +111,8 @@ def orbit_reps(action: ActionSpec) -> list[int]:
         seen.add(x)
         while frontier:
             y = frontier.pop()
-            for g in action.head.generators:
-                z = action.point_image(y, g)
+            for move in moves:
+                z = move(y)
                 if z not in seen:
                     seen.add(z)
                     frontier.append(z)
@@ -125,9 +129,10 @@ def cyclic_orbit(action: ActionSpec, x: int, k) -> list[int]:
         return [x]
     orbit = [x]
     y = apply(action, x, k)
+    move = action.point_map(k)
     while y != x:
         orbit.append(y)
-        y = action.point_image(y, k)
+        y = move(y)
     return orbit
 
 

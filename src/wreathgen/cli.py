@@ -30,6 +30,7 @@ from .verify import SUITES, random_alpha, run_suites
 from .wreath import WreathProduct
 
 SCHEMA_VERSION = 1
+_JSON_SCALARS = frozenset({str, int, float, bool, type(None)})
 
 
 class Output(NamedTuple):
@@ -279,6 +280,37 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _flat_json_encoder(inner: str):
+    """The C encoder writing a container's members one to a line, indented by `inner`."""
+    return json.JSONEncoder(sort_keys=True, separators=(",\n" + inner, ": ")).encode
+
+
+def _json_text(value, indent: str = "") -> str:
+    """json.dumps(value, indent=2, sort_keys=True), byte for byte.
+
+    An indent sends json.dumps to its pure-Python encoder, so each container
+    whose members are all scalars is written instead by the C encoder in one
+    call, with the indented line break as its separator.
+    """
+    is_dict = isinstance(value, dict)
+    if not value or not (is_dict or isinstance(value, (list, tuple))):
+        return json.dumps(value)
+    inner = indent + "  "
+    if _JSON_SCALARS.issuperset(map(type, value.values() if is_dict else value)):
+        text = _flat_json_encoder(inner)(value)
+        return f"{text[0]}\n{inner}{text[1:-1]}\n{indent}{text[-1]}"
+    if is_dict:
+        # Sorted keys, a non-string written as its JSON text, as json does.
+        body = [f"{json.dumps(k if isinstance(k, str) else json.dumps(k))}: {_json_text(v, inner)}"
+                for k, v in sorted(value.items())]
+        opening, closing = "{", "}"
+    else:
+        body = [_json_text(v, inner) for v in value]
+        opening, closing = "[", "]"
+    return f"{opening}\n{inner}" + f",\n{inner}".join(body) + f"\n{indent}{closing}"
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -289,7 +321,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if args.json:
             payload = {"schema_version": SCHEMA_VERSION, "command": args.command, **out.payload}
-            print(json.dumps(payload, indent=2, sort_keys=True))
+            print(_json_text(payload))
         else:
             for line in out.lines:
                 print(line)

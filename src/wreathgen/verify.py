@@ -17,9 +17,10 @@ from .constructions import (CoordinateContractError, alpha_power_form,
                             build_alpha, collapse_orbit_conjugator,
                             collapse_orbit_product, gamma_coordinate,
                             torsion_igset, uniform_orbit_conjugator)
-from .groups import FiniteGroup, Perm, class_of, cyclic_group, generates, symmetric_group
+from .groups import (FiniteGroup, GroupTooLargeError, Perm, class_of, cyclic_group, generates,
+                     symmetric_group)
 from .invgen import invariably_generates
-from .wreath import WreathProduct
+from .wreath import DEFAULT_ENUMERATION_CAP, WreathProduct
 
 
 @dataclass
@@ -61,7 +62,7 @@ def _check_embedded_conjugates(W: WreathProduct, name: str, recorder: _Recorder)
             (y, g), = u.base
             for a in elements:
                 conj = u.conjugate_by(a)
-                target = W.action.point_image(y, a.head)
+                target = W.action.point_map(a.head)(y)
                 if (not conj.is_base() or conj.support() != (target,)
                         or conj.coordinate(target) not in class_of(G, g)):
                     failures.append(f"u={u!r} a={a!r} gave {conj!r}")
@@ -153,10 +154,17 @@ def suite_coset(seed: int = 0, count: int = 500) -> list[CheckResult]:
 
 
 def random_alpha(rng: random.Random, W: WreathProduct, g: Perm, radius: int):
-    """build_alpha with two random conjugators supported in [-radius, radius]."""
+    """build_alpha with two random conjugators supported in [-radius, radius].
+
+    A window of more than DEFAULT_ENUMERATION_CAP points is refused with
+    GroupTooLargeError before any coin is drawn.
+    """
     if radius < 0:
         raise ValueError(f"radius must be at least 0, got {radius}")
     window = range(-radius, radius + 1)
+    if len(window) > DEFAULT_ENUMERATION_CAP:
+        raise GroupTooLargeError(
+            f"conjugator window too large: {len(window)} points > {DEFAULT_ENUMERATION_CAP}")
     return build_alpha(W, g,
                        _random_coords(rng, W.base_group, window),
                        _random_coords(rng, W.base_group, window))

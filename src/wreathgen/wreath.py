@@ -147,9 +147,10 @@ class WreathProduct:
                 raise ValueError("element from a different ambient wreath product")
             images = [0] * (len(points) * degree_g)
             lookup = dict(u.base)
+            move = self.action.point_map(u.head)
             for x in points:
                 w_x = lookup.get(x, self.base_group.identity)
-                xk = self.action.point_image(x, u.head)
+                xk = move(x)
                 for p in range(degree_g):
                     images[x * degree_g + p] = xk * degree_g + w_x.images[p]
             return _trusted(tuple(images))
@@ -200,13 +201,12 @@ class WreathElement:
             raise ValueError("elements live in different ambient wreath products")
         action = self.ambient.action
         new_head = action.head_compose(self.head, other.head)
-        k1_inv = action.head_inverse(self.head)
-        point_image = action.point_image
+        point = action.point_map(action.head_inverse(self.head))
         group = self.ambient.base_group
         product, identity = group.product, group.identity
         merged = dict(self.base)
         for z, h in other.base:
-            x = point_image(z, k1_inv)
+            x = point(z)
             g = merged.pop(x, None)
             if g is None:
                 merged[x] = h
@@ -219,21 +219,26 @@ class WreathElement:
     def inverse(self) -> WreathElement:
         action = self.ambient.action
         k_inv = action.head_inverse(self.head)
-        point_image, inverse = action.point_image, self.ambient.base_group.inverse
-        flipped = {point_image(x, self.head): inverse(g) for x, g in self.base}
+        point, inverse = action.point_map(self.head), self.ambient.base_group.inverse
+        flipped = {point(x): inverse(g) for x, g in self.base}
         return _element(self.ambient, tuple(sorted(flipped.items())), k_inv)
 
     def __pow__(self, n: int) -> WreathElement:
-        """u^n by square-and-multiply: at most 2 log2|n| + 1 products.
+        """u^n, for any integer n; u^-n is (u^-1)^n.
 
-        Over the integers a nonzero head h spreads the support of u^n over
-        the support of u shifted by 0, -h, ..., -(|n|-1)h: at most
-        len(u.base) * |n| points, and at most the width of u's support plus
-        (|n|-1)|h|.  When the smaller of the two is above
-        DEFAULT_ENUMERATION_CAP, or its coordinates would hold more than
-        IMAGE_ENTRY_BUDGET image entries, GroupTooLargeError is raised before
-        any product is formed.  A pure base element, or any element of a
-        finite ambient, keeps its support bounded and is never refused.
+        Over the integers, with a nonzero head h and a nonempty base, the
+        support of u^n spreads over the support of u shifted by 0, -h, ...,
+        -(|n|-1)h: at most len(u.base) * |n| points, and at most the width
+        of u's support plus (|n|-1)|h|.  When the smaller of the two is
+        above DEFAULT_ENUMERATION_CAP, or its coordinates would hold more
+        than IMAGE_ENTRY_BUDGET image entries, GroupTooLargeError is raised
+        before any product is formed.  Otherwise u^n is read off in one pass
+        by _shift_power, with O(len(u.base)) base-group products.
+
+        Every other element, a pure base element, a pure shift or an element
+        of a finite ambient, keeps its support bounded and is never refused.
+        Its power is by square-and-multiply, at most 2 log2|n| + 1 products,
+        so that an astronomically large n still answers at once.
         """
         if n < 0:
             return self.inverse() ** (-n)
@@ -250,6 +255,8 @@ class WreathElement:
                     f"power too large: its support may reach {estimate} points of "
                     f"degree {degree}, {estimate * degree} image entries "
                     f"> {IMAGE_ENTRY_BUDGET}")
+            if n:
+                return _shift_power(self, n)
         result = self.ambient.identity()
         square = self
         while n:
@@ -277,3 +284,47 @@ def _element(ambient: WreathProduct, base: tuple, head: HeadElement) -> WreathEl
     d = u.__dict__
     d["ambient"], d["base"], d["head"] = ambient, base, head
     return u
+
+
+def _shift_power(u: WreathElement, n: int) -> WreathElement:
+    """u^n over the integers, for a head h != 0, a nonempty base and n >= 1.
+
+    The coordinate of u^n at x is w(x) w(x+h) ... w(x+(n-1)h).  Write each
+    point as r + j*h with r = x mod |h|: within one residue class the window
+    j, ..., j+n-1 gains support entry i at j = i-n+1 and loses it at j = i+1,
+    and between two such events the coordinate is one constant, the product
+    of the entries in the window, read from running products in j order.
+    """
+    if n == 1:
+        return u
+    h = u.head
+    group = u.ambient.base_group
+    product, inverse, identity = group.product, group.inverse, group.identity
+    step = abs(h)
+    classes: dict[int, list[tuple[int, Perm]]] = {}
+    for x, g in u.base:
+        r = x % step
+        classes.setdefault(r, []).append(((x - r) // h, g))
+    coords: dict[int, Perm] = {}
+    for r, entries in classes.items():
+        if h < 0:
+            entries.reverse()  # ascending x is descending j
+        js = [j for j, _ in entries]
+        prefix = list(itertools.accumulate((g for _, g in entries), product, initial=identity))
+        events = sorted({*(j - n + 1 for j in js), *(j + 1 for j in js)})
+        size = len(js)
+        entered = left = 0
+        for a, b in zip(events, events[1:]):
+            while entered < size and js[entered] - n < a:
+                entered += 1
+            while left < size and js[left] < a:
+                left += 1
+            if entered - left == 1:
+                value = entries[left][1]
+            elif entered > left:
+                value = product(inverse(prefix[left]), prefix[entered])
+            else:
+                continue
+            if value is not identity:
+                coords.update(dict.fromkeys(range(r + a * h, r + b * h, h), value))
+    return _element(u.ambient, tuple(sorted(coords.items())), n * h)

@@ -2,11 +2,14 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from wreathgen import cli, groups, parsing, wreath
 from wreathgen.cli import main
@@ -371,6 +374,21 @@ class TestConstruct:
         _, second, _ = run_json(capsys, "construct", "gamma", "sym 3", "--seed", "9")
         assert first == second
 
+    def test_gamma_refuses_an_oversized_window_before_drawing(self, capsys, monkeypatch):
+        draws = []
+        monkeypatch.setattr(random.Random, "random", lambda self: draws.append(self))
+        code, out, err = run(capsys, "construct", "gamma", "sym 4", "--support", "100000000")
+        assert (code, out) == (2, "")
+        assert err == "error: conjugator window too large: 200000001 points > 100000\n"
+        assert draws == []
+
+    def test_gamma_runs_on_a_wide_window(self, capsys):
+        # 40,001 points, each drawn for both conjugators of each generator.
+        code, payload, _ = run_json(capsys, "construct", "gamma", "sym 4", "--support", "20000")
+        assert code == 0
+        assert [r["found"] for r in payload["rows"]] == ["(0 1)", "(0 1 2 3)"]
+        assert all(r["coordinate"] == r["c"] for r in payload["rows"])
+
 
 class TestVerify:
     def test_single_suite(self, capsys):
@@ -432,3 +450,49 @@ class TestParserReuse:
         assert not kept[3][1].startswith("{")
         assert json.loads(kept[4][1])["minimal_size"] == 2
         assert all(code == 0 for code, _, _ in kept[1:])
+
+
+json_scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=20)
+
+
+class TestJsonText:
+    """--json text is json.dumps(payload, indent=2, sort_keys=True), byte for byte."""
+
+    @given(json_values)
+    def test_drawn_payloads(self, value):
+        assert cli._json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("keys", [[3, -1, 20], [2.5, -0.0, 1e300], [True, False], [None]])
+    def test_keys_that_are_not_strings(self, keys):
+        for value in ({k: k for k in keys}, {k: [k, {}] for k in keys}):
+            assert cli._json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("argv", [
+        ["classes", "sym 4"],
+        ["invgen", "sym 4", "(0 1 2 3), (0 1 2)"],
+        ["invgen", "sym 4", "(0 1 2 3), (0 1 2)", "--oracle"],
+        ["invgen", "sym 4", "--min"],
+        ["classify", "{FIG, fg} wr int-translation wr (sym 3, natural)"],
+        ["wreath", "eval", "sym 3 wr int-translation", "((0 1)@0 * (0 1 2)@-3 * t^-2)^7"],
+        ["construct", "torsion-igset", "cyclic 3 wr (sym 3, natural)"],
+        ["construct", "nottorsion-igset", "sym 3 wr int-translation"],
+        ["construct", "gamma", "sym 4", "--support", "5"],
+        ["verify", "all", "--seed", "1", "--count", "2"],
+    ], ids=lambda argv: "-".join(argv[:2]))
+    def test_every_subcommand(self, capsys, monkeypatch, argv):
+        payloads = []
+        json_text = cli._json_text
+
+        def spy(value, indent=""):
+            if not indent:
+                payloads.append(value)
+            return json_text(value, indent)
+        monkeypatch.setattr(cli, "_json_text", spy)
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 0
+        assert out == json.dumps(payloads[0], indent=2, sort_keys=True) + "\n"

@@ -1,8 +1,14 @@
 """The randomized cross-check harness: determinism, coverage, failure shape."""
 
+import random
+
 import pytest
 
-from wreathgen.verify import SUITES, run_suites
+from wreathgen import verify
+from wreathgen.actions import IntTranslation
+from wreathgen.groups import GroupTooLargeError, symmetric_group
+from wreathgen.verify import SUITES, random_alpha, run_suites
+from wreathgen.wreath import WreathProduct
 
 
 def test_same_seed_reproduces_the_run():
@@ -33,3 +39,14 @@ def test_unknown_suite_is_rejected():
 def test_a_count_below_one_is_rejected(count):
     with pytest.raises(ValueError, match="at least 1"):
         run_suites(["alpha"], seed=0, count=count)
+
+
+def test_random_alpha_refuses_a_window_past_the_cap_before_drawing(monkeypatch):
+    W = WreathProduct(symmetric_group(3), IntTranslation())
+    monkeypatch.setattr(verify, "DEFAULT_ENUMERATION_CAP", 9)
+    random_alpha(random.Random(1), W, W.base_group.identity, 4)  # 9 points: drawn
+    rng = random.Random(1)
+    state = rng.getstate()
+    with pytest.raises(GroupTooLargeError, match="^conjugator window too large: 11 points > 9$"):
+        random_alpha(rng, W, W.base_group.identity, 5)
+    assert rng.getstate() == state

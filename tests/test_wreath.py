@@ -54,11 +54,11 @@ def union_mul(u, v):
     action = u.ambient.action
     left, right = dict(u.base), dict(v.base)
     k1_inv = action.head_inverse(u.head)
-    points = set(left) | {action.point_image(z, k1_inv) for z in right}
+    points = set(left) | set(map(action.point_map(k1_inv), right))
     identity = u.ambient.base_group.identity
     merged = {}
     for x in points:
-        g = left.get(x, identity) * right.get(action.point_image(x, u.head), identity)
+        g = left.get(x, identity) * right.get(action.point_map(u.head)(x), identity)
         if not g.is_identity():
             merged[x] = g
     return WreathElement(u.ambient, tuple(sorted(merged.items())),
@@ -73,7 +73,7 @@ def compose_mul(u, v):
     identity = u.ambient.base_group.identity.images
     merged = dict(u.base)
     for z, h in v.base:
-        x = action.point_image(z, k1_inv)
+        x = action.point_map(k1_inv)(z)
         if x in merged:
             g = merged.pop(x) * h
             if g.images != identity:
@@ -87,7 +87,7 @@ def compose_mul(u, v):
 def compose_inverse(u):
     """The inverse as it was made before the memo: Perm.inverse per coordinate."""
     action = u.ambient.action
-    flipped = {action.point_image(x, u.head): g.inverse() for x, g in u.base}
+    flipped = {action.point_map(u.head)(x): g.inverse() for x, g in u.base}
     return WreathElement(u.ambient, tuple(sorted(flipped.items())),
                          action.head_inverse(u.head))
 
@@ -283,6 +283,39 @@ class TestFastPathsAgainstDefinitions:
                 u = random_element(rng, W)
                 for n in range(-40, 41):
                     assert u ** n == naive_pow(u, n)
+
+    @pytest.mark.parametrize("spec", ["sym 3", "sym 4", "cyclic 5", "alt 4"])
+    def test_shift_powers_equal_square_and_multiply(self, spec):
+        W = parse_ambient(f"{spec} wr int-translation")
+        G = W.base_group
+        rng = random.Random(67)
+        cases = []
+        for h in (-7, -3, -1, 1, 2, 5, 40):
+            for density in (0.15, 0.6):
+                coords = {x: rng.choice(G.elements)
+                          for x in range(-12, 13) if rng.random() < density}
+                cases.append(W.element(coords, h))
+        g = G.generators[0]
+        cases += [
+            W.element({0: g, 50: g, 51: g}, 1),             # gaps wider than n
+            W.element({0: g, 1: G.inverse(g), 4: g}, 1),    # a window multiplying to 1
+            W.element({5: g, 2: G.inverse(g), -1: g}, -3),  # the same with h < 0
+        ]
+        for u in cases:
+            for n in (0, 1, -1, 2, -2, 3, 7, 60, -60, 257):
+                power = u ** n
+                assert power == compose_pow(u, n), (u, n)
+                assert all(c is G.elements[G.index_of(c)] for _, c in power.base)
+
+    def test_a_shift_power_forms_no_wreath_product(self, monkeypatch):
+        u = OVER_Z.element({0: SWAP, 3: SYM3.elements[4], 4: SWAP}, 2)
+        expected = {n: compose_pow(u, n) for n in (500, -500)}
+
+        def refused(*args):
+            raise AssertionError("a wreath product was formed")
+        monkeypatch.setattr(WreathElement, "__mul__", refused)
+        for n, power in expected.items():
+            assert u ** n == power
 
     def test_large_power_has_the_closed_form(self):
         # (swap@0 * t)^n puts swap at 0, -1, ..., -(n-1) under the head n.
