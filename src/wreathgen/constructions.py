@@ -11,6 +11,7 @@ the action is not of torsion type.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -77,36 +78,35 @@ def alpha_power_form(alpha_e: AlphaElement, alpha_f: AlphaElement, m: int) -> Wr
     return alpha_e.element ** (-m) * alpha_f.element ** m
 
 
-def _conjugator_window(alpha: AlphaElement) -> list[tuple[int, Perm]]:
-    b = alpha.conjugator
-    c = alpha.support_radius
-    return [(i, b.coordinate(i)) for i in range(-c + 1, c)]
-
-
 def _assemble(alpha_e: AlphaElement, alpha_f: AlphaElement, m: int, n: int = 0,
               conjugated: bool = False) -> WreathElement:
     # The blocks of alpha_e^-m * alpha_f^m, all but the first shifted by -n;
     # conjugating by alpha_e^n (beta) adds the first conjugator's two tails.
+    # Every block is a pure base tuple, so their product is pointwise.
     W = alpha_e.element.ambient
-    a_window = _conjugator_window(alpha_e)
-    b_window = _conjugator_window(alpha_f)
-    f = alpha_f.g
+    if alpha_f.element.ambient is not W and alpha_f.element.ambient != W:
+        raise ValueError("elements live in different ambient wreath products")
+    group = W.base_group
+    product, inverse = group.product, group.inverse
+    a, b, f = alpha_e.conjugator.base, alpha_f.conjugator.base, alpha_f.g
     blocks = [
-        {i: g.inverse() for i, g in a_window},
-        {i + m - n: g for i, g in a_window},
-        {i + m - n: g.inverse() for i, g in b_window},
-        {j - n: f for j in range(1, m + 1)},
-        {i - n: g for i, g in b_window},
+        [(i, inverse(g)) for i, g in a],
+        [(i + m - n, g) for i, g in a],
+        [(i + m - n, inverse(g)) for i, g in b],
+        [(j - n, f) for j in range(1, m + 1)],
+        [(i - n, g) for i, g in b],
     ]
     if conjugated:
         blocks += [
-            {i - n: g.inverse() for i, g in a_window},
-            {i: g for i, g in a_window},
+            [(i - n, inverse(g)) for i, g in a],
+            [(i, g) for i, g in a],
         ]
-    result = W.identity()
+    coords: dict[int, Perm] = {}
     for block in blocks:
-        result = result * _pure_base(W, block)
-    return result
+        for x, g in block:
+            h = coords.get(x)
+            coords[x] = g if h is None else product(h, g)
+    return _pure_base(W, coords)
 
 
 def assemble_alpha_power(alpha_e: AlphaElement, alpha_f: AlphaElement, m: int) -> WreathElement:
@@ -191,20 +191,18 @@ def gamma_coordinate(alpha_e: AlphaElement, alpha_g: AlphaElement) -> tuple[int,
 
 def _orbit_coords(W: WreathProduct, y: int, k, u: Mapping[int, Perm]) -> tuple[list[int], list[Perm]]:
     orbit = cyclic_orbit(W.action, y, k)
+    coords = dict(_pure_base(W, u).base)
     extra = set(u) - set(orbit)
     if extra:
         raise ValueError(f"coordinates {sorted(extra)} lie off the orbit of {y}")
     identity = W.base_group.identity
-    return orbit, [u.get(x, identity) for x in orbit]
+    return orbit, [coords.get(x, identity) for x in orbit]
 
 
 def collapse_orbit_product(W: WreathProduct, y: int, k, u: Mapping[int, Perm]) -> Perm:
     """The ordered product of u's coordinates read around the <k>-orbit of y."""
     _, values = _orbit_coords(W, y, k, u)
-    out = W.base_group.identity
-    for g in values:
-        out = out * g
-    return out
+    return functools.reduce(W.base_group.product, values, W.base_group.identity)
 
 
 def collapse_orbit_conjugator(W: WreathProduct, y: int, k, u: Mapping[int, Perm]) -> WreathElement:
@@ -216,10 +214,11 @@ def collapse_orbit_conjugator(W: WreathProduct, y: int, k, u: Mapping[int, Perm]
     off-orbit part v commutes with all of it and is untouched.
     """
     orbit, values = _orbit_coords(W, y, k, u)
+    product = W.base_group.product
     coords: dict[int, Perm] = {}
     suffix = W.base_group.identity
     for j in range(len(orbit) - 1, 0, -1):
-        suffix = values[j] * suffix
+        suffix = product(values[j], suffix)
         coords[orbit[j]] = suffix
     return _pure_base(W, coords)
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable
 
 from .actions import ActionSpec, FiniteAction, IntTranslation, apply, orbit_reps
 from .groups import (IMAGE_ENTRY_BUDGET, FiniteGroup, GroupTooLargeError, Perm, _trusted,
@@ -69,27 +69,22 @@ class WreathProduct:
 
     # -- element constructors ------------------------------------------------
 
-    def element(self, base: Mapping[int, Perm] | Iterable[tuple[int, Perm]],
-                head: HeadElement) -> WreathElement:
-        """Build an element from a point->base-element mapping and a head element.
+    def element(self, base: Mapping[int, Perm], head: HeadElement) -> WreathElement:
+        """Build an element from a mapping of points to base-group elements
+        and a head element.
 
         Each coordinate is stored as the base group's own element equal to it.
         """
-        items = base.items() if isinstance(base, Mapping) else base
         group = self.base_group
         elements, index, identity = group.elements, group._index, group.identity
         contains_point = self.action.contains_point
         canonical: dict[int, Perm] = {}
-        listed: set[int] = set()
-        for x, g in items:
+        for x, g in base.items():
             if not contains_point(x):
                 raise ValueError(f"point {x!r} is not in the index set")
             i = index.get(g.images) if isinstance(g, Perm) else None
             if i is None:
                 raise ValueError(f"{g!r} is not in the base group")
-            if x in listed:
-                raise ValueError(f"point {x} listed twice")
-            listed.add(x)
             g = elements[i]
             if g is not identity:
                 canonical[x] = g

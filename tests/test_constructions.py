@@ -157,6 +157,27 @@ class TestBeta:
                 assemble_beta(alpha_e, alpha_g, 1000, 500)
 
 
+class TestForeignAmbients:
+    def test_closed_forms_refuse_alphas_from_different_ambients(self):
+        C3 = cyclic_group(3)
+        other = WreathProduct(C3, IntTranslation())
+        rot3 = C3.elements[1]
+        alpha_s = build_alpha(OVER_Z, SWAP, {1: ROT}, {-1: SWAP})
+        alpha_c = build_alpha(other, rot3, {0: rot3}, {})
+        message = "^elements live in different ambient wreath products$"
+        for first, second in ((alpha_s, alpha_c), (alpha_c, alpha_s)):
+            for m in (0, 3):
+                with pytest.raises(ValueError, match=message):
+                    alpha_power_form(first, second, m)
+                with pytest.raises(ValueError, match=message):
+                    assemble_alpha_power(first, second, m)
+                for n in (0, 2):
+                    with pytest.raises(ValueError, match=message):
+                        beta(first, second, m, n)
+                    with pytest.raises(ValueError, match=message):
+                        assemble_beta(first, second, m, n)
+
+
 class TestBetaParams:
     def test_minimal_choices(self):
         assert (choose_mn(0, 0).m, choose_mn(0, 0).n) == (1, 1)
@@ -249,6 +270,33 @@ class TestOrbitCollapse:
             collapse_orbit_product(self.W, 0, self.k, {2: SWAP})
         with pytest.raises(ValueError):
             collapse_orbit_conjugator(self.W, 0, self.k, {0: SWAP, 2: SWAP})
+
+    def test_coordinates_outside_the_base_group_are_rejected(self):
+        C3 = cyclic_group(3)
+        W = WreathProduct(C3, FiniteAction(cyclic_group(2)))
+        k = W.action.head.elements[1]
+        for collapse in (collapse_orbit_product, collapse_orbit_conjugator):
+            with pytest.raises(ValueError, match=r"^Perm\(\(1, 0, 2\)\) is not in the base group$"):
+                collapse(W, 0, k, {0: SWAP})
+            with pytest.raises(ValueError, match="is not in the base group"):
+                collapse(W, 0, k, {0: C3.elements[1], 1: Perm((1, 0))})
+
+    def test_a_bool_is_no_point(self):
+        C3 = cyclic_group(3)
+        W = WreathProduct(C3, FiniteAction(cyclic_group(2)))
+        k = W.action.head.elements[1]
+        for collapse in (collapse_orbit_product, collapse_orbit_conjugator):
+            with pytest.raises(ValueError, match="^point True is not in the index set$"):
+                collapse(W, 0, k, {True: C3.elements[1]})
+            with pytest.raises(ValueError, match="^point False is not in the index set$"):
+                collapse(W, 0, k, {False: C3.elements[1]})
+
+    def test_collapse_returns_the_base_groups_own_elements(self):
+        u = {0: Perm(SWAP.images), 1: Perm(ROT.images)}
+        folded = collapse_orbit_product(self.W, 0, self.k, u)
+        assert folded is SYM3.elements[SYM3.index_of(SWAP * ROT)]
+        a = collapse_orbit_conjugator(self.W, 0, self.k, u)
+        assert a.base == ((1, SYM3.elements[SYM3.index_of(ROT)]),)
 
 
 class TestTorsionIgset:

@@ -1,21 +1,27 @@
 """The index-based closure kernel, the image-tuple closure, the listed cyclic
-groups and wreath arithmetic with finite heads against test-local copies of
-the Perm-space code they replaced: element orders, closure orders,
-tuple-search witnesses, conjugacy classes, the subgroup lattice and wreath
-products must all come out the same."""
+groups, wreath arithmetic with finite heads and the alpha/beta closed forms
+against test-local copies of the code they replaced: element orders, closure
+orders, tuple-search witnesses, conjugacy classes, the subgroup lattice,
+wreath products and closed forms must all come out the same."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wreathgen.actions import IntTranslation
+from wreathgen.constructions import (alpha_power_form, assemble_alpha_power, assemble_beta,
+                                     beta, build_alpha)
 from wreathgen.groups import (FiniteGroup, GroupTooLargeError, Perm, all_subgroups,
                               alternating_group, class_of, closure, compose,
                               conjugacy_classes, cyclic_group, generated_indices, generates,
                               klein_four_group, symmetric_group)
 from wreathgen.invgen import invariably_generates
 from wreathgen.parsing import parse_ambient
+from wreathgen.verify import random_alpha
+from wreathgen.wreath import WreathProduct
 
 from small_groups import dihedral_group, quaternion_group
 
@@ -285,3 +291,83 @@ class TestFiniteHeads:
         assert W is not again and W == again
         assert hash(W) == hash(again) == hash((W.base_group, W.action))
         assert hash(W.identity()) == hash(again.identity())
+
+
+# -- the alpha/beta closed forms ----------------------------------------------------
+
+
+def old_assemble(alpha_e, alpha_f, m, n=0, conjugated=False):
+    """The closed form built block by block: each block a validated pure base
+    element over the conjugators' identity-filled windows, multiplied with
+    wreath `*`."""
+    W = alpha_e.element.ambient
+
+    def window(alpha):
+        c = alpha.support_radius
+        return [(i, alpha.conjugator.coordinate(i)) for i in range(-c + 1, c)]
+
+    a_window, b_window, f = window(alpha_e), window(alpha_f), alpha_f.g
+    blocks = [
+        {i: g.inverse() for i, g in a_window},
+        {i + m - n: g for i, g in a_window},
+        {i + m - n: g.inverse() for i, g in b_window},
+        {j - n: f for j in range(1, m + 1)},
+        {i - n: g for i, g in b_window},
+    ]
+    if conjugated:
+        blocks += [
+            {i - n: g.inverse() for i, g in a_window},
+            {i: g for i, g in a_window},
+        ]
+    result = W.identity()
+    for block in blocks:
+        result = result * W.element(block, W.action.head_identity())
+    return result
+
+
+class TestClosedForms:
+    """assemble_alpha_power and assemble_beta fold the blocks pointwise; they
+    must equal the block-by-block copy and the literal wreath products."""
+
+    BASES = {"cyclic 4": cyclic_group(4), "alt 4": alternating_group(4),
+             "klein4": klein_four_group(), "sym 4": symmetric_group(4),
+             "cyclic 1": cyclic_group(1)}
+
+    @staticmethod
+    def alphas(W, rng):
+        """Pairs (alpha_e, alpha_f): empty conjugators, one-point conjugators
+        and random ones up to radius 3, with g the identity and not."""
+        G = W.base_group
+        identity, last = G.identity, G.elements[-1]
+        pairs = [(build_alpha(W, identity, {}, {}), build_alpha(W, g, {}, {}))
+                 for g in (identity, last)]
+        pairs.append((build_alpha(W, identity, {-1: last}, {}),
+                      build_alpha(W, last, {}, {2: last})))
+        for radius in range(4):
+            for _ in range(6):
+                pairs.append((random_alpha(rng, W, identity, radius),
+                              random_alpha(rng, W, rng.choice(G.elements), radius)))
+        return pairs
+
+    @pytest.mark.parametrize("name", BASES)
+    def test_closed_forms_equal_the_block_copy_and_the_literal_forms(self, name):
+        W = WreathProduct(self.BASES[name], IntTranslation())
+        rng = random.Random(name)
+        for alpha_e, alpha_f in self.alphas(W, rng):
+            for m in range(0, 6):
+                power = assemble_alpha_power(alpha_e, alpha_f, m)
+                assert power == old_assemble(alpha_e, alpha_f, m)
+                assert power == alpha_power_form(alpha_e, alpha_f, m)
+                for n in (0, 1, m, m + 2):
+                    closed = assemble_beta(alpha_e, alpha_f, m, n)
+                    assert closed == old_assemble(alpha_e, alpha_f, m, n, conjugated=True)
+                    assert closed == beta(alpha_e, alpha_f, m, n)
+
+    @pytest.mark.parametrize("name", BASES)
+    def test_closed_forms_hold_the_base_groups_own_elements(self, name):
+        W = WreathProduct(self.BASES[name], IntTranslation())
+        G = W.base_group
+        for alpha_e, alpha_f in self.alphas(W, random.Random(name)):
+            for u in (assemble_alpha_power(alpha_e, alpha_f, 4),
+                      assemble_beta(alpha_e, alpha_f, 4, 6)):
+                assert all(g is G.elements[G.index_of(g)] for _, g in u.base)

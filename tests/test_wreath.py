@@ -156,8 +156,6 @@ class TestAmbient:
         with pytest.raises(ValueError):
             SMALL.element({0: flip}, Perm.identity(3))
         with pytest.raises(ValueError):
-            SMALL.element([(0, flip), (0, C2.identity)], C2.identity)
-        with pytest.raises(ValueError):
             OVER_Z.element({0: SYM3.elements[1]}, True)
 
     def test_a_bool_is_no_point_of_either_action(self):
