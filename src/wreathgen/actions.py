@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .groups import FiniteGroup, Perm, _refuse_above, closure, compose
+from .groups import FiniteGroup, Perm, _orbit, _refuse_above, closure, compose
 
 
 @dataclass(frozen=True)
@@ -100,22 +100,13 @@ def orbit_reps(action: ActionSpec) -> list[int]:
     """One representative per head orbit: the least point of each, ascending."""
     if isinstance(action, IntTranslation):
         return [0]
-    moves = [action.point_map(g) for g in action.head.generators]
-    seen: set[int] = set()
+    maps = [g.images for g in action.head.generators]
+    seen = bytearray(action.degree)
     reps: list[int] = []
     for x in action.points():
-        if x in seen:
-            continue
-        reps.append(x)
-        frontier = [x]
-        seen.add(x)
-        while frontier:
-            y = frontier.pop()
-            for move in moves:
-                z = move(y)
-                if z not in seen:
-                    seen.add(z)
-                    frontier.append(z)
+        if not seen[x]:
+            reps.append(x)
+            _orbit(maps, x, seen)
     return reps
 
 
@@ -127,13 +118,8 @@ def cyclic_orbit(action: ActionSpec, x: int, k) -> list[int]:
         if k != 0:
             raise ValueError("orbit of a nonzero shift on the integers is infinite")
         return [x]
-    orbit = [x]
-    y = apply(action, x, k)
-    move = action.point_map(k)
-    while y != x:
-        orbit.append(y)
-        y = move(y)
-    return orbit
+    apply(action, x, k)  # refuses a point or head element outside the action
+    return _orbit([k.images], x, bytearray(action.degree))
 
 
 def regular_action(H: FiniteGroup) -> FiniteAction:

@@ -89,8 +89,8 @@ def _cmd_invgen(args: argparse.Namespace) -> Output:
     for s in S:
         if s not in G:
             raise ValueError(f"{format_perm(s)} is not an element of the group")
-    ok, witness = invariably_generates(G, S)
     oracle = invariably_generates_oracle(G, S) if args.oracle else None
+    ok, witness = invariably_generates(G, S)
     payload = {
         "group": _group_info(G),
         "elements": [format_perm(s) for s in S],

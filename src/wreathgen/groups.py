@@ -33,6 +33,8 @@ class Perm:
     images: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if type(self.images) is not tuple or any(type(x) is not int for x in self.images):
+            raise ValueError(f"images must be a tuple of ints: {self.images!r}")
         if sorted(self.images) != list(range(len(self.images))):
             raise ValueError(f"not a permutation of 0..{len(self.images) - 1}: {self.images}")
 
@@ -269,6 +271,26 @@ def _closed_images(gen_images: list[tuple[int, ...]], degree: int, stop: int) ->
     return images
 
 
+def _orbit(maps: Sequence[Sequence[int]], start: int, seen: bytearray,
+           stop: int | None = None) -> list[int]:
+    """The points reached from `start` under the integer `maps`, breadth-first
+    in the order found, each marked in `seen` (which must not yet mark
+    `start`); the search ends once more than `stop` points are found."""
+    found = [start]
+    seen[start] = 1
+    if stop is None:
+        stop = len(seen)
+    for x in found:
+        for m in maps:
+            y = m[x]
+            if not seen[y]:
+                seen[y] = 1
+                found.append(y)
+        if len(found) > stop:
+            break
+    return found
+
+
 def generated_indices(G: FiniteGroup, generators: Iterable[int]) -> Sequence[int]:
     """Indices of the subgroup of G generated by the elements at `generators`.
 
@@ -285,44 +307,32 @@ def generated_indices(G: FiniteGroup, generators: Iterable[int]) -> Sequence[int
         images = _closed_images([G.elements[i].images for i in gens], G.degree, half)
         return range(n) if len(images) > half else [*map(G._index.__getitem__, images)]
     maps = [G.right_map(i) for i in gens]
-    start = G.index_of(G.identity)
-    found = [start]
-    seen = bytearray(n)
-    seen[start] = 1
-    for x in found:
-        for m in maps:
-            y = m[x]
-            if not seen[y]:
-                seen[y] = 1
-                found.append(y)
-        if len(found) > half:
-            return range(n)
-    return found
+    found = _orbit(maps, G.index_of(G.identity), bytearray(n), half)
+    return range(n) if len(found) > half else found
 
 
 def conjugacy_classes(G: FiniteGroup) -> list[ConjClass]:
     """Partition G into conjugation orbits; the identity's class comes first.
 
     Each class is the orbit of its representative, the first element not yet
-    classed, under conjugation by the generators of G.
+    classed, under the index maps j -> index of s^-1 * elements[j] * s, one
+    per generator s of G.
     """
     if G._classes is None:
         elements, index = G.elements, G._index
         conjugators = [(s.inverse().images, s.images) for s in G.generators]
-        class_index = [-1] * len(elements)
+        images = [p.images for p in elements]
+        maps = [[index[tuple([s[x[k]] for k in s_inv])] for x in images]
+                for s_inv, s in conjugators]
+        seen = bytearray(len(elements))
+        class_index = [0] * len(elements)
         classes: list[ConjClass] = []
         for i, rep in enumerate(elements):
-            if class_index[i] >= 0:
+            if seen[i]:
                 continue
-            class_index[i] = len(classes)
-            orbit = [i]
+            orbit = _orbit(maps, i, seen)
             for j in orbit:
-                x = elements[j].images
-                for s_inv, s in conjugators:
-                    y = index[tuple([s[x[k]] for k in s_inv])]
-                    if class_index[y] < 0:
-                        class_index[y] = len(classes)
-                        orbit.append(y)
+                class_index[j] = len(classes)
             orbit.sort(key=lambda j: elements[j].images)
             classes.append(ConjClass(rep, tuple(elements[j] for j in orbit)))
         G._classes = classes

@@ -165,6 +165,15 @@ class TestInvgen:
         assert code == 0
         assert "oracle: yes (agrees)" in out
 
+    def test_oracle_above_the_subgroup_cap_is_refused_before_the_tuple_search(
+            self, capsys, monkeypatch):
+        def unsearched(*args):
+            raise AssertionError("the tuple search ran")
+        monkeypatch.setattr(cli, "invariably_generates", unsearched)
+        code, out, err = run(capsys, "invgen", "sym 6", "(0 1), (0 1 2 3 4 5)", "--oracle")
+        assert code == 2 and out == ""
+        assert "group too large for subgroup enumeration: 720 > 200" in err
+
     def test_min_mode(self, capsys):
         code, payload, _ = run_json(capsys, "invgen", "sym 3", "--min")
         assert code == 0

@@ -35,6 +35,19 @@ class TestPerm:
         with pytest.raises(ValueError):
             Perm((0, 1, 3))
 
+    def test_rejects_images_that_are_not_a_tuple_of_ints(self):
+        with pytest.raises(ValueError, match="must be a tuple of ints"):
+            Perm([1, 0])
+
+    def test_rejects_float_images(self):
+        with pytest.raises(ValueError, match="must be a tuple of ints"):
+            Perm((0.0, 1.0))
+
+    def test_rejects_bool_images(self):
+        # A bool image would make the point True a member of a finite action.
+        with pytest.raises(ValueError, match="must be a tuple of ints"):
+            Perm((True, False, 2))
+
     @given(perm_tuples(count=3))
     def test_unchecked_products_and_inverses_equal_checked_ones(self, perms):
         # compose and inverse build their results without re-validating them.

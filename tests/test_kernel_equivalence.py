@@ -2,7 +2,7 @@
 groups, wreath arithmetic with finite heads and the alpha/beta closed forms
 against test-local copies of the code they replaced: element orders, closure
 orders, tuple-search witnesses, conjugacy classes, the subgroup lattice,
-wreath products and closed forms must all come out the same."""
+wreath products, closed forms and head orbits must all come out the same."""
 
 import itertools
 import random
@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wreathgen.actions import IntTranslation
+from wreathgen.actions import (FiniteAction, IntTranslation, apply, cyclic_orbit,
+                               orbit_reps, regular_action)
 from wreathgen.constructions import (alpha_power_form, assemble_alpha_power, assemble_beta,
                                      beta, build_alpha)
 from wreathgen.groups import (FiniteGroup, GroupTooLargeError, Perm, all_subgroups,
@@ -19,7 +20,7 @@ from wreathgen.groups import (FiniteGroup, GroupTooLargeError, Perm, all_subgrou
                               conjugacy_classes, cyclic_group, generated_indices, generates,
                               klein_four_group, symmetric_group)
 from wreathgen.invgen import invariably_generates
-from wreathgen.parsing import parse_ambient
+from wreathgen.parsing import parse_ambient, parse_group_spec
 from wreathgen.verify import random_alpha
 from wreathgen.wreath import WreathProduct
 
@@ -88,6 +89,82 @@ def old_all_subgroups(G):
     return sorted((tuple(sorted(s)) for s in subgroups), key=lambda t: (len(t), t))
 
 
+def old_row_search(G, generators):
+    """generated_indices' own loop over right-multiplication rows."""
+    gens = dict.fromkeys(generators)
+    n = len(G)
+    half = n // 2
+    maps = [G.right_map(i) for i in gens]
+    start = G.index_of(G.identity)
+    found = [start]
+    seen = bytearray(n)
+    seen[start] = 1
+    for x in found:
+        for m in maps:
+            y = m[x]
+            if not seen[y]:
+                seen[y] = 1
+                found.append(y)
+        if len(found) > half:
+            return range(n)
+    return found
+
+
+def old_class_lists(G):
+    """conjugacy_classes' own loop: the class number of every element and
+    each class as (representative, sorted members)."""
+    elements, index = G.elements, G._index
+    conjugators = [(s.inverse().images, s.images) for s in G.generators]
+    class_index = [-1] * len(elements)
+    classes = []
+    for i, rep in enumerate(elements):
+        if class_index[i] >= 0:
+            continue
+        class_index[i] = len(classes)
+        orbit = [i]
+        for j in orbit:
+            x = elements[j].images
+            for s_inv, s in conjugators:
+                y = index[tuple([s[x[k]] for k in s_inv])]
+                if class_index[y] < 0:
+                    class_index[y] = len(classes)
+                    orbit.append(y)
+        orbit.sort(key=lambda j: elements[j].images)
+        classes.append((rep, tuple(elements[j] for j in orbit)))
+    return class_index, classes
+
+
+def old_orbit_reps(action):
+    """orbit_reps' own stack search over point maps."""
+    moves = [action.point_map(g) for g in action.head.generators]
+    seen, reps = set(), []
+    for x in action.points():
+        if x in seen:
+            continue
+        reps.append(x)
+        frontier = [x]
+        seen.add(x)
+        while frontier:
+            y = frontier.pop()
+            for move in moves:
+                z = move(y)
+                if z not in seen:
+                    seen.add(z)
+                    frontier.append(z)
+    return reps
+
+
+def old_cyclic_orbit(action, x, k):
+    """cyclic_orbit's own walk for a finite head."""
+    orbit = [x]
+    y = apply(action, x, k)
+    move = action.point_map(k)
+    while y != x:
+        orbit.append(y)
+        y = move(y)
+    return orbit
+
+
 # -- groups -------------------------------------------------------------------------
 
 
@@ -149,6 +226,14 @@ class TestClosureKernel:
                     assert witness.generated_order == old_order < G.order
         assert failures > 0
 
+    @pytest.mark.parametrize("name", sorted(GROUPS))
+    def test_row_search_lists_every_pair_in_the_old_order(self, name):
+        G = GROUPS[name]
+        for x, y in itertools.product(range(len(G)), repeat=2):
+            got = generated_indices(G, [x, y])
+            expected = old_row_search(G, [x, y])
+            assert type(got) is type(expected) and list(got) == list(expected), (x, y)
+
     def test_whole_group_stops_past_half(self):
         G = symmetric_group(4)
         swap, four_cycle = G.generators
@@ -163,6 +248,30 @@ class TestConjugacyClasses:
     def test_generator_orbits_equal_all_conjugator_classes(self, G):
         got = [(c.representative, c.members) for c in conjugacy_classes(G)]
         assert got == old_conjugacy_classes(G)
+
+    @pytest.mark.parametrize("G", [
+        symmetric_group(5), alternating_group(5), quaternion_group(), GROUPS["embedded72"],
+        # Listed so that the identity comes last, not first.
+        FiniteGroup(3, symmetric_group(3).generators, reversed(symmetric_group(3).elements)),
+    ], ids=["sym5", "alt5", "q8", "embedded72", "reversed-sym3"])
+    def test_every_element_keeps_the_old_loops_class(self, G):
+        class_index, classes = old_class_lists(G)
+        assert [(c.representative, c.members) for c in conjugacy_classes(G)] == classes
+        for i, g in enumerate(G.elements):
+            c = class_of(G, g)
+            assert (c.representative, c.members) == classes[class_index[i]]
+
+
+class TestHeadOrbits:
+    @pytest.mark.parametrize("action", [
+        FiniteAction(parse_group_spec("sym 3")), FiniteAction(parse_group_spec("klein4")),
+        FiniteAction(parse_group_spec("perm 5: (0 1), (2 3 4)")),
+        regular_action(symmetric_group(3)),
+    ], ids=["sym3", "klein4", "perm5", "regular-sym3"])
+    def test_orbit_reps_and_cyclic_orbits_match_the_old_walks(self, action):
+        assert orbit_reps(action) == old_orbit_reps(action)
+        for x, k in itertools.product(action.points(), action.head.elements):
+            assert cyclic_orbit(action, x, k) == old_cyclic_orbit(action, x, k), (x, k)
 
 
 class TestSubgroups:
