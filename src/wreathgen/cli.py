@@ -23,14 +23,13 @@ from .constructions import (CoordinateContractError, choose_mn, gamma_coordinate
 from .groups import (DEFAULT_CLOSURE_CAP, FiniteGroup, GroupTooLargeError,
                      conjugacy_classes)
 from .invgen import invariably_generates, invariably_generates_oracle, min_invariable_size
-from .parsing import (ParseError, chain_to_descriptors, format_perm,
+from .parsing import (ParseError, _element_text, chain_to_descriptors, format_perm,
                       format_wreath_element, parse_ambient, parse_chain,
                       parse_group_spec, parse_perm_list, parse_wreath_element)
 from .verify import SUITES, random_alpha, run_suites
 from .wreath import WreathProduct
 
 SCHEMA_VERSION = 1
-_JSON_SCALARS = frozenset({str, int, float, bool, type(None)})
 
 
 class Output(NamedTuple):
@@ -130,10 +129,11 @@ def _cmd_classify(args: argparse.Namespace) -> Output:
 def _cmd_wreath_eval(args: argparse.Namespace) -> Output:
     element = parse_wreath_element(args.expr, parse_ambient(args.ambient))
     head = element.head if isinstance(element.head, int) else format_perm(element.head)
+    base = {str(x): format_perm(g) for x, g in element.base}
     payload = {
         "ambient": args.ambient,
-        "element": format_wreath_element(element),
-        "base": {str(x): format_perm(g) for x, g in element.base},
+        "element": _element_text(base, head),
+        "base": base,
         "head": head,
     }
     return Output(payload, [
@@ -280,37 +280,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _flat_json_encoder(inner: str):
-    """The C encoder writing a container's members one to a line, indented by `inner`."""
-    return json.JSONEncoder(sort_keys=True, separators=(",\n" + inner, ": ")).encode
-
-
-def _json_text(value, indent: str = "") -> str:
-    """json.dumps(value, indent=2, sort_keys=True), byte for byte.
-
-    An indent sends json.dumps to its pure-Python encoder, so each container
-    whose members are all scalars is written instead by the C encoder in one
-    call, with the indented line break as its separator.
-    """
-    is_dict = isinstance(value, dict)
-    if not value or not (is_dict or isinstance(value, (list, tuple))):
-        return json.dumps(value)
-    inner = indent + "  "
-    if _JSON_SCALARS.issuperset(map(type, value.values() if is_dict else value)):
-        text = _flat_json_encoder(inner)(value)
-        return f"{text[0]}\n{inner}{text[1:-1]}\n{indent}{text[-1]}"
-    if is_dict:
-        # Sorted keys, a non-string written as its JSON text, as json does.
-        body = [f"{json.dumps(k if isinstance(k, str) else json.dumps(k))}: {_json_text(v, inner)}"
-                for k, v in sorted(value.items())]
-        opening, closing = "{", "}"
-    else:
-        body = [_json_text(v, inner) for v in value]
-        opening, closing = "[", "]"
-    return f"{opening}\n{inner}" + f",\n{inner}".join(body) + f"\n{indent}{closing}"
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -321,7 +290,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if args.json:
             payload = {"schema_version": SCHEMA_VERSION, "command": args.command, **out.payload}
-            print(_json_text(payload))
+            print(json.dumps(payload, indent=2, sort_keys=True))
         else:
             for line in out.lines:
                 print(line)

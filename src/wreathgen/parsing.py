@@ -125,9 +125,14 @@ class _Parser:
 
 
 def _parse_whole(text: str, rule, *args):
-    """Apply one grammar rule to the whole of text."""
+    """Apply one grammar rule to the whole of text.  Only element expressions
+    recurse, three rules per level of parentheses; nesting past the recursion
+    limit (about 320 levels from a fresh process) is refused where it stops."""
     p = _Parser(text)
-    result = rule(p, *args)
+    try:
+        result = rule(p, *args)
+    except RecursionError:
+        p.error("parentheses nested too deeply")
     p.expect_eof()
     return result
 
@@ -466,13 +471,15 @@ def parse_wreath_element(text: str, W: WreathProduct) -> WreathElement:
 
 def format_wreath_element(u: WreathElement) -> str:
     """A re-parsable expression for u; 'id' for the identity."""
-    parts = [f"{format_perm(g)}@{x}" for x, g in u.base]
     head = u.head
-    if isinstance(u.ambient.action, IntTranslation):
-        if head == 1:
-            parts.append("t")
-        elif head != 0:
-            parts.append(f"t^{head}")
-    elif not head.is_identity():
-        parts.append(f"h:{format_perm(head)}")
+    return _element_text({x: format_perm(g) for x, g in u.base},
+                         head if isinstance(head, int) else format_perm(head))
+
+
+def _element_text(base: dict, head: int | str) -> str:
+    """The expression for coordinate cycle texts keyed by point, then the head:
+    a shift, or the cycle text of a finite head."""
+    parts = [f"{g}@{x}" for x, g in base.items()]
+    if head not in (0, "()"):
+        parts.append(f"h:{head}" if isinstance(head, str) else "t" if head == 1 else f"t^{head}")
     return " * ".join(parts) if parts else "id"

@@ -7,6 +7,7 @@ with the suite name and the given seed, so runs are reproducible.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Callable
@@ -14,8 +15,7 @@ from typing import Callable
 from .actions import FiniteAction, IntTranslation, cyclic_orbit, orbit_reps
 from .constructions import (CoordinateContractError, alpha_power_form,
                             assemble_alpha_power, assemble_beta, beta,
-                            build_alpha, collapse_orbit_conjugator,
-                            collapse_orbit_product, gamma_coordinate,
+                            build_alpha, collapse_orbit_conjugator, gamma_coordinate,
                             torsion_igset, uniform_orbit_conjugator)
 from .groups import (FiniteGroup, GroupTooLargeError, Perm, class_of, cyclic_group, generates,
                      symmetric_group)
@@ -131,7 +131,7 @@ def suite_coset(seed: int = 0, count: int = 500) -> list[CheckResult]:
                 element = W.element({**u, **v}, k)
 
                 a = collapse_orbit_conjugator(W, y, k, u)
-                folded = collapse_orbit_product(W, y, k, u)
+                folded = math.prod([u[x] for x in orbit], start=base.identity)
                 expected = W.element({**v, y: folded}, k)
                 if element.conjugate_by(a) != expected:
                     collapse_failures.append(f"y={y} k={k!r} u={u} v={v}")

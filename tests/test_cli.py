@@ -1,10 +1,12 @@
 """The command line, driven in-process through main(argv)."""
 
+import io
 import json
 import os
 import random
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from wreathgen import cli, groups, parsing, wreath
+from wreathgen.actions import IntTranslation
 from wreathgen.cli import main
 from wreathgen.wreath import WreathElement
 
@@ -337,6 +340,65 @@ class TestWreathEval:
         assert head.startswith(b"element: (0 1)@-49998 * ")
         assert err == b""
 
+    @staticmethod
+    def nested(depth):
+        return "(" * depth + "t" + ")" * depth
+
+    def test_300_levels_of_parentheses_evaluate(self, capsys):
+        code, payload, _ = run_json(capsys, "wreath", "eval", "sym 3 wr int-translation",
+                                    self.nested(300))
+        assert code == 0
+        assert payload["element"] == "t"
+
+    @pytest.mark.parametrize("depth", [400, 5000])
+    def test_deeper_nesting_exits_2_with_one_error_line(self, capsys, depth):
+        code, out, err = run(capsys, "wreath", "eval", "sym 3 wr int-translation",
+                             self.nested(depth))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: parentheses nested too deeply (line 1, column ")
+        assert len(err.splitlines()) == 1
+
+
+EVAL_AMBIENTS = {text: parsing.parse_ambient(text) for text in
+                 ("sym 3 wr int-translation", "sym 3 wr (cyclic 3, natural)")}
+
+
+@st.composite
+def eval_cases(draw, ambient):
+    W = EVAL_AMBIENTS[ambient]
+    if isinstance(W.action, IntTranslation):
+        points, heads = range(-6, 7), st.integers(-3, 3)
+    else:
+        points, heads = W.action.points(), st.sampled_from(W.action.head.elements)
+    coords = draw(st.dictionaries(st.sampled_from(points),
+                                  st.sampled_from(W.base_group.elements)))
+    return W.element(coords, draw(heads))
+
+
+class TestWreathEvalFormatsOnce:
+    @pytest.mark.parametrize("ambient", EVAL_AMBIENTS)
+    @given(data=st.data())
+    def test_each_coordinate_is_formatted_once(self, ambient, data):
+        u = data.draw(eval_cases(ambient))
+        text = parsing.format_wreath_element(u)
+        format_perm = parsing.format_perm
+        calls = 0
+
+        def counting(perm):
+            nonlocal calls
+            calls += 1
+            return format_perm(perm)
+
+        out = io.StringIO()
+        with pytest.MonkeyPatch.context() as mp, redirect_stdout(out):
+            mp.setattr(cli, "format_perm", counting)
+            mp.setattr(parsing, "format_perm", counting)
+            assert main(["wreath", "eval", ambient, text, "--json"]) == 0
+        payload = json.loads(out.getvalue())
+        assert payload["element"] == text
+        assert payload["base"] == {str(x): format_perm(g) for x, g in u.base}
+        assert calls <= len(u.base) + 1
+
 
 class TestConstruct:
     def test_torsion_igset(self, capsys):
@@ -461,25 +523,8 @@ class TestParserReuse:
         assert all(code == 0 for code, _, _ in kept[1:])
 
 
-json_scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
-json_values = st.recursive(
-    json_scalars,
-    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
-                   | st.dictionaries(st.text(max_size=4), inner, max_size=4)),
-    max_leaves=20)
-
-
 class TestJsonText:
-    """--json text is json.dumps(payload, indent=2, sort_keys=True), byte for byte."""
-
-    @given(json_values)
-    def test_drawn_payloads(self, value):
-        assert cli._json_text(value) == json.dumps(value, indent=2, sort_keys=True)
-
-    @pytest.mark.parametrize("keys", [[3, -1, 20], [2.5, -0.0, 1e300], [True, False], [None]])
-    def test_keys_that_are_not_strings(self, keys):
-        for value in ({k: k for k in keys}, {k: [k, {}] for k in keys}):
-            assert cli._json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+    """Every --json stdout is json.dumps(payload, indent=2, sort_keys=True) and a newline."""
 
     @pytest.mark.parametrize("argv", [
         ["classes", "sym 4"],
@@ -493,15 +538,7 @@ class TestJsonText:
         ["construct", "gamma", "sym 4", "--support", "5"],
         ["verify", "all", "--seed", "1", "--count", "2"],
     ], ids=lambda argv: "-".join(argv[:2]))
-    def test_every_subcommand(self, capsys, monkeypatch, argv):
-        payloads = []
-        json_text = cli._json_text
-
-        def spy(value, indent=""):
-            if not indent:
-                payloads.append(value)
-            return json_text(value, indent)
-        monkeypatch.setattr(cli, "_json_text", spy)
+    def test_every_subcommand(self, capsys, argv):
         code, out, _ = run(capsys, *argv, "--json")
         assert code == 0
-        assert out == json.dumps(payloads[0], indent=2, sort_keys=True) + "\n"
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
