@@ -11,7 +11,7 @@ import enum
 from dataclasses import dataclass
 from typing import Sequence
 
-from .actions import ActionSpec, IntTranslation
+from .actions import FiniteAction, IntTranslation
 
 
 class IGStatus(enum.Enum):
@@ -48,12 +48,9 @@ class ActionDescriptor:
 FIG_FG = GroupDescriptor(IGStatus.FIG, True)
 
 
-def descriptor_for_action(action: ActionSpec | type[ActionSpec]) -> ActionDescriptor:
-    """The facts the engine needs, as carried by the action's type."""
-    return ActionDescriptor(action.torsion_type, action.finitely_many_orbits)
-
-
-INT_TRANSLATION_ACTION = descriptor_for_action(IntTranslation)
+# The facts each concrete action type carries; natural and regular heads are finite.
+FINITE_ACTION, INT_TRANSLATION_ACTION = (
+    ActionDescriptor(a.torsion_type, a.finitely_many_orbits) for a in (FiniteAction, IntTranslation))
 
 
 def wreath_fg(G: GroupDescriptor, H: GroupDescriptor, action: ActionDescriptor) -> bool:

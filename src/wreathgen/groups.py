@@ -236,7 +236,9 @@ def closure(generators: Sequence[Perm], cap: int = DEFAULT_CLOSURE_CAP) -> Finit
 
     The element list starts at the identity and explores products in FIFO
     order, multiplying by the generators in the order given, which fixes a
-    deterministic element order.  Raises GroupTooLargeError beyond `cap`.
+    deterministic element order.  Raises GroupTooLargeError beyond `cap`
+    elements, or once its elements would hold more than IMAGE_ENTRY_BUDGET
+    image entries.
     """
     gens = list(generators)
     if not gens:
@@ -245,9 +247,14 @@ def closure(generators: Sequence[Perm], cap: int = DEFAULT_CLOSURE_CAP) -> Finit
     for g in gens:
         if g.degree != degree:
             raise ValueError(f"degree mismatch among generators: {g.degree} vs {degree}")
-    images = _closed_images([g.images for g in gens], degree, cap)
+    stop = min(cap, IMAGE_ENTRY_BUDGET // max(degree, 1))
+    images = _closed_images([g.images for g in gens], degree, stop)
     if len(images) > cap:
         raise GroupTooLargeError(f"group too large: closure exceeded cap {cap}")
+    if len(images) > stop:
+        raise GroupTooLargeError(
+            f"group too large: more than {stop} elements of degree {degree} pass "
+            f"the image-entry budget {IMAGE_ENTRY_BUDGET}")
     return FiniteGroup(degree, gens, list(map(_trusted, images)))
 
 

@@ -14,14 +14,14 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache, partial
 from typing import Callable, NamedTuple, NoReturn
 
-from .actions import FiniteAction, IntTranslation, regular_action
-from .classify import (FIG_FG, INT_TRANSLATION_ACTION, ActionDescriptor,
-                       GroupDescriptor, IGStatus, descriptor_for_action)
-from .groups import (DEFAULT_CLOSURE_CAP, FiniteGroup, Perm, _cycles_product, _trusted,
-                     alternating_group, closure, cyclic_group, klein_four_group,
+from .actions import ActionSpec, FiniteAction, IntTranslation, regular_action
+from .classify import (FIG_FG, FINITE_ACTION, INT_TRANSLATION_ACTION, ActionDescriptor,
+                       GroupDescriptor, IGStatus)
+from .groups import (DEFAULT_CLOSURE_CAP, IMAGE_ENTRY_BUDGET, FiniteGroup, Perm, _cycles_product,
+                     _trusted, alternating_group, closure, cyclic_group, klein_four_group,
                      symmetric_group)
 from .wreath import WreathElement, WreathProduct
 
@@ -236,6 +236,8 @@ def _perm_generators(p: _Parser) -> list[Perm]:
     size = p.expect_int("the degree")
     if size.value < 1:
         p.error("degree must be >= 1", size)
+    if size.value > IMAGE_ENTRY_BUDGET:  # even the identity would pass the budget
+        p.error(f"degree {size.value} is above the image-entry budget {IMAGE_ENTRY_BUDGET}", size)
     p.expect_punct(":")
     return _perm_list(p, size.value)
 
@@ -261,8 +263,8 @@ def _group_spec(p: _Parser) -> Callable[..., FiniteGroup]:
 def parse_group_spec(text: str, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
     """A named group or explicit generators: 'sym 3', 'perm 3: (0 1), (0 1 2)', ...
 
-    The whole text is read before any group is built.  GroupTooLargeError comes
-    at once for a named group of order above cap, at cap + 1 elements for 'perm'.
+    The whole text is read before any group is built.  GroupTooLargeError comes at once
+    for a named group of order above cap, for 'perm' once closure passes cap or the budget.
     """
     return _parse_whole(text, _group_spec)(cap)
 
@@ -272,17 +274,13 @@ def parse_group_spec(text: str, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
 
 @dataclass(frozen=True)
 class ParsedLevel:
-    """One level of a tower: a concrete group, an abstract descriptor, or the integers."""
+    """One level of a tower, decoded once.  build closes the first level's
+    group or makes a head level's action; it is None for an abstract level
+    and for a first-level int-translation."""
 
-    kind: str  # 'concrete' | 'abstract' | 'int-translation'
-    build: Callable[[], FiniteGroup] | None  # closes a concrete level's group
-    descriptor: GroupDescriptor | None
-    action: str | None  # None | 'natural' | 'regular' | 'int-translation' | 'torsion' | 'non-torsion'
-
-    @cached_property
-    def group(self) -> FiniteGroup | None:
-        """The concrete group, closed on first read; None for the other kinds."""
-        return self.build() if self.build else None
+    descriptor: GroupDescriptor  # FIG, fg for a concrete group and the integers
+    action: ActionDescriptor | None  # None on the first level
+    build: Callable[[], FiniteGroup | ActionSpec] | None
 
 
 def _descriptor(p: _Parser) -> GroupDescriptor:
@@ -302,50 +300,56 @@ def _descriptor(p: _Parser) -> GroupDescriptor:
         p.error(str(exc), status_tok)
 
 
+# A head level's action word: what makes a concrete head's action, or an abstract one.
+_CONCRETE_ACTIONS = {"natural": FiniteAction, "regular": regular_action}
+_ABSTRACT_ACTIONS = {"torsion": ActionDescriptor(True, True),
+                     "non-torsion": ActionDescriptor(False, True)}
+
+
 def _chain_level(p: _Parser, first: bool) -> ParsedLevel:
     if p.at_word("int-translation"):
         p.advance()
         if first:
-            return ParsedLevel("int-translation", None, None, None)
-        return ParsedLevel("int-translation", None, None, "int-translation")
+            return ParsedLevel(FIG_FG, None, None)
+        return ParsedLevel(FIG_FG, INT_TRANSLATION_ACTION, IntTranslation)
     if p.at_punct("{"):
         descriptor = _descriptor(p)
         if not first:
             p.error("a head level needs an action: ({...}, torsion) or ({...}, non-torsion)")
-        return ParsedLevel("abstract", None, descriptor, None)
+        return ParsedLevel(descriptor, None, None)
     if p.at_word("perm-action"):
         tok = p.advance()
         gens = _perm_generators(p)
         if first:
             p.error("the first level is a group, not an action", tok)
-        return ParsedLevel("concrete", partial(closure, gens), None, "natural")
+        return ParsedLevel(FIG_FG, FINITE_ACTION, lambda: FiniteAction(closure(gens)))
     if p.at_punct("("):
         open_tok = p.advance()
-        if p.at_punct("{"):
-            kind, build, descriptor = "abstract", None, _descriptor(p)
-            actions, expected = ("torsion", "non-torsion"), "'torsion' or 'non-torsion'"
-        else:
-            kind, build, descriptor = "concrete", _group_spec(p), None
-            actions, expected = ("natural", "regular"), "an action: 'natural' or 'regular'"
+        abstract = p.at_punct("{")
+        level = _descriptor(p) if abstract else _group_spec(p)
+        actions = _ABSTRACT_ACTIONS if abstract else _CONCRETE_ACTIONS
         p.expect_punct(",")
         if not p.at_word(*actions):
-            p.error(f"expected {expected}")
-        action = p.advance().value.lower()
+            p.error("expected 'torsion' or 'non-torsion'" if abstract
+                    else "expected an action: 'natural' or 'regular'")
+        action = actions[p.advance().value.lower()]
         p.expect_punct(")")
         if first:
             p.error("the first level carries no action", open_tok)
-        return ParsedLevel(kind, build, descriptor, action)
+        if abstract:
+            return ParsedLevel(level, action, None)
+        return ParsedLevel(FIG_FG, FINITE_ACTION, lambda: action(level()))
     build = _group_spec(p)
     if not first:
         p.error("a head level needs an action: (group, natural|regular) or int-translation")
-    return ParsedLevel("concrete", build, None, None)
+    return ParsedLevel(FIG_FG, None, build)
 
 
 def parse_chain(text: str) -> list[ParsedLevel]:
     """A tower spec: levels separated by 'wr', actions attached from level two on.
 
     Every check on the text is made here; a concrete level's group is closed
-    only when its ParsedLevel.group is first read.
+    only when its ParsedLevel.build is called.
     """
     p = _Parser(text)
     levels = [_chain_level(p, first=True)]
@@ -356,25 +360,13 @@ def parse_chain(text: str) -> list[ParsedLevel]:
     return levels
 
 
-# The engine's view of each action word; the first level has no action.
-_ACTION_DESCRIPTORS = {
-    None: None,
-    "natural": descriptor_for_action(FiniteAction),
-    "regular": descriptor_for_action(FiniteAction),
-    "torsion": ActionDescriptor(True, True),
-    "non-torsion": ActionDescriptor(False, True),
-    "int-translation": INT_TRANSLATION_ACTION,
-}
-
-
 def chain_to_descriptors(levels: list[ParsedLevel]
                          ) -> list[tuple[GroupDescriptor, ActionDescriptor | None]]:
     """Symbolic view of a parsed chain, ready for the classification engine.
 
     A concrete level reads as FIG, fg: no level's group is closed.
     """
-    return [(level.descriptor if level.kind == "abstract" else FIG_FG,
-             _ACTION_DESCRIPTORS[level.action]) for level in levels]
+    return [(level.descriptor, level.action) for level in levels]
 
 
 def ambient_from_chain(levels: list[ParsedLevel]) -> WreathProduct:
@@ -382,15 +374,11 @@ def ambient_from_chain(levels: list[ParsedLevel]) -> WreathProduct:
     if len(levels) != 2:
         raise ValueError("an ambient needs exactly two levels: base wr head")
     base, head = levels
-    if base.kind != "concrete":
+    if base.build is None:
         raise ValueError("the base level must be a concrete group")
-    if head.kind == "int-translation":
-        return WreathProduct(base.group, IntTranslation())
-    if head.kind != "concrete":
+    if head.build is None:
         raise ValueError("the head level must be concrete to build elements")
-    if head.action == "regular":
-        return WreathProduct(base.group, regular_action(head.group))
-    return WreathProduct(base.group, FiniteAction(head.group))
+    return WreathProduct(base.build(), head.build())
 
 
 def parse_ambient(text: str) -> WreathProduct:

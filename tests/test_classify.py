@@ -5,8 +5,8 @@ import itertools
 import pytest
 
 from wreathgen.actions import FiniteAction, IntTranslation
-from wreathgen.classify import (FIG_FG, INT_TRANSLATION_ACTION, ActionDescriptor,
-                                GroupDescriptor, IGStatus, descriptor_for_action,
+from wreathgen.classify import (FIG_FG, FINITE_ACTION, INT_TRANSLATION_ACTION,
+                                ActionDescriptor, GroupDescriptor, IGStatus,
                                 iterated_status, iterated_status_direct,
                                 wreath_fg, wreath_status_with_rule)
 from wreathgen.groups import symmetric_group
@@ -39,11 +39,16 @@ class TestDescriptors:
         assert d == FIG_FG
 
     def test_action_descriptors(self):
-        finite = descriptor_for_action(FiniteAction(symmetric_group(3)))
-        assert finite == ActionDescriptor(True, True)
-        shifts = descriptor_for_action(IntTranslation())
-        assert shifts == INT_TRANSLATION_ACTION
-        assert shifts == ActionDescriptor(False, True)
+        finite = FiniteAction(symmetric_group(3))
+        assert ActionDescriptor(finite.torsion_type, finite.finitely_many_orbits) == FINITE_ACTION
+        for action in ("natural", "regular"):
+            _, head = chain_to_descriptors(parse_chain(f"sym 3 wr (sym 3, {action})"))
+            assert head[1] == FINITE_ACTION == ActionDescriptor(True, True)
+        shifts = IntTranslation()
+        assert ActionDescriptor(shifts.torsion_type, shifts.finitely_many_orbits) == INT_TRANSLATION_ACTION
+        _, head = chain_to_descriptors(parse_chain("sym 3 wr int-translation"))
+        assert head[1] == INT_TRANSLATION_ACTION
+        assert INT_TRANSLATION_ACTION == ActionDescriptor(False, True)
 
     def test_status_prints_as_its_name(self):
         assert str(FIG) == "FIG" and str(NEG) == "NEG_IG"

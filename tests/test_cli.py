@@ -119,6 +119,32 @@ class TestKnownOrders:
                        f"{order * degree} image entries > 16777216\n")
         assert built == []
 
+    def test_perm_group_past_the_image_budget_is_refused(self, capsys, monkeypatch):
+        # A 37-cycle and a swap on 50 points generate Sym(37); with a budget of
+        # 1000 image entries the closure stops past 1000 // 50 = 20 elements.
+        monkeypatch.setattr(groups, "IMAGE_ENTRY_BUDGET", 1000)
+        cycle = " ".join(map(str, range(37)))
+        code, out, err = run(capsys, "classes", f"perm 50: ({cycle}), (0 1)")
+        assert (code, out) == (2, "")
+        assert err == ("error: group too large: more than 20 elements of degree 50 pass "
+                       "the image-entry budget 1000\n")
+
+    @pytest.mark.parametrize("argv, degree, budget, column", [
+        (["classes", "perm 1001: (0 1)"], 1001, 1000, 6),
+        (["classes", "perm 30000000: (0 1)"], 30000000, 16777216, 6),
+        (["classify", "cyclic 2 wr perm-action 1001: (0 1)"], 1001, 1000, 25)])
+    def test_perm_degree_past_the_image_budget_is_refused_before_any_cycle(
+            self, capsys, monkeypatch, argv, degree, budget, column):
+        def unfolded(*args):
+            raise AssertionError("a cycle was folded")
+
+        monkeypatch.setattr(parsing, "IMAGE_ENTRY_BUDGET", budget)
+        monkeypatch.setattr(parsing, "_cycles_product", unfolded)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == (f"error: degree {degree} is above the image-entry budget {budget} "
+                       f"(line 1, column {column})\n")
+
     @pytest.mark.parametrize("head, order", [("sym 8", 40320), ("sym 7", 5040)])
     def test_regular_heads_past_the_image_budget_are_refused(self, capsys, head, order):
         # The regular action of a group of order n is n elements of degree n.

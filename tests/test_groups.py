@@ -119,6 +119,36 @@ class TestClosure:
         with pytest.raises(GroupTooLargeError):
             closure(gens, cap=100)
 
+    def test_image_entry_budget_is_enforced(self, monkeypatch):
+        # Sym(4) is 24 elements of degree 4: 96 image entries.
+        gens = symmetric_group(4).generators
+        monkeypatch.setattr(groups, "IMAGE_ENTRY_BUDGET", 96)
+        assert len(closure(gens)) == 24
+        monkeypatch.setattr(groups, "IMAGE_ENTRY_BUDGET", 95)
+        with pytest.raises(GroupTooLargeError, match=r"^group too large: more than 23 elements "
+                           r"of degree 4 pass the image-entry budget 95$"):
+            closure(gens)
+        # A cap below the budget keeps its own message.
+        with pytest.raises(GroupTooLargeError, match=r"^group too large: closure exceeded cap 10$"):
+            closure(gens, cap=10)
+
+    def test_the_search_stops_one_past_the_budget(self, monkeypatch):
+        found, closed_images = [], groups._closed_images
+
+        def counting(*args):
+            found.append(len(images := closed_images(*args)))
+            return images
+
+        gens = symmetric_group(5).generators
+        monkeypatch.setattr(groups, "_closed_images", counting)
+        monkeypatch.setattr(groups, "IMAGE_ENTRY_BUDGET", 5 * 10)
+        with pytest.raises(GroupTooLargeError, match="image-entry budget 50$"):
+            closure(gens)
+        assert found == [11]
+
+    def test_degree_zero_closes_to_the_identity(self):
+        assert closure([Perm(())]).elements == (Perm(()),)
+
     def test_rejects_empty_or_mismatched_generators(self):
         with pytest.raises(ValueError):
             closure([])

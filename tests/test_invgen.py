@@ -4,11 +4,11 @@ import itertools
 
 import pytest
 
-from wreathgen.groups import (Perm, alternating_group, class_of, closure,
+from wreathgen.groups import (Perm, alternating_group, class_of, closure, conjugacy_classes,
                               cyclic_group, klein_four_group, symmetric_group)
 from wreathgen.invgen import (invariably_generates, invariably_generates_oracle,
                               min_invariable_size)
-from wreathgen.parsing import parse_perm
+from wreathgen.parsing import parse_ambient, parse_perm
 
 from small_groups import dihedral_group
 from test_kernel_equivalence import old_invariably_generates
@@ -97,6 +97,25 @@ class TestOracle:
             assert ok == invariably_generates_oracle(G, S), cycles
             answers.append(ok)
         assert True in answers and False in answers
+
+    def test_agrees_on_class_representatives_of_finite_wreath_products(self):
+        # The paper's finite wreath products, as their imprimitive embeddings,
+        # up to order 162: within the oracle's subgroup cap of 200.
+        answers = []
+        for spec, order in [("sym 3 wr (cyclic 2, natural)", 72),
+                            ("cyclic 2 wr (sym 3, natural)", 48),
+                            ("cyclic 3 wr (sym 3, natural)", 162),
+                            ("klein4 wr (cyclic 2, natural)", 32),
+                            ("cyclic 2 wr (cyclic 4, natural)", 64)]:
+            G, _ = parse_ambient(spec).imprimitive_embedding()
+            assert len(G) == order
+            reps = [c.representative for c in conjugacy_classes(G)]
+            for size in (1, 2):
+                for S in itertools.combinations(reps, size):
+                    ok, _ = invariably_generates(G, list(S))
+                    assert ok == invariably_generates_oracle(G, list(S)), (spec, S)
+                    answers.append(ok)
+        assert len(answers) == 549 and answers.count(True) == 47
 
     def test_abelian_groups_reduce_to_plain_generation(self):
         # Classes are singletons, so invariable generation is generation.

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from wreathgen import groups, parsing
 from wreathgen.actions import FiniteAction, IntTranslation
-from wreathgen.classify import (ActionDescriptor, GroupDescriptor, IGStatus,
-                                INT_TRANSLATION_ACTION)
-from wreathgen.groups import GroupTooLargeError, Perm, closure, symmetric_group
+from wreathgen.classify import (FIG_FG, FINITE_ACTION, INT_TRANSLATION_ACTION,
+                                ActionDescriptor, GroupDescriptor, IGStatus)
+from wreathgen.groups import GroupTooLargeError, Perm, closure, cyclic_group, symmetric_group
 from wreathgen.parsing import (ParseError, ambient_from_chain,
                                chain_to_descriptors, format_perm,
                                format_wreath_element, parse_ambient,
@@ -355,26 +355,31 @@ class TestChains:
     def test_single_concrete_level(self):
         levels = parse_chain("sym 3")
         assert len(levels) == 1
-        assert levels[0].kind == "concrete"
-        assert levels[0].group.order == 6
+        assert levels[0].descriptor == FIG_FG and levels[0].action is None
+        assert levels[0].build().order == 6
 
     def test_concrete_tower(self):
         levels = parse_chain("sym 3 wr (cyclic 2, natural)")
-        assert [lvl.kind for lvl in levels] == ["concrete", "concrete"]
-        assert levels[1].action == "natural"
+        assert [lvl.descriptor for lvl in levels] == [FIG_FG, FIG_FG]
+        assert all(lvl.build is not None for lvl in levels)
+        assert levels[1].action == FINITE_ACTION
+        assert levels[1].build() == FiniteAction(cyclic_group(2))
 
     def test_abstract_descriptor_levels(self):
         levels = parse_chain("{IG, nonfg} wr ({FIG, fg}, torsion) wr int-translation")
         assert levels[0].descriptor == GroupDescriptor(IGStatus.IG, False)
         assert levels[1].descriptor == GroupDescriptor(IGStatus.FIG, True)
-        assert levels[1].action == "torsion"
-        assert levels[2].kind == "int-translation"
+        assert levels[0].build is None and levels[1].build is None
+        assert levels[1].action == ActionDescriptor(True, True)
+        assert levels[2].action == INT_TRANSLATION_ACTION
+        assert levels[2].build() == IntTranslation()
 
     def test_perm_action_sugar(self):
         levels = parse_chain("cyclic 2 wr perm-action 3: (0 1), (0 1 2)")
-        assert levels[1].kind == "concrete"
-        assert levels[1].group.order == 6
-        assert levels[1].action == "natural"
+        head = levels[1].build()
+        assert levels[1].descriptor == FIG_FG
+        assert isinstance(head, FiniteAction) and head.head.order == 6
+        assert levels[1].action == FINITE_ACTION
 
     def test_descriptor_invariant_is_positioned(self):
         with pytest.raises(ParseError, match="finitely generated"):
@@ -398,8 +403,29 @@ class TestChains:
                             lambda gens, *cap: closed.append(gens) or closure(gens, *cap))
         levels = parse_chain("cyclic 2 wr perm-action 3: (0 1), (0 1 2)")
         assert closed == []
-        assert levels[1].group is levels[1].group
-        assert levels[1].group.order == 6 and len(closed) == 1
+        assert levels[1].build().head.order == 6 and len(closed) == 1
+        levels[1].build()
+        assert len(closed) == 2
+
+    def test_each_build_closes_once(self, monkeypatch):
+        closures, closure = [], groups.closure
+
+        def counting_closure(*args, **kwargs):
+            closures.append(args)
+            return closure(*args, **kwargs)
+
+        for module in (groups, parsing):
+            monkeypatch.setattr(module, "closure", counting_closure)
+        levels = parse_chain("sym 9 wr (sym 7, regular) wr int-translation")
+        assert chain_to_descriptors(levels) == [
+            (FIG_FG, None), (FIG_FG, FINITE_ACTION), (FIG_FG, INT_TRANSLATION_ACTION)]
+        assert closures == []
+        assert levels[0].build().order == 362880 and len(closures) == 1
+        # Sym(7) is closed, then its regular action (5040 points) is refused.
+        with pytest.raises(GroupTooLargeError, match="image entries"):
+            levels[1].build()
+        assert len(closures) == 2
+        assert levels[2].build() == IntTranslation() and len(closures) == 2
 
     def test_level_checks_stay_at_parse_time(self):
         with pytest.raises(ParseError, match=r"n must be >= 1 \(line 1, column 18\)"):
