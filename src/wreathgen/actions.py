@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
-from .groups import FiniteGroup, Perm, _orbit, _refuse_above, closure, compose
+from .groups import FiniteGroup, Frozen, Perm, _orbit, _refuse_above, closure, compose
 
 
-@dataclass(frozen=True)
-class FiniteAction:
+class FiniteAction(Frozen):
     """A finite group permuting the points {0, ..., degree-1} it is written on.
 
     The head group's elements are permutations of the point set itself, so
@@ -23,8 +21,10 @@ class FiniteAction:
 
     torsion_type = True
     finitely_many_orbits = True
+    __match_args__ = ("head",)
 
-    head: FiniteGroup
+    def __init__(self, head: FiniteGroup) -> None:
+        super().__init__(head)
 
     @property
     def degree(self) -> int:
@@ -53,8 +53,7 @@ class FiniteAction:
         return h.images.__getitem__
 
 
-@dataclass(frozen=True)
-class IntTranslation:
+class IntTranslation(Frozen):
     """The integers shifting themselves: point x under shift s goes to x + s.
 
     Not of torsion type (see FiniteAction): the shift by one already gives

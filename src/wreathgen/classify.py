@@ -8,10 +8,10 @@ The engine works on descriptors only; no element arithmetic happens here.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Sequence
 
 from .actions import FiniteAction, IntTranslation
+from .groups import Frozen
 
 
 class IGStatus(enum.Enum):
@@ -23,24 +23,24 @@ class IGStatus(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class GroupDescriptor:
+class GroupDescriptor(Frozen):
     """What the engine needs to know about a group: status and finite generation."""
 
-    status: IGStatus
-    finitely_generated: bool
+    __match_args__ = ("status", "finitely_generated")
 
-    def __post_init__(self) -> None:
-        if self.status is IGStatus.FIG and not self.finitely_generated:
+    def __init__(self, status: IGStatus, finitely_generated: bool) -> None:
+        if status is IGStatus.FIG and not finitely_generated:
             raise ValueError("a group with a finite invariable generating set is finitely generated")
+        super().__init__(status, finitely_generated)
 
 
-@dataclass(frozen=True)
-class ActionDescriptor:
+class ActionDescriptor(Frozen):
     """What the engine needs to know about the head action."""
 
-    torsion_type: bool
-    finitely_many_orbits: bool
+    __match_args__ = ("torsion_type", "finitely_many_orbits")
+
+    def __init__(self, torsion_type: bool, finitely_many_orbits: bool) -> None:
+        super().__init__(torsion_type, finitely_many_orbits)
 
 
 # Finite groups and the integers alike: finitely generated, and invariably

@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .actions import FiniteAction, IntTranslation, cyclic_orbit, orbit_reps
-from .groups import Perm, generates
+from .groups import Frozen, Perm, generates
 from .invgen import invariably_generates
 from .wreath import WreathElement, WreathProduct
 
@@ -33,8 +32,7 @@ def _pure_base(W: WreathProduct, coords: Mapping[int, Perm]) -> WreathElement:
 # -- alpha / beta machinery over the integers --------------------------------
 
 
-@dataclass(frozen=True)
-class AlphaElement:
+class AlphaElement(Frozen):
     """A conjugate of g@0 * shift(1) by a finitely supported base tuple.
 
     `conjugator` is the pure-base tuple b with element == b^-1 * g@0 * t * b,
@@ -42,10 +40,11 @@ class AlphaElement:
     the open window (-c, c).
     """
 
-    element: WreathElement
-    g: Perm
-    conjugator: WreathElement
-    support_radius: int
+    __match_args__ = ("element", "g", "conjugator", "support_radius")
+
+    def __init__(self, element: WreathElement, g: Perm, conjugator: WreathElement,
+                 support_radius: int) -> None:
+        super().__init__(element, g, conjugator, support_radius)
 
 
 def _require_int_translation(W: WreathProduct) -> None:
@@ -138,28 +137,25 @@ def assemble_beta(alpha_e: AlphaElement, alpha_g: AlphaElement, m: int, n: int) 
     return _assemble(alpha_e, alpha_g, m, n, conjugated=True)
 
 
-@dataclass(frozen=True)
-class BetaParams:
+class BetaParams(Frozen):
     """Exponents (m, n) placing a clean copy of g at coordinate c.
 
     Needs m beyond both conjugator windows (m > c + max(c, d)) and n large
     enough that the trailing window misses c (d - n < c), with n >= 1.
     """
 
-    m: int
-    n: int
-    c: int
-    d: int
+    __match_args__ = ("m", "n", "c", "d")
 
-    def __post_init__(self) -> None:
-        if self.c < 0 or self.d < 0:
+    def __init__(self, m: int, n: int, c: int, d: int) -> None:
+        if c < 0 or d < 0:
             raise ValueError("support radii must be >= 0")
-        if self.n < 1:
+        if n < 1:
             raise ValueError("n must be >= 1")
-        if not self.m > self.c + max(self.c, self.d):
-            raise ValueError(f"m = {self.m} is not beyond the conjugator windows")
-        if not self.d - self.n < self.c:
-            raise ValueError(f"n = {self.n} leaves the trailing window over coordinate {self.c}")
+        if not m > c + max(c, d):
+            raise ValueError(f"m = {m} is not beyond the conjugator windows")
+        if not d - n < c:
+            raise ValueError(f"n = {n} leaves the trailing window over coordinate {c}")
+        super().__init__(m, n, c, d)
 
 
 def choose_mn(c: int, d: int) -> BetaParams:

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, total_ordering
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
@@ -26,17 +25,70 @@ class GroupTooLargeError(Exception):
     """Raised when a closure or enumeration would exceed its configured cap."""
 
 
-@dataclass(frozen=True, order=True)
-class Perm:
+class Record:
+    """A value whose fields, named in __match_args__, __init__ sets in order.  As a
+    dataclass, it equals its own class's instances with equal fields, shows as
+    Name(field=value, ...) and is unhashable unless frozen; it adds no instance dict."""
+
+    __slots__ = __match_args__ = ()
+
+    def __init__(self, *values: object) -> None:
+        for name, value in zip(self.__match_args__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{self.__class__.__qualname__}({shown})"
+
+
+class Frozen(Record):
+    """A Record hashed as the tuple of its fields, which cannot be assigned or deleted."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __reduce__(self) -> tuple:  # copies and pickles are built by __init__, not setattr
+        return self.__class__, self._fields()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+@total_ordering
+class Perm(Frozen):
     """A permutation of {0, ..., n-1} stored as its tuple of images."""
 
-    images: tuple[int, ...]
+    # A slot, smaller than an instance dict, which _trusted fills through its setter.
+    __slots__ = __match_args__ = ("images",)
 
-    def __post_init__(self) -> None:
-        if type(self.images) is not tuple or any(type(x) is not int for x in self.images):
-            raise ValueError(f"images must be a tuple of ints: {self.images!r}")
-        if sorted(self.images) != list(range(len(self.images))):
-            raise ValueError(f"not a permutation of 0..{len(self.images) - 1}: {self.images}")
+    def __init__(self, images: tuple[int, ...]) -> None:
+        if type(images) is not tuple or any(type(x) is not int for x in images):
+            raise ValueError(f"images must be a tuple of ints: {images!r}")
+        if sorted(images) != list(range(len(images))):
+            raise ValueError(f"not a permutation of 0..{len(images) - 1}: {images}")
+        _set_images(self, images)
+
+    def __eq__(self, other: object) -> bool:  # as Record's, without its getattr loop
+        return self.images == other.images if other.__class__ is Perm else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.images,))
+
+    def __lt__(self, other: object) -> bool:
+        return self.images < other.images if other.__class__ is Perm else NotImplemented
 
     @property
     def degree(self) -> int:
@@ -97,10 +149,13 @@ class Perm:
         return f"Perm({self.images})"
 
 
+_set_images = Perm.images.__set__
+
+
 def _trusted(images: tuple[int, ...]) -> Perm:
     """A Perm from images that are a permutation by construction, unchecked."""
     p = object.__new__(Perm)
-    object.__setattr__(p, "images", images)
+    _set_images(p, images)
     return p
 
 
@@ -127,12 +182,13 @@ def compose(p: Perm, q: Perm) -> Perm:
     return _trusted(tuple([qi[i] for i in p.images]))
 
 
-@dataclass(frozen=True)
-class ConjClass:
+class ConjClass(Frozen):
     """A conjugacy class: its first-found representative and all members, sorted."""
 
-    representative: Perm
-    members: tuple[Perm, ...]
+    __match_args__ = ("representative", "members")
+
+    def __init__(self, representative: Perm, members: tuple[Perm, ...]) -> None:
+        super().__init__(representative, members)
 
     def __len__(self) -> int:
         return len(self.members)

@@ -9,19 +9,19 @@ meets every class of S.  They must agree, and tests hold them to that.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Sequence
 
-from .groups import (FiniteGroup, Perm, class_of, conjugacy_classes, generated_indices,
-                     maximal_subgroups)
+from .groups import (FiniteGroup, Frozen, Perm, class_of, conjugacy_classes,
+                     generated_indices, maximal_subgroups)
 
 
-@dataclass(frozen=True)
-class IGWitness:
+class IGWitness(Frozen):
     """A failing conjugate choice: pairs (s, chosen conjugate) and what they generate."""
 
-    choice: tuple[tuple[Perm, Perm], ...]
-    generated_order: int
+    __match_args__ = ("choice", "generated_order")
+
+    def __init__(self, choice: tuple[tuple[Perm, Perm], ...], generated_order: int) -> None:
+        super().__init__(choice, generated_order)
 
 
 def _checked_elements(G: FiniteGroup, S: Sequence[Perm]) -> list[Perm]:

@@ -13,16 +13,15 @@ permutation, and format_wreath_element emits a valid expression.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Callable, NamedTuple, NoReturn
 
 from .actions import ActionSpec, FiniteAction, IntTranslation, regular_action
 from .classify import (FIG_FG, FINITE_ACTION, INT_TRANSLATION_ACTION, ActionDescriptor,
                        GroupDescriptor, IGStatus)
-from .groups import (DEFAULT_CLOSURE_CAP, IMAGE_ENTRY_BUDGET, FiniteGroup, Perm, _cycles_product,
-                     _trusted, alternating_group, closure, cyclic_group, klein_four_group,
-                     symmetric_group)
+from .groups import (DEFAULT_CLOSURE_CAP, IMAGE_ENTRY_BUDGET, FiniteGroup, Frozen, Perm,
+                     _cycles_product, _trusted, alternating_group, closure, cyclic_group,
+                     klein_four_group, symmetric_group)
 from .wreath import WreathElement, WreathProduct
 
 
@@ -236,8 +235,9 @@ def _perm_generators(p: _Parser) -> list[Perm]:
     size = p.expect_int("the degree")
     if size.value < 1:
         p.error("degree must be >= 1", size)
-    if size.value > IMAGE_ENTRY_BUDGET:  # even the identity would pass the budget
-        p.error(f"degree {size.value} is above the image-entry budget {IMAGE_ENTRY_BUDGET}", size)
+    if 2 * size.value > IMAGE_ENTRY_BUDGET:  # the identity and one generator would pass it
+        half = "" if size.value > IMAGE_ENTRY_BUDGET else "half "
+        p.error(f"degree {size.value} is above {half}the image-entry budget {IMAGE_ENTRY_BUDGET}", size)
     p.expect_punct(":")
     return _perm_list(p, size.value)
 
@@ -272,15 +272,17 @@ def parse_group_spec(text: str, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
 # -- chains and ambients -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ParsedLevel:
-    """One level of a tower, decoded once.  build closes the first level's
-    group or makes a head level's action; it is None for an abstract level
-    and for a first-level int-translation."""
+class ParsedLevel(Frozen):
+    """One level of a tower, decoded once: its descriptor (FIG, fg for a concrete
+    group and the integers), its action (None on the first level) and build,
+    which closes the first level's group or makes a head level's action (None
+    for an abstract level and a first-level int-translation)."""
 
-    descriptor: GroupDescriptor  # FIG, fg for a concrete group and the integers
-    action: ActionDescriptor | None  # None on the first level
-    build: Callable[[], FiniteGroup | ActionSpec] | None
+    __match_args__ = ("descriptor", "action", "build")
+
+    def __init__(self, descriptor: GroupDescriptor, action: ActionDescriptor | None,
+                 build: Callable[[], FiniteGroup | ActionSpec] | None) -> None:
+        super().__init__(descriptor, action, build)
 
 
 def _descriptor(p: _Parser) -> GroupDescriptor:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from typing import Callable
 
 from .actions import FiniteAction, IntTranslation, cyclic_orbit, orbit_reps
@@ -17,22 +16,24 @@ from .constructions import (CoordinateContractError, alpha_power_form,
                             assemble_alpha_power, assemble_beta, beta,
                             build_alpha, collapse_orbit_conjugator, gamma_coordinate,
                             torsion_igset, uniform_orbit_conjugator)
-from .groups import (FiniteGroup, GroupTooLargeError, Perm, class_of, cyclic_group, generates,
-                     symmetric_group)
+from .groups import (FiniteGroup, GroupTooLargeError, Perm, Record, class_of, cyclic_group,
+                     generates, symmetric_group)
 from .invgen import invariably_generates
 from .wreath import DEFAULT_ENUMERATION_CAP, WreathProduct
 
 
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
+class CheckResult(Record):
+    __match_args__ = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str = "") -> None:
+        super().__init__(name, passed, detail)
 
 
-@dataclass
-class _Recorder:
-    results: list[CheckResult] = field(default_factory=list)
+class _Recorder(Record):
+    __match_args__ = ("results",)
+
+    def __init__(self, results: list[CheckResult] | None = None) -> None:
+        super().__init__([] if results is None else results)
 
     def record(self, name: str, failures: list[str], detail: str = "") -> None:
         if failures:

@@ -15,30 +15,28 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from typing import Callable
 
 from .actions import ActionSpec, FiniteAction, IntTranslation, apply, orbit_reps
-from .groups import (IMAGE_ENTRY_BUDGET, FiniteGroup, GroupTooLargeError, Perm, _trusted,
-                     closure)
+from .groups import (IMAGE_ENTRY_BUDGET, FiniteGroup, Frozen, GroupTooLargeError, Perm,
+                     _trusted, closure)
 
 DEFAULT_ENUMERATION_CAP = 100_000
 
 HeadElement = Perm | int
 
 
-@dataclass(frozen=True)
-class WreathProduct:
+class WreathProduct(Frozen):
     """The ambient wreath product of a finite base group by an acting head."""
 
-    base_group: FiniteGroup
-    action: ActionSpec
+    __match_args__ = ("base_group", "action")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.action, (FiniteAction, IntTranslation)):
-            raise TypeError(f"unsupported action: {self.action!r}")
+    def __init__(self, base_group: FiniteGroup, action: ActionSpec) -> None:
+        if not isinstance(action, (FiniteAction, IntTranslation)):
+            raise TypeError(f"unsupported action: {action!r}")
+        super().__init__(base_group, action)
         # Every element's hash hashes its ambient, so work that out once.
-        object.__setattr__(self, "_hash", hash((self.base_group, self.action)))
+        object.__setattr__(self, "_hash", hash((base_group, action)))
         self._self_test()
 
     def __hash__(self) -> int:
@@ -159,13 +157,22 @@ class WreathProduct:
         return group, embed
 
 
-@dataclass(frozen=True)
-class WreathElement:
+class WreathElement(Frozen):
     """One wreath-product element: sorted nontrivial base coordinates plus a head."""
 
-    ambient: WreathProduct = field(repr=False)
-    base: tuple[tuple[int, Perm], ...]
-    head: HeadElement
+    __match_args__ = ("ambient", "base", "head")
+
+    def __init__(self, ambient: WreathProduct, base: tuple[tuple[int, Perm], ...],
+                 head: HeadElement) -> None:
+        super().__init__(ambient, base, head)
+
+    def __eq__(self, other: object) -> bool:  # as Record's, without its getattr loop
+        if other.__class__ is WreathElement:
+            return (self.ambient, self.base, self.head) == (other.ambient, other.base, other.head)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.ambient, self.base, self.head))
 
     def support(self) -> tuple[int, ...]:
         return tuple(x for x, _ in self.base)

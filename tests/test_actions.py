@@ -105,7 +105,7 @@ class TestRegularAction:
             raise AssertionError("a permutation was built")
 
         monkeypatch.setattr(groups, "IMAGE_ENTRY_BUDGET", 35)
-        monkeypatch.setattr(Perm, "__post_init__", unbuilt)
+        monkeypatch.setattr(Perm, "__init__", unbuilt)
         with pytest.raises(GroupTooLargeError,
                            match="6 elements of degree 6 hold 36 image entries > 35$"):
             regular_action(H)

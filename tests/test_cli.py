@@ -112,7 +112,7 @@ class TestKnownOrders:
 
         for module in (groups, parsing):
             monkeypatch.setattr(module, "closure", unbuilt)
-        monkeypatch.setattr(groups.Perm, "__post_init__", unbuilt)
+        monkeypatch.setattr(groups.Perm, "__init__", unbuilt)
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert err == (f"error: group too large: {order} elements of degree {degree} hold "
@@ -144,6 +144,32 @@ class TestKnownOrders:
         assert (code, out) == (2, "")
         assert err == (f"error: degree {degree} is above the image-entry budget {budget} "
                        f"(line 1, column {column})\n")
+
+    @pytest.mark.parametrize("argv, degree, column", [
+        (["classes", "perm 501: (0 1)"], 501, 6),
+        (["classify", "cyclic 2 wr perm-action 1000: (0 1)"], 1000, 25)])
+    def test_perm_degree_past_half_the_image_budget_is_refused_before_any_cycle(
+            self, capsys, monkeypatch, argv, degree, column):
+        # The identity and one generator would hold 2 * degree > 1000 image
+        # entries, though the degree alone is within the budget.
+        def unfolded(*args):
+            raise AssertionError("a cycle was folded")
+
+        monkeypatch.setattr(parsing, "IMAGE_ENTRY_BUDGET", 1000)
+        monkeypatch.setattr(parsing, "_cycles_product", unfolded)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == (f"error: degree {degree} is above half the image-entry budget 1000 "
+                       f"(line 1, column {column})\n")
+
+    def test_perm_degree_at_half_the_image_budget_answers(self, capsys, monkeypatch):
+        # 2 * 500 image entries fill the budget: the group of the identity and
+        # (0 1) is closed, within the budget // degree = 2 elements.
+        for module in (groups, parsing):
+            monkeypatch.setattr(module, "IMAGE_ENTRY_BUDGET", 1000)
+        code, out, err = run(capsys, "classes", "perm 500: (0 1)", "--json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["group"]["order"] == 2
 
     @pytest.mark.parametrize("head, order", [("sym 8", 40320), ("sym 7", 5040)])
     def test_regular_heads_past_the_image_budget_are_refused(self, capsys, head, order):

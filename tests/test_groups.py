@@ -171,7 +171,7 @@ class TestClosure:
             raise AssertionError("a permutation or a group was built")
 
         monkeypatch.setattr(groups, "closure", unbuilt)
-        monkeypatch.setattr(Perm, "__post_init__", unbuilt)
+        monkeypatch.setattr(Perm, "__init__", unbuilt)
         monkeypatch.setattr(Perm, "from_cycles", unbuilt)
         for build in (partial(symmetric_group, 10**9), partial(alternating_group, 10**9),
                       partial(cyclic_group, 1001), klein_four_group):

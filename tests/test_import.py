@@ -1,9 +1,12 @@
-"""Importing the package afresh leaves nothing of the earlier copy alive."""
+"""Importing the package afresh leaves nothing of the earlier copy alive, and
+builds no dataclass."""
 
 import gc
 import importlib
+import subprocess
 import sys
 import weakref
+from pathlib import Path
 
 
 def _package_modules():
@@ -29,3 +32,15 @@ def test_a_fresh_import_frees_the_previous_copy():
         for name in _package_modules():
             del sys.modules[name]
         sys.modules.update(saved)
+
+
+def test_the_program_imports_without_dataclasses():
+    # A fresh interpreter, without site packages and writing no bytecode,
+    # imports the CLI and with it every module: no dataclass is built, so
+    # neither dataclasses nor the inspect module it loads is imported.
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import wreathgen.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", code, str(src)],
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"
