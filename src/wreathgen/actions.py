@@ -23,9 +23,6 @@ class FiniteAction(Frozen):
     finitely_many_orbits = True
     __match_args__ = ("head",)
 
-    def __init__(self, head: FiniteGroup) -> None:
-        super().__init__(head)
-
     @property
     def degree(self) -> int:
         return self.head.degree

@@ -39,9 +39,6 @@ class ActionDescriptor(Frozen):
 
     __match_args__ = ("torsion_type", "finitely_many_orbits")
 
-    def __init__(self, torsion_type: bool, finitely_many_orbits: bool) -> None:
-        super().__init__(torsion_type, finitely_many_orbits)
-
 
 # Finite groups and the integers alike: finitely generated, and invariably
 # generated by a finite set.

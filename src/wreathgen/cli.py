@@ -14,13 +14,13 @@ import json
 import os
 import random
 import sys
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .actions import FiniteAction, IntTranslation
 from .classify import iterated_status, iterated_status_direct
 from .constructions import (CoordinateContractError, choose_mn, gamma_coordinate,
                             nottorsion_igset, torsion_igset)
-from .groups import (DEFAULT_CLOSURE_CAP, FiniteGroup, GroupTooLargeError,
+from .groups import (DEFAULT_CLOSURE_CAP, FiniteGroup, GroupTooLargeError, Record,
                      conjugacy_classes)
 from .invgen import invariably_generates, invariably_generates_oracle, min_invariable_size
 from .parsing import (ParseError, _element_text, chain_to_descriptors, format_perm,
@@ -32,13 +32,13 @@ from .wreath import WreathProduct
 SCHEMA_VERSION = 1
 
 
-class Output(NamedTuple):
+class Output(Record):
     """A subcommand's JSON payload, its text lines, its exit code and a stderr message."""
 
-    payload: dict
-    lines: list[str]
-    code: int = 0
-    error: str = ""
+    __match_args__ = ("payload", "lines", "code", "error")
+
+    def __init__(self, payload: dict, lines: list[str], code: int = 0, error: str = "") -> None:
+        super().__init__(payload, lines, code, error)
 
 
 def _group_info(G: FiniteGroup) -> dict:

@@ -42,10 +42,6 @@ class AlphaElement(Frozen):
 
     __match_args__ = ("element", "g", "conjugator", "support_radius")
 
-    def __init__(self, element: WreathElement, g: Perm, conjugator: WreathElement,
-                 support_radius: int) -> None:
-        super().__init__(element, g, conjugator, support_radius)
-
 
 def _require_int_translation(W: WreathProduct) -> None:
     if not isinstance(W.action, IntTranslation):

@@ -26,14 +26,20 @@ class GroupTooLargeError(Exception):
 
 
 class Record:
-    """A value whose fields, named in __match_args__, __init__ sets in order.  As a
-    dataclass, it equals its own class's instances with equal fields, shows as
-    Name(field=value, ...) and is unhashable unless frozen; it adds no instance dict."""
+    """A value whose fields are named once, in __match_args__; __init__ sets each from one
+    positional or keyword argument.  As a dataclass, it equals its own class's instances with
+    equal fields, shows as Name(field=value, ...) and is unhashable unless frozen."""
 
     __slots__ = __match_args__ = ()
 
-    def __init__(self, *values: object) -> None:
-        for name, value in zip(self.__match_args__, values, strict=True):
+    def __init__(self, *values: object, **named: object) -> None:
+        fields = self.__match_args__
+        if named:
+            values += tuple([named.pop(name) for name in fields[len(values):] if name in named])
+        if named or len(values) != len(fields):
+            raise TypeError(f"{self.__class__.__qualname__} takes each of its fields "
+                            f"({', '.join(fields)}) once, by position or keyword")
+        for name, value in zip(fields, values):
             object.__setattr__(self, name, value)
 
     def _fields(self) -> tuple:
@@ -186,9 +192,6 @@ class ConjClass(Frozen):
     """A conjugacy class: its first-found representative and all members, sorted."""
 
     __match_args__ = ("representative", "members")
-
-    def __init__(self, representative: Perm, members: tuple[Perm, ...]) -> None:
-        super().__init__(representative, members)
 
     def __len__(self) -> int:
         return len(self.members)

@@ -20,9 +20,6 @@ class IGWitness(Frozen):
 
     __match_args__ = ("choice", "generated_order")
 
-    def __init__(self, choice: tuple[tuple[Perm, Perm], ...], generated_order: int) -> None:
-        super().__init__(choice, generated_order)
-
 
 def _checked_elements(G: FiniteGroup, S: Sequence[Perm]) -> list[Perm]:
     elements = []

@@ -16,7 +16,7 @@ import re
 from functools import lru_cache, partial
 from typing import Callable, NamedTuple, NoReturn
 
-from .actions import ActionSpec, FiniteAction, IntTranslation, regular_action
+from .actions import FiniteAction, IntTranslation, regular_action
 from .classify import (FIG_FG, FINITE_ACTION, INT_TRANSLATION_ACTION, ActionDescriptor,
                        GroupDescriptor, IGStatus)
 from .groups import (DEFAULT_CLOSURE_CAP, IMAGE_ENTRY_BUDGET, FiniteGroup, Frozen, Perm,
@@ -235,9 +235,10 @@ def _perm_generators(p: _Parser) -> list[Perm]:
     size = p.expect_int("the degree")
     if size.value < 1:
         p.error("degree must be >= 1", size)
-    if 2 * size.value > IMAGE_ENTRY_BUDGET:  # the identity and one generator would pass it
-        half = "" if size.value > IMAGE_ENTRY_BUDGET else "half "
-        p.error(f"degree {size.value} is above {half}the image-entry budget {IMAGE_ENTRY_BUDGET}", size)
+    if 4 * size.value > IMAGE_ENTRY_BUDGET:  # folding and closing hold four degree-sized arrays
+        share = "" if size.value > IMAGE_ENTRY_BUDGET else "a quarter of "
+        p.error(f"degree {size.value} is above {share}the image-entry budget {IMAGE_ENTRY_BUDGET}",
+                size)
     p.expect_punct(":")
     return _perm_list(p, size.value)
 
@@ -279,10 +280,6 @@ class ParsedLevel(Frozen):
     for an abstract level and a first-level int-translation)."""
 
     __match_args__ = ("descriptor", "action", "build")
-
-    def __init__(self, descriptor: GroupDescriptor, action: ActionDescriptor | None,
-                 build: Callable[[], FiniteGroup | ActionSpec] | None) -> None:
-        super().__init__(descriptor, action, build)
 
 
 def _descriptor(p: _Parser) -> GroupDescriptor:

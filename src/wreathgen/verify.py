@@ -29,17 +29,8 @@ class CheckResult(Record):
         super().__init__(name, passed, detail)
 
 
-class _Recorder(Record):
-    __match_args__ = ("results",)
-
-    def __init__(self, results: list[CheckResult] | None = None) -> None:
-        super().__init__([] if results is None else results)
-
-    def record(self, name: str, failures: list[str], detail: str = "") -> None:
-        if failures:
-            self.results.append(CheckResult(name, False, failures[0]))
-        else:
-            self.results.append(CheckResult(name, True, detail))
+def _record(results: list[CheckResult], name: str, failures: list[str], detail: str = "") -> None:
+    results.append(CheckResult(name, not failures, failures[0] if failures else detail))
 
 
 def _rng(suite: str, seed: int) -> random.Random:
@@ -53,7 +44,7 @@ def _random_coords(rng: random.Random, G: FiniteGroup, points) -> dict[int, Perm
 # -- conjugation: single coordinates translate, heads decompose -----------------
 
 
-def _check_embedded_conjugates(W: WreathProduct, name: str, recorder: _Recorder) -> None:
+def _check_embedded_conjugates(W: WreathProduct, name: str, results: list[CheckResult]) -> None:
     G = W.base_group
     head = W.action.head
     elements = W.enumerate_elements()
@@ -77,11 +68,11 @@ def _check_embedded_conjugates(W: WreathProduct, name: str, recorder: _Recorder)
                     break
         if failures:
             break
-    recorder.record(f"conjugation: embedded elements in {name}", failures,
-                    f"{len(elements)} conjugators, exhaustive")
+    _record(results, f"conjugation: embedded elements in {name}", failures,
+            f"{len(elements)} conjugators, exhaustive")
 
 
-def _check_conjugation_hom(W: WreathProduct, name: str, recorder: _Recorder,
+def _check_conjugation_hom(W: WreathProduct, name: str, results: list[CheckResult],
                            rng: random.Random | None, count: int) -> None:
     elements = W.enumerate_elements()
     if rng is None:
@@ -96,26 +87,26 @@ def _check_conjugation_hom(W: WreathProduct, name: str, recorder: _Recorder,
         if (u * v).conjugate_by(a) != u.conjugate_by(a) * v.conjugate_by(a):
             failures.append(f"u={u!r} v={v!r} a={a!r}")
             break
-    recorder.record(f"conjugation: respects products in {name}", failures, mode)
+    _record(results, f"conjugation: respects products in {name}", failures, mode)
 
 
 def suite_conjugation(seed: int = 0, count: int = 200) -> list[CheckResult]:
     rng = _rng("conjugation", seed)
-    recorder = _Recorder()
+    results: list[CheckResult] = []
     small = WreathProduct(cyclic_group(2), FiniteAction(cyclic_group(2)))
     large = WreathProduct(symmetric_group(3), FiniteAction(cyclic_group(2)))
-    _check_embedded_conjugates(small, "c2 wr c2", recorder)
-    _check_embedded_conjugates(large, "sym3 wr c2", recorder)
-    _check_conjugation_hom(small, "c2 wr c2", recorder, None, count)
-    _check_conjugation_hom(large, "sym3 wr c2", recorder, rng, count)
-    return recorder.results
+    _check_embedded_conjugates(small, "c2 wr c2", results)
+    _check_embedded_conjugates(large, "sym3 wr c2", results)
+    _check_conjugation_hom(small, "c2 wr c2", results, None, count)
+    _check_conjugation_hom(large, "sym3 wr c2", results, rng, count)
+    return results
 
 
 # -- coset: collapsing a cyclic-orbit tuple to one coordinate --------------------
 
 
 def suite_coset(seed: int = 0, count: int = 500) -> list[CheckResult]:
-    recorder = _Recorder()
+    results: list[CheckResult] = []
     for base_name, base in (("c2", cyclic_group(2)), ("sym3", symmetric_group(3))):
         for d in (1, 2):
             W = WreathProduct(base, FiniteAction(cyclic_group(d + 1)))
@@ -144,11 +135,11 @@ def suite_coset(seed: int = 0, count: int = 500) -> list[CheckResult]:
                 if single.conjugate_by(c) != expected2:
                     uniform_failures.append(f"y={y} k={k!r} u0={u[y]!r} g={g!r} v={v}")
             label = f"{base_name} wr c{d + 1}"
-            recorder.record(f"coset: collapse along the orbit in {label}",
-                            collapse_failures, f"{count} constructed conjugators")
-            recorder.record(f"coset: uniform conjugation at one coordinate in {label}",
-                            uniform_failures, f"{count} constructed conjugators")
-    return recorder.results
+            _record(results, f"coset: collapse along the orbit in {label}",
+                    collapse_failures, f"{count} constructed conjugators")
+            _record(results, f"coset: uniform conjugation at one coordinate in {label}",
+                    uniform_failures, f"{count} constructed conjugators")
+    return results
 
 
 # -- alpha / beta / gamma over the integers --------------------------------------
@@ -174,7 +165,7 @@ def random_alpha(rng: random.Random, W: WreathProduct, g: Perm, radius: int):
 def suite_alpha(seed: int = 0, count: int = 200) -> list[CheckResult]:
     rng = _rng("alpha", seed)
     W = WreathProduct(symmetric_group(3), IntTranslation())
-    recorder = _Recorder()
+    results: list[CheckResult] = []
     identity = W.base_group.identity
     failures = []
     for _ in range(count):
@@ -187,15 +178,15 @@ def suite_alpha(seed: int = 0, count: int = 200) -> list[CheckResult]:
             failures.append(
                 f"m={m} e-conj={dict(alpha_e.conjugator.base)} "
                 f"f={alpha_f.g!r} f-conj={dict(alpha_f.conjugator.base)}")
-    recorder.record("alpha: telescoped power product matches its closed form",
-                    failures, f"{count} seeded instances, m <= 6")
-    return recorder.results
+    _record(results, "alpha: telescoped power product matches its closed form",
+            failures, f"{count} seeded instances, m <= 6")
+    return results
 
 
 def suite_beta(seed: int = 0, count: int = 200) -> list[CheckResult]:
     rng = _rng("beta", seed)
     W = WreathProduct(symmetric_group(3), IntTranslation())
-    recorder = _Recorder()
+    results: list[CheckResult] = []
     identity = W.base_group.identity
     form_failures = []
     head_failures = []
@@ -210,17 +201,17 @@ def suite_beta(seed: int = 0, count: int = 200) -> list[CheckResult]:
                                  f"g={alpha_g.g!r} g-conj={dict(alpha_g.conjugator.base)}")
         if direct.head != 0:
             head_failures.append(f"m={m} n={n} head={direct.head}")
-    recorder.record("beta: conjugated power product matches its closed form",
-                    form_failures, f"{count} seeded instances, m <= 6, n <= 4")
-    recorder.record("beta: the head is always the zero shift", head_failures,
-                    f"{count} seeded instances")
-    return recorder.results
+    _record(results, "beta: conjugated power product matches its closed form",
+            form_failures, f"{count} seeded instances, m <= 6, n <= 4")
+    _record(results, "beta: the head is always the zero shift", head_failures,
+            f"{count} seeded instances")
+    return results
 
 
 def suite_gamma(seed: int = 0, count: int = 200) -> list[CheckResult]:
     rng = _rng("gamma", seed)
     W = WreathProduct(symmetric_group(3), IntTranslation())
-    recorder = _Recorder()
+    results: list[CheckResult] = []
     identity = W.base_group.identity
     targets = [Perm.from_cycles([(0, 1)], 3), Perm.from_cycles([(0, 1, 2)], 3)]
     failures = []
@@ -235,9 +226,9 @@ def suite_gamma(seed: int = 0, count: int = 200) -> list[CheckResult]:
                 continue
             if point != alpha_e.support_radius or found != g:
                 failures.append(f"g={g!r} -> ({point}, {found!r})")
-    recorder.record("gamma: the chosen coordinate isolates each generator",
-                    failures, f"{count} seeded instances, both generators of sym3")
-    return recorder.results
+    _record(results, "gamma: the chosen coordinate isolates each generator",
+            failures, f"{count} seeded instances, both generators of sym3")
+    return results
 
 
 # -- igsets: the explicit sets invariably generate --------------------------------
@@ -258,15 +249,15 @@ def _igset_ambients() -> list[tuple[str, WreathProduct, list[Perm], list[Perm]]]
 
 
 def suite_igsets(seed: int = 0, count: int = 50) -> list[CheckResult]:
-    recorder = _Recorder()
+    results: list[CheckResult] = []
     rng = _rng("igsets", seed)
     for name, W, g_set, h_set in _igset_ambients():
         igset = torsion_igset(W, g_set, h_set)
         P, embed = W.imprimitive_embedding()
         ok, witness = invariably_generates(P, [embed(u) for u in igset])
         failures = [] if ok else [f"witness {witness!r}"]
-        recorder.record(f"igsets: embedded base and head sets invariably generate {name}",
-                        failures, f"order {P.order}, exhaustive tuple search")
+        _record(results, f"igsets: embedded base and head sets invariably generate {name}",
+                failures, f"order {P.order}, exhaustive tuple search")
 
         # Generation must also survive replacing the head set by arbitrary
         # conjugates when the full base copies ride along.
@@ -286,9 +277,9 @@ def suite_igsets(seed: int = 0, count: int = 50) -> list[CheckResult]:
             if not generates(P, gens):
                 failures.append(f"conjugators {picks!r}")
                 break
-        recorder.record(f"igsets: base copies with any head conjugates generate {name}",
-                        failures, mode)
-    return recorder.results
+        _record(results, f"igsets: base copies with any head conjugates generate {name}",
+                failures, mode)
+    return results
 
 
 SUITES: dict[str, Callable[[int, int], list[CheckResult]]] = {

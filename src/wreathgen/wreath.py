@@ -162,10 +162,6 @@ class WreathElement(Frozen):
 
     __match_args__ = ("ambient", "base", "head")
 
-    def __init__(self, ambient: WreathProduct, base: tuple[tuple[int, Perm], ...],
-                 head: HeadElement) -> None:
-        super().__init__(ambient, base, head)
-
     def __eq__(self, other: object) -> bool:  # as Record's, without its getattr loop
         if other.__class__ is WreathElement:
             return (self.ambient, self.base, self.head) == (other.ambient, other.base, other.head)

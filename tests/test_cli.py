@@ -146,12 +146,12 @@ class TestKnownOrders:
                        f"(line 1, column {column})\n")
 
     @pytest.mark.parametrize("argv, degree, column", [
-        (["classes", "perm 501: (0 1)"], 501, 6),
+        (["classes", "perm 251: (0 1)"], 251, 6),
         (["classify", "cyclic 2 wr perm-action 1000: (0 1)"], 1000, 25)])
-    def test_perm_degree_past_half_the_image_budget_is_refused_before_any_cycle(
+    def test_perm_degree_past_a_quarter_of_the_image_budget_is_refused_before_any_cycle(
             self, capsys, monkeypatch, argv, degree, column):
-        # The identity and one generator would hold 2 * degree > 1000 image
-        # entries, though the degree alone is within the budget.
+        # Folding a generator and starting its closure would hold four arrays of
+        # the degree, 4 * degree > 1000 entries, though one alone is within the budget.
         def unfolded(*args):
             raise AssertionError("a cycle was folded")
 
@@ -159,15 +159,15 @@ class TestKnownOrders:
         monkeypatch.setattr(parsing, "_cycles_product", unfolded)
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
-        assert err == (f"error: degree {degree} is above half the image-entry budget 1000 "
-                       f"(line 1, column {column})\n")
+        assert err == (f"error: degree {degree} is above a quarter of the image-entry budget "
+                       f"1000 (line 1, column {column})\n")
 
-    def test_perm_degree_at_half_the_image_budget_answers(self, capsys, monkeypatch):
-        # 2 * 500 image entries fill the budget: the group of the identity and
-        # (0 1) is closed, within the budget // degree = 2 elements.
+    def test_perm_degree_at_a_quarter_of_the_image_budget_answers(self, capsys, monkeypatch):
+        # 4 * 250 entries fill the budget: the group of the identity and (0 1)
+        # is closed, within the budget // degree = 4 elements.
         for module in (groups, parsing):
             monkeypatch.setattr(module, "IMAGE_ENTRY_BUDGET", 1000)
-        code, out, err = run(capsys, "classes", "perm 500: (0 1)", "--json")
+        code, out, err = run(capsys, "classes", "perm 250: (0 1)", "--json")
         assert (code, err) == (0, "")
         assert json.loads(out)["group"]["order"] == 2
 

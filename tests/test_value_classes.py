@@ -1,6 +1,8 @@
 """The hand-written value classes against copies of the dataclasses they
-replace: the same equality, hashes, reprs, orderings, keyword construction,
-validation errors and refused assignments, on instances the program builds."""
+replace (cli.Output, a NamedTuple before, against the dataclass it stands for):
+the same equality, hashes, reprs, orderings, keyword construction, defaults,
+validation errors and refused assignments, on instances the program builds,
+and each constructor binding its arguments to fields once each."""
 
 import copy
 import itertools
@@ -11,15 +13,15 @@ from typing import Callable
 
 import pytest
 
-from wreathgen import verify
+from wreathgen import cli, verify
 from wreathgen.actions import FiniteAction, IntTranslation
 from wreathgen.classify import FIG_FG, ActionDescriptor, GroupDescriptor, IGStatus
 from wreathgen.constructions import AlphaElement, BetaParams, build_alpha, choose_mn, torsion_igset
-from wreathgen.groups import (ConjClass, Frozen, Perm, alternating_group, conjugacy_classes,
-                              cyclic_group, klein_four_group, symmetric_group)
+from wreathgen.groups import (ConjClass, Frozen, Perm, Record, alternating_group,
+                              conjugacy_classes, cyclic_group, klein_four_group, symmetric_group)
 from wreathgen.invgen import IGWitness, invariably_generates, min_invariable_size
 from wreathgen.parsing import ParsedLevel, parse_ambient, parse_chain
-from wreathgen.verify import CheckResult, _Recorder
+from wreathgen.verify import CheckResult
 from wreathgen.wreath import WreathElement, WreathProduct
 
 # -- the reference: each class as the dataclass it was -------------------------------
@@ -141,8 +143,11 @@ class _CheckResult:
 
 
 @dataclass
-class _Recorder_:
-    results: list = field(default_factory=list)
+class _Output:
+    payload: dict
+    lines: list
+    code: int = 0
+    error: str = ""
 
 
 COPIES = {Perm: _Perm, ConjClass: _ConjClass, FiniteAction: _FiniteAction,
@@ -150,7 +155,7 @@ COPIES = {Perm: _Perm, ConjClass: _ConjClass, FiniteAction: _FiniteAction,
           ActionDescriptor: _ActionDescriptor, WreathProduct: _WreathProduct,
           WreathElement: _WreathElement, AlphaElement: _AlphaElement, BetaParams: _BetaParams,
           IGWitness: _IGWitness, ParsedLevel: _ParsedLevel, CheckResult: _CheckResult,
-          _Recorder: _Recorder_}
+          cli.Output: _Output}
 for cls, copy_class in COPIES.items():
     copy_class.__name__ = copy_class.__qualname__ = cls.__name__
 
@@ -222,9 +227,11 @@ def _samples() -> dict[type, list]:
     s[ActionDescriptor].append(ActionDescriptor(True, False))
     s[CheckResult] += verify.suite_alpha(seed=1, count=2) + [
         CheckResult("x", True), CheckResult("x", True, ""), CheckResult("x", False, "why")]
-    recorder = _Recorder()
-    recorder.record("a", [])
-    s[_Recorder] += [_Recorder(), _Recorder(), recorder, _Recorder(list(recorder.results))]
+    for argv in (["classify", "sym 3 wr int-translation"], ["classify", "sym 3 wr int-translation"],
+                 ["verify", "alpha", "--count", "2"]):
+        args = cli._build_parser().parse_args(argv)
+        s[cli.Output].append(args.func(args))
+    s[cli.Output] += [cli.Output({}, []), cli.Output({}, [], 0, ""), cli.Output({}, [], 1, "why")]
     return s
 
 
@@ -331,3 +338,36 @@ def test_validation_errors_and_their_messages(cls, args):
     new = _outcome(lambda: cls(*args))
     assert new[0] != "value"
     assert new == _outcome(lambda: COPIES[cls](*args))
+
+
+@pytest.mark.parametrize("cls, args", [(CheckResult, ("x", True)), (cli.Output, ({}, [])),
+                                       (cli.Output, ({}, [], 1))])
+def test_defaults(cls, args):
+    assert _values(COPIES[cls], cls(*args)) == _values(COPIES[cls], COPIES[cls](*args))
+
+
+# -- binding arguments to fields -------------------------------------------------------
+
+
+@pytest.mark.parametrize("cls", COPIES, ids=lambda cls: cls.__name__)
+def test_arguments_bind_to_fields_once_each(cls):
+    names = cls.__match_args__
+    values = [getattr(SAMPLES[cls][0], name) for name in names]
+    assert cls(*values) == cls(**dict(zip(names, values)))
+    calls = {"unexpected": lambda: cls(*values, unknown=None),
+             "surplus": lambda: cls(*values, None)}
+    if names:
+        calls["missing"] = lambda: cls(**dict(zip(names[1:], values[1:])))
+        calls["repeated"] = lambda: cls(*values, **{names[0]: values[0]})
+    if len(names) > 1:  # the last field missing, the first given twice
+        calls["repeated for a missing one"] = lambda: cls(*values[:-1], **{names[0]: values[0]})
+    for kind, call in calls.items():
+        outcome = _outcome(call)
+        assert outcome[0] == "TypeError", kind
+        if cls.__init__ is Record.__init__:  # the base's message names the class and its fields
+            assert cls.__name__ in outcome[1] and all(name in outcome[1] for name in names)
+
+
+def test_only_classes_that_validate_or_take_defaults_write_an_init():
+    own = {cls for cls in COPIES if cls.__init__ is not Record.__init__}
+    assert own == {Perm, GroupDescriptor, BetaParams, WreathProduct, CheckResult, cli.Output}

@@ -50,3 +50,11 @@ def test_random_alpha_refuses_a_window_past_the_cap_before_drawing(monkeypatch):
     with pytest.raises(GroupTooLargeError, match="^conjugator window too large: 11 points > 9$"):
         random_alpha(rng, W, W.base_group.identity, 5)
     assert rng.getstate() == state
+
+
+def test_a_failed_check_carries_its_first_failure():
+    results = []
+    verify._record(results, "passes", [], "3 instances")
+    verify._record(results, "fails", ["first", "second"], "3 instances")
+    assert results == [verify.CheckResult("passes", True, "3 instances"),
+                       verify.CheckResult("fails", False, "first")]
