@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from functools import cached_property, total_ordering
+from functools import total_ordering
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
@@ -215,10 +215,12 @@ class FiniteGroup:
         self.degree = degree
         self.generators = tuple(generators)
         self.elements = tuple(elements)
-        fixed = tuple(range(degree))
-        self.identity = next((p for p in self.elements if p.images == fixed), None)
-        if self.identity is None:
+        # Keyed by image tuples, which hash and compare in C.
+        self._index = {p.images: i for i, p in enumerate(self.elements)}
+        i = self._index.get(tuple(range(degree)))
+        if i is None:
             raise ValueError("the element list lacks the identity")
+        self.identity = self.elements[i]
         self._classes: list[ConjClass] | None = None
         self._class_index: list[int] = []
         self._subgroups: list[tuple[Perm, ...]] | None = None
@@ -235,11 +237,6 @@ class FiniteGroup:
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    @cached_property
-    def _index(self) -> dict[tuple[int, ...], int]:
-        # Keyed by image tuples, which hash and compare in C.
-        return {p.images: i for i, p in enumerate(self.elements)}
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -263,9 +260,11 @@ class FiniteGroup:
         return row
 
     def product(self, g: Perm, h: Perm) -> Perm:
-        """The group's own element g * h, for elements g and h of the group."""
-        hi = h.images
-        return self.elements[self._index[tuple([hi[x] for x in g.images])]]
+        """The group's own element g * h, for elements g and h of the group;
+        itemgetter(*g)(h) is g then h, and below degree 2 only the identity exists."""
+        if self.degree < 2:
+            return self.identity
+        return self.elements[self._index[itemgetter(*g.images)(h.images)]]
 
     def inverse(self, g: Perm) -> Perm:
         """The group's own element g^-1, for an element g of the group, kept

@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Mapping
+from operator import eq
 from typing import Callable
 
-from .actions import ActionSpec, FiniteAction, IntTranslation, apply, orbit_reps
+from .actions import ActionSpec, FiniteAction, IntTranslation, orbit_reps
 from .groups import (IMAGE_ENTRY_BUDGET, FiniteGroup, Frozen, GroupTooLargeError, Perm,
                      _trusted, closure)
 
@@ -35,12 +36,14 @@ class WreathProduct(Frozen):
         if not isinstance(action, (FiniteAction, IntTranslation)):
             raise TypeError(f"unsupported action: {action!r}")
         super().__init__(base_group, action)
-        # Every element's hash hashes its ambient, so work that out once.
-        object.__setattr__(self, "_hash", hash((base_group, action)))
         self._self_test()
 
     def __hash__(self) -> int:
-        return self._hash
+        # Each element's hash hashes its ambient, yet most queries hash none.
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = hash((self.base_group, self.action))
+        return h
 
     def _head_generators(self) -> list[HeadElement]:
         if isinstance(self.action, IntTranslation):
@@ -49,21 +52,28 @@ class WreathProduct(Frozen):
 
     def _self_test(self) -> None:
         # The multiplication formula is only trusted because this relation
-        # holds literally; check it on generators before handing out elements.
+        # holds literally; check it on generators before handing out elements,
+        # at every orbit representative y at once, as the points y.k are
+        # distinct and `*` treats each on its own.  A point no head generator
+        # moves is an orbit of its own: refuse past the cap before any product.
+        if isinstance(self.action, FiniteAction):
+            d = self.action.degree
+            fixed = d - sum(d - sum(map(eq, k.images, range(d))) for k in self._head_generators())
+            if fixed > DEFAULT_ENUMERATION_CAP:
+                raise GroupTooLargeError(f"ambient too large to self-test: its head has "
+                                         f"at least {fixed} orbits > {DEFAULT_ENUMERATION_CAP}")
         reps = orbit_reps(self.action)
+        identity = self.action.head_identity()
         heads = []
         for k in self._head_generators():
             kk = self.head_embed(k)
-            heads.append((k, kk, kk.inverse()))
+            heads.append((self.action.point_map(k), kk, kk.inverse()))
         for g in self.base_group.generators:
-            for k, kk, kk_inv in heads:
-                for y in reps:
-                    lhs = kk_inv * self.base_embed(g, y) * kk
-                    rhs = self.base_embed(g, apply(self.action, y, k))
-                    if lhs != rhs:
-                        raise RuntimeError(
-                            f"conjugation convention violated: {lhs!r} != {rhs!r}"
-                        )
+            for move, kk, kk_inv in heads:
+                lhs = kk_inv * self.element(dict.fromkeys(reps, g), identity) * kk
+                rhs = self.element({move(y): g for y in reps}, identity)
+                if lhs != rhs:
+                    raise RuntimeError(f"conjugation convention violated: {lhs!r} != {rhs!r}")
 
     # -- element constructors ------------------------------------------------
 
@@ -73,22 +83,26 @@ class WreathProduct(Frozen):
 
         Each coordinate is stored as the base group's own element equal to it.
         """
-        group = self.base_group
-        elements, index, identity = group.elements, group._index, group.identity
-        contains_point = self.action.contains_point
-        canonical: dict[int, Perm] = {}
-        for x, g in base.items():
-            if not contains_point(x):
-                raise ValueError(f"point {x!r} is not in the index set")
-            i = index.get(g.images) if isinstance(g, Perm) else None
-            if i is None:
-                raise ValueError(f"{g!r} is not in the base group")
-            g = elements[i]
-            if g is not identity:
-                canonical[x] = g
+        coords: tuple[tuple[int, Perm], ...] = ()
+        if base:
+            group = self.base_group
+            elements, index, identity = group.elements, group._index, group.identity
+            contains_point = self.action.contains_point
+            canonical = []
+            for x, g in base.items():
+                if not contains_point(x):
+                    raise ValueError(f"point {x!r} is not in the index set")
+                i = index.get(g.images) if isinstance(g, Perm) else None
+                if i is None:
+                    raise ValueError(f"{g!r} is not in the base group")
+                g = elements[i]
+                if g is not identity:
+                    canonical.append((x, g))
+            canonical.sort()  # by point: a mapping holds each point once
+            coords = tuple(canonical)
         if not self.action.contains_head(head):
             raise ValueError(f"{head!r} is not a head element")
-        return _element(self, tuple(sorted(canonical.items())), head)
+        return _element(self, coords, head)
 
     def identity(self) -> WreathElement:
         return self.element({}, self.action.head_identity())
@@ -188,10 +202,10 @@ class WreathElement(Frozen):
     def __mul__(self, other: object) -> WreathElement:
         """(w1, k1)(w2, k2) = (x -> w1(x) * w2(x.k1), k1 k2).
 
-        Costs one dict pass over each operand plus a sort of the result:
-        each entry (z, h) of the right operand lands at x = z.k1^-1, and
-        only points in both supports multiply two base elements, through
-        the base group's `product`.
+        Costs one dict pass over each operand plus a sort of the result, or
+        neither for a pure head on the right: each entry (z, h) of the right
+        operand lands at x = z.k1^-1, and only points in both supports
+        multiply two base elements, through the base group's `product`.
         """
         if not isinstance(other, WreathElement):
             return NotImplemented
@@ -199,6 +213,8 @@ class WreathElement(Frozen):
             raise ValueError("elements live in different ambient wreath products")
         action = self.ambient.action
         new_head = action.head_compose(self.head, other.head)
+        if not other.base:
+            return _element(self.ambient, self.base, new_head)
         point = action.point_map(action.head_inverse(self.head))
         group = self.ambient.base_group
         product, identity = group.product, group.identity
@@ -217,6 +233,8 @@ class WreathElement(Frozen):
     def inverse(self) -> WreathElement:
         action = self.ambient.action
         k_inv = action.head_inverse(self.head)
+        if not self.base:
+            return _element(self.ambient, (), k_inv)
         point, inverse = action.point_map(self.head), self.ambient.base_group.inverse
         flipped = {point(x): inverse(g) for x, g in self.base}
         return _element(self.ambient, tuple(sorted(flipped.items())), k_inv)

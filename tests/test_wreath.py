@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from wreathgen import groups, wreath
 from wreathgen.actions import (FiniteAction, IntTranslation, apply, cyclic_orbit,
-                               regular_action)
+                               orbit_reps, regular_action)
 from wreathgen.groups import (GroupTooLargeError, Perm, cyclic_group,
                               symmetric_group)
 from wreathgen.parsing import parse_ambient
@@ -128,6 +128,44 @@ class TestAmbient:
         monkeypatch.setattr(action_type, "head_inverse", lambda self, h: h)
         with pytest.raises(RuntimeError, match="^conjugation convention violated: "):
             parse_ambient(spec)
+
+    def test_the_self_test_checks_every_orbit_representative(self, monkeypatch):
+        # Each base generator is placed at every representative in one element.
+        W = parse_ambient("sym 3 wr perm-action 7: (0 1 2), (3 4)")
+        reps = orbit_reps(W.action)
+        assert reps == [0, 3, 5, 6]
+        placed = []
+        element = WreathProduct.element
+
+        def recorded(self, base, head):
+            placed.append(dict(base))
+            return element(self, base, head)
+
+        monkeypatch.setattr(WreathProduct, "element", recorded)
+        WreathProduct(W.base_group, W.action)
+        for g in W.base_group.generators:
+            assert dict.fromkeys(reps, g) in placed
+
+    def test_many_head_orbits_are_refused_before_any_product(self, monkeypatch):
+        monkeypatch.setattr(wreath, "DEFAULT_ENUMERATION_CAP", 5)
+        products = []
+        mul = WreathElement.__mul__
+
+        def counted(u, v):
+            products.append((u, v))
+            return mul(u, v)
+
+        monkeypatch.setattr(WreathElement, "__mul__", counted)
+        # (0 1) fixes 8 of 10 points: at least 8 orbits, past the cap of 5.
+        with pytest.raises(GroupTooLargeError, match=r"^ambient too large to self-test: "
+                           r"its head has at least 8 orbits > 5$"):
+            parse_ambient("cyclic 2 wr perm-action 10: (0 1)")
+        assert products == []
+        # The bound subtracts each generator's moved points: 10 - 4 - 2 = 4,
+        # under the cap, so this one builds, with 7 orbits.
+        W = parse_ambient("cyclic 2 wr perm-action 10: (0 1 2 3), (0 1)")
+        assert len(orbit_reps(W.action)) == 7
+        assert products
 
     def test_orders(self):
         assert SMALL.order() == 8
@@ -499,3 +537,153 @@ def test_hypothesis_inverse_of_products(indices, shift):
     for f in reversed(factors):
         reversed_inverses = reversed_inverses * f.inverse()
     assert product.inverse() == reversed_inverses
+
+
+# Copies of `element`, `identity`, `base_embed`, `head_embed`, `*`, `inverse`
+# and `FiniteGroup.product` as they were before the pure-head shortcuts: every
+# element built through one dict and a sort, every product through a list.
+
+def old_product(G, g, h):
+    hi = h.images
+    return G.elements[G._index[tuple([hi[x] for x in g.images])]]
+
+
+def old_element(W, base, head):
+    group = W.base_group
+    elements, index, identity = group.elements, group._index, group.identity
+    canonical = {}
+    for x, g in base.items():
+        if not W.action.contains_point(x):
+            raise ValueError(f"point {x!r} is not in the index set")
+        i = index.get(g.images) if isinstance(g, Perm) else None
+        if i is None:
+            raise ValueError(f"{g!r} is not in the base group")
+        g = elements[i]
+        if g is not identity:
+            canonical[x] = g
+    if isinstance(W.action, FiniteAction):
+        is_head = isinstance(head, Perm) and head in W.action.head
+    else:
+        is_head = W.action.contains_head(head)
+    if not is_head:
+        raise ValueError(f"{head!r} is not a head element")
+    return wreath._element(W, tuple(sorted(canonical.items())), head)
+
+
+def old_mul(u, v):
+    if u.ambient is not v.ambient and u.ambient != v.ambient:
+        raise ValueError("elements live in different ambient wreath products")
+    action, G = u.ambient.action, u.ambient.base_group
+    new_head = action.head_compose(u.head, v.head)
+    point = action.point_map(action.head_inverse(u.head))
+    merged = dict(u.base)
+    for z, h in v.base:
+        x = point(z)
+        g = merged.pop(x, None)
+        if g is None:
+            merged[x] = h
+        else:
+            g = old_product(G, g, h)
+            if g is not G.identity:
+                merged[x] = g
+    return wreath._element(u.ambient, tuple(sorted(merged.items())), new_head)
+
+
+def old_inverse(u):
+    action = u.ambient.action
+    point = action.point_map(u.head)
+    flipped = {point(x): u.ambient.base_group.inverse(g) for x, g in u.base}
+    return wreath._element(u.ambient, tuple(sorted(flipped.items())),
+                           action.head_inverse(u.head))
+
+
+def outcome(build, *args):
+    """What a call gives: its value, or the type and message of its error."""
+    try:
+        return build(*args)
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+# The nine finite ambients the benchmark's finite-wreath workload builds, then
+# an integer head and the trivial groups as base and head.
+SAME_RESULT_AMBIENTS = [
+    "cyclic 2 wr (cyclic 2, natural)", "klein4 wr (cyclic 2, natural)",
+    "cyclic 2 wr (sym 3, natural)", "cyclic 2 wr (klein4, natural)",
+    "sym 3 wr (cyclic 2, natural)", "cyclic 3 wr (sym 3, natural)",
+    "alt 4 wr (cyclic 2, natural)", "cyclic 2 wr (sym 3, regular)",
+    "sym 3 wr (cyclic 3, natural)",
+    "sym 3 wr int-translation", "sym 1 wr (cyclic 2, natural)",
+    "cyclic 1 wr int-translation", "perm 1: () wr (sym 3, natural)",
+    "cyclic 2 wr (sym 1, natural)", "cyclic 2 wr perm-action 1: ()"]
+
+
+class TestSameResultsAsBefore:
+    @staticmethod
+    def assert_own(u):
+        """Coordinates, and a finite head, are the groups' own objects."""
+        G = u.ambient.base_group
+        assert all(g is G.elements[G.index_of(g)] for _, g in u.base)
+        if isinstance(u.ambient.action, FiniteAction):
+            H = u.ambient.action.head
+            assert u.head is H.elements[H.index_of(u.head)]
+
+    @staticmethod
+    def assert_same(new, old):
+        assert new == old
+        if isinstance(new, WreathElement):
+            assert all(a is b for (_, a), (_, b) in zip(new.base, old.base))
+            assert new.head is old.head or not isinstance(new.head, Perm)
+
+    @pytest.mark.parametrize("spec", SAME_RESULT_AMBIENTS)
+    def test_products_of_base_and_head_groups(self, spec):
+        W = parse_ambient(spec)
+        groups_ = [W.base_group]
+        if isinstance(W.action, FiniteAction):
+            groups_.append(W.action.head)
+        for G in groups_:
+            for g, h in itertools.product(G.elements, repeat=2):
+                assert G.product(g, h) is old_product(G, g, h)
+
+    @pytest.mark.parametrize("spec", SAME_RESULT_AMBIENTS)
+    def test_constructors_and_their_errors(self, spec):
+        W = parse_ambient(spec)
+        G, action = W.base_group, W.action
+        finite = isinstance(action, FiniteAction)
+        degree = action.degree if finite else 3
+        points = [0, degree - 1, -1, degree, True, "0"] if finite else [0, -5, 7, True, "0"]
+        coords = [*G.elements, Perm.identity(G.degree + 1), Perm(G.elements[-1].images), 3, None]
+        heads = ([*action.head.elements, Perm.identity(degree + 1), 1, None] if finite
+                 else [0, 2, -3, True, Perm.identity(2), None])
+        same = self.assert_same
+        same(W.identity(), old_element(W, {}, action.head_identity()))
+        for k in heads:
+            same(outcome(W.head_embed, k), outcome(old_element, W, {}, k))
+            same(outcome(W.element, {}, k), outcome(old_element, W, {}, k))
+        for x, g in itertools.product(points, coords):
+            same(outcome(W.base_embed, g, x),
+                 outcome(old_element, W, {x: g}, action.head_identity()))
+            for k in heads:
+                same(outcome(W.element, {x: g}, k), outcome(old_element, W, {x: g}, k))
+                # Two points: a fault at either is reported before the head's.
+                base = {degree - 1: G.elements[-1], x: g}
+                same(outcome(W.element, base, k), outcome(old_element, W, base, k))
+        for u in (W.identity(), *map(W.head_embed, heads[:len(action.head) if finite else 3])):
+            self.assert_own(u)
+
+    @pytest.mark.parametrize("spec", SAME_RESULT_AMBIENTS)
+    def test_products_and_inverses(self, spec):
+        W = parse_ambient(spec)
+        rng = random.Random(spec)
+        heads = W.action.head.elements if isinstance(W.action, FiniteAction) else [0, 1, -2]
+        samples = [W.identity(), *map(W.head_embed, heads)]
+        samples += [random_element(rng, W) for _ in range(30)]
+        samples += [W.element(dict(u.base), W.action.head_identity()) for u in samples[-5:]]
+        for u in samples:
+            self.assert_same(u.inverse(), old_inverse(u))
+            self.assert_own(u.inverse())
+            for v in rng.sample(samples, 10):
+                self.assert_same(u * v, old_mul(u, v))
+                self.assert_own(u * v)
+        other = parse_ambient("cyclic 3 wr (cyclic 3, natural)").identity()
+        assert outcome(lambda: samples[0] * other) == outcome(lambda: old_mul(samples[0], other))
