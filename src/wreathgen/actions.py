@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .groups import FiniteGroup, Frozen, Perm, _orbit, _refuse_above, closure, compose
+from .groups import FiniteGroup, Frozen, Perm, _orbit, _refuse_order, closure, compose
 
 
 class FiniteAction(Frozen):
@@ -119,10 +119,9 @@ def cyclic_orbit(action: ActionSpec, x: int, k) -> list[int]:
 
 
 def regular_action(H: FiniteGroup) -> FiniteAction:
-    """H permuting its own element list by right multiplication: |H|
-    elements of degree |H|, refused before any Perm is made when they would
-    hold more than IMAGE_ENTRY_BUDGET image entries."""
-    _refuse_above(len(H), [len(H)], len(H))
+    """H permuting its own element list by right multiplication: |H| elements
+    of degree |H|, refused past the image-entry budget before any Perm is made."""
+    _refuse_order(len(H), [len(H)], len(H))
     gens = []
     for h in H.generators:
         gens.append(Perm(tuple(H.index_of(compose(x, h)) for x in H.elements)))

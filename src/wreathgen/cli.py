@@ -20,8 +20,8 @@ from .actions import FiniteAction, IntTranslation
 from .classify import iterated_status, iterated_status_direct
 from .constructions import (CoordinateContractError, choose_mn, gamma_coordinate,
                             nottorsion_igset, torsion_igset)
-from .groups import (DEFAULT_CLOSURE_CAP, FiniteGroup, GroupTooLargeError, Record,
-                     conjugacy_classes)
+from . import groups
+from .groups import FiniteGroup, GroupTooLargeError, Record, conjugacy_classes
 from .invgen import invariably_generates, invariably_generates_oracle, min_invariable_size
 from .parsing import (ParseError, _element_text, chain_to_descriptors, format_perm,
                       format_wreath_element, parse_ambient, parse_chain,
@@ -237,7 +237,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = leaf(sub, "classes", _cmd_classes, "conjugacy classes of a finite group")
     p.add_argument("group", help="group spec, e.g. 'sym 3' or 'perm 3: (0 1), (0 1 2)'")
-    p.add_argument("--cap", type=int, default=DEFAULT_CLOSURE_CAP)
+    p.add_argument("--cap", type=int, default=groups.DEFAULT_CLOSURE_CAP)
 
     p = leaf(sub, "invgen", _cmd_invgen, "test a set for invariable generation")
     p.add_argument("group")
@@ -245,7 +245,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min", action="store_true", help="search for the minimal size instead")
     p.add_argument("--oracle", action="store_true",
                    help="cross-check against the maximal-subgroup criterion")
-    p.add_argument("--cap", type=int, default=DEFAULT_CLOSURE_CAP)
+    p.add_argument("--cap", type=int, default=groups.DEFAULT_CLOSURE_CAP)
 
     p = leaf(sub, "classify", _cmd_classify, "status of an iterated wreath product")
     p.add_argument("chain", help="e.g. '{FIG, fg} wr int-translation' "

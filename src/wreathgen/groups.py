@@ -13,16 +13,21 @@ DEFAULT_SUBGROUP_CAP = 200
 # many slots: up to order 2048.  A bigger group closes subgroups over image
 # tuples.
 RIGHT_MAP_BUDGET = 1 << 22
-# Image entries (order times degree) a named group may hold.  Under a 600 MB
+# Image entries (order times degree) a group may hold.  Under a 600 MB
 # address-space limit `classes 'cyclic n'` built C_5000 (25 million entries)
-# and ran out of memory at C_5500; this leaves a margin below that.  C_4096
-# is the largest cyclic group that passes, Sym(9) holds 3.3 million entries,
-# Alt(10) 18 million and C_100000 10^10.
+# and ran out of memory at C_5500; this leaves a margin below that.
 IMAGE_ENTRY_BUDGET = 1 << 24
 
 
 class GroupTooLargeError(Exception):
-    """Raised when a closure or enumeration would exceed its configured cap."""
+    """Raised, by refuse_above alone, when a search's estimate passes its limit."""
+
+
+def refuse_above(what: str, estimate: int, limit: int) -> None:
+    """The one refusal rule: raise GroupTooLargeError when a search's estimate
+    passes its limit.  `what` names the limit, then after a colon the quantity."""
+    if estimate > limit:
+        raise GroupTooLargeError(f"too large for the {what} {estimate} > {limit}")
 
 
 class Record:
@@ -294,9 +299,8 @@ def closure(generators: Sequence[Perm], cap: int = DEFAULT_CLOSURE_CAP) -> Finit
 
     The element list starts at the identity and explores products in FIFO
     order, multiplying by the generators in the order given, which fixes a
-    deterministic element order.  Raises GroupTooLargeError beyond `cap`
-    elements, or once its elements would hold more than IMAGE_ENTRY_BUDGET
-    image entries.
+    deterministic element order.  It stops and refuses past `cap` elements
+    or the image-entry budget.
     """
     gens = list(generators)
     if not gens:
@@ -307,12 +311,10 @@ def closure(generators: Sequence[Perm], cap: int = DEFAULT_CLOSURE_CAP) -> Finit
             raise ValueError(f"degree mismatch among generators: {g.degree} vs {degree}")
     stop = min(cap, IMAGE_ENTRY_BUDGET // max(degree, 1))
     images = _closed_images([g.images for g in gens], degree, stop)
-    if len(images) > cap:
-        raise GroupTooLargeError(f"group too large: closure exceeded cap {cap}")
-    if len(images) > stop:
-        raise GroupTooLargeError(
-            f"group too large: more than {stop} elements of degree {degree} pass "
-            f"the image-entry budget {IMAGE_ENTRY_BUDGET}")
+    found = len(images)  # the search stops at stop + 1 elements, past one limit or the other
+    refuse_above("closure cap: group order at least", found, cap)
+    refuse_above(f"image-entry budget: {found} elements of degree {degree} hold",
+                 found * degree, IMAGE_ENTRY_BUDGET)
     return FiniteGroup(degree, gens, list(map(_trusted, images)))
 
 
@@ -429,12 +431,9 @@ def all_subgroups(G: FiniteGroup) -> list[tuple[Perm, ...]]:
     joins with a cyclic subgroup until no new subgroup appears; every
     subgroup is a join of the cyclic subgroups it contains, so the fixpoint
     is complete.  A join closes the joined subgroup's stored generators plus
-    the cyclic generator.  Only groups with at most DEFAULT_SUBGROUP_CAP
-    elements are accepted, cached or not.
+    the cyclic generator.  The subgroup cap is checked on every call.
     """
-    if len(G) > DEFAULT_SUBGROUP_CAP:
-        raise GroupTooLargeError(
-            f"group too large for subgroup enumeration: {len(G)} > {DEFAULT_SUBGROUP_CAP}")
+    refuse_above("subgroup cap: group order", len(G), DEFAULT_SUBGROUP_CAP)
     if G._subgroups is None:
         cyclics: dict[frozenset[int], int] = {}
         for g in range(len(G)):
@@ -471,22 +470,18 @@ def maximal_subgroups(G: FiniteGroup) -> list[tuple[Perm, ...]]:
     return G._maximal
 
 
-def _refuse_above(cap: int, factors: Iterable[int], degree: int) -> None:
-    """Refuse, before any Perm is made, a group whose order (the product of
-    `factors`) is above cap, or whose elements of this degree would hold
-    more than IMAGE_ENTRY_BUDGET images; the product stops growing once it
-    passes cap."""
+def _refuse_order(cap: int, factors: Iterable[int], degree: int) -> None:
+    """Refuse, before any Perm is made, a group whose order, the product of
+    `factors`, passes cap or whose elements pass the image-entry budget; the
+    product stops growing once it passes cap, so a huge order is never formed."""
     order = 1
     for f in factors:
         if order > cap:
             break
         order *= f
-    if order > cap:
-        raise GroupTooLargeError(f"group too large: closure exceeded cap {cap}")
-    if order * degree > IMAGE_ENTRY_BUDGET:
-        raise GroupTooLargeError(
-            f"group too large: {order} elements of degree {degree} hold "
-            f"{order * degree} image entries > {IMAGE_ENTRY_BUDGET}")
+    refuse_above("closure cap: group order at least", order, cap)
+    refuse_above(f"image-entry budget: {order} elements of degree {degree} hold",
+                 order * degree, IMAGE_ENTRY_BUDGET)
 
 
 def cyclic_group(n: int, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
@@ -494,7 +489,7 @@ def cyclic_group(n: int, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
     r^0, ..., r^(n-1): the order closure([r]) finds them in."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    _refuse_above(cap, [n], n)
+    _refuse_order(cap, [n], n)
     r = Perm(tuple((i + 1) % n for i in range(n)))
     twice = tuple(range(n)) * 2
     return FiniteGroup(n, [r], [_trusted(twice[k:k + n]) for k in range(n)])
@@ -504,7 +499,7 @@ def symmetric_group(n: int, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
     """Sym(n) generated by (0 1) and the n-cycle (0 1 ... n-1)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    _refuse_above(cap, range(2, n + 1), n)
+    _refuse_order(cap, range(2, n + 1), n)
     if n == 1:
         return closure([Perm.identity(1)], cap)
     swap = Perm.from_cycles([(0, 1)], n)
@@ -517,7 +512,7 @@ def alternating_group(n: int, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
     """Alt(n) from a 3-cycle and a long even cycle; trivial for n <= 2."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    _refuse_above(cap, range(3, n + 1), n)
+    _refuse_order(cap, range(3, n + 1), n)
     if n <= 2:
         return closure([Perm.identity(n)], cap)
     three = Perm.from_cycles([(0, 1, 2)], n)
@@ -532,7 +527,7 @@ def alternating_group(n: int, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
 
 def klein_four_group(cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
     """C2 x C2 as <(0 1)(2 3), (0 2)(1 3)> on four points."""
-    _refuse_above(cap, [4], 4)
+    _refuse_order(cap, [4], 4)
     return closure([
         Perm.from_cycles([(0, 1), (2, 3)], 4),
         Perm.from_cycles([(0, 2), (1, 3)], 4),

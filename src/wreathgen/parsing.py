@@ -19,9 +19,9 @@ from typing import Callable, NamedTuple, NoReturn
 from .actions import FiniteAction, IntTranslation, regular_action
 from .classify import (FIG_FG, FINITE_ACTION, INT_TRANSLATION_ACTION, ActionDescriptor,
                        GroupDescriptor, IGStatus)
-from .groups import (DEFAULT_CLOSURE_CAP, IMAGE_ENTRY_BUDGET, FiniteGroup, Frozen, Perm,
-                     _cycles_product, _trusted, alternating_group, closure, cyclic_group,
-                     klein_four_group, symmetric_group)
+from . import groups
+from .groups import (FiniteGroup, Frozen, Perm, _cycles_product, _trusted, alternating_group,
+                     closure, cyclic_group, klein_four_group, symmetric_group)
 from .wreath import WreathElement, WreathProduct
 
 
@@ -235,10 +235,10 @@ def _perm_generators(p: _Parser) -> list[Perm]:
     size = p.expect_int("the degree")
     if size.value < 1:
         p.error("degree must be >= 1", size)
-    if 4 * size.value > IMAGE_ENTRY_BUDGET:  # folding and closing hold four degree-sized arrays
-        share = "" if size.value > IMAGE_ENTRY_BUDGET else "a quarter of "
-        p.error(f"degree {size.value} is above {share}the image-entry budget {IMAGE_ENTRY_BUDGET}",
-                size)
+    budget = groups.IMAGE_ENTRY_BUDGET
+    if 4 * size.value > budget:  # folding and closing hold four degree-sized arrays
+        share = "" if size.value > budget else "a quarter of "
+        p.error(f"degree {size.value} is above {share}the image-entry budget {budget}", size)
     p.expect_punct(":")
     return _perm_list(p, size.value)
 
@@ -261,7 +261,7 @@ def _group_spec(p: _Parser) -> Callable[..., FiniteGroup]:
     return partial(_SIZED_GROUPS[word], size.value)
 
 
-def parse_group_spec(text: str, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
+def parse_group_spec(text: str, cap: int = groups.DEFAULT_CLOSURE_CAP) -> FiniteGroup:
     """A named group or explicit generators: 'sym 3', 'perm 3: (0 1), (0 1 2)', ...
 
     The whole text is read before any group is built.  GroupTooLargeError comes at once

@@ -16,10 +16,11 @@ from .constructions import (CoordinateContractError, alpha_power_form,
                             assemble_alpha_power, assemble_beta, beta,
                             build_alpha, collapse_orbit_conjugator, gamma_coordinate,
                             torsion_igset, uniform_orbit_conjugator)
-from .groups import (FiniteGroup, GroupTooLargeError, Perm, Record, class_of, cyclic_group,
-                     generates, symmetric_group)
+from . import wreath
+from .groups import (FiniteGroup, Perm, Record, class_of, cyclic_group, generates, refuse_above,
+                     symmetric_group)
 from .invgen import invariably_generates
-from .wreath import DEFAULT_ENUMERATION_CAP, WreathProduct
+from .wreath import WreathProduct
 
 
 class CheckResult(Record):
@@ -146,17 +147,13 @@ def suite_coset(seed: int = 0, count: int = 500) -> list[CheckResult]:
 
 
 def random_alpha(rng: random.Random, W: WreathProduct, g: Perm, radius: int):
-    """build_alpha with two random conjugators supported in [-radius, radius].
-
-    A window of more than DEFAULT_ENUMERATION_CAP points is refused with
-    GroupTooLargeError before any coin is drawn.
-    """
+    """build_alpha with two random conjugators supported in [-radius, radius],
+    whose window is refused past the enumeration cap before any coin is drawn."""
     if radius < 0:
         raise ValueError(f"radius must be at least 0, got {radius}")
     window = range(-radius, radius + 1)
-    if len(window) > DEFAULT_ENUMERATION_CAP:
-        raise GroupTooLargeError(
-            f"conjugator window too large: {len(window)} points > {DEFAULT_ENUMERATION_CAP}")
+    refuse_above("enumeration cap: conjugator window points", len(window),
+                 wreath.DEFAULT_ENUMERATION_CAP)
     return build_alpha(W, g,
                        _random_coords(rng, W.base_group, window),
                        _random_coords(rng, W.base_group, window))

@@ -18,9 +18,9 @@ from collections.abc import Mapping
 from operator import eq
 from typing import Callable
 
+from . import groups
 from .actions import ActionSpec, FiniteAction, IntTranslation, orbit_reps
-from .groups import (IMAGE_ENTRY_BUDGET, FiniteGroup, Frozen, GroupTooLargeError, Perm,
-                     _trusted, closure)
+from .groups import FiniteGroup, Frozen, Perm, _trusted, closure, refuse_above
 
 DEFAULT_ENUMERATION_CAP = 100_000
 
@@ -59,9 +59,8 @@ class WreathProduct(Frozen):
         if isinstance(self.action, FiniteAction):
             d = self.action.degree
             fixed = d - sum(d - sum(map(eq, k.images, range(d))) for k in self._head_generators())
-            if fixed > DEFAULT_ENUMERATION_CAP:
-                raise GroupTooLargeError(f"ambient too large to self-test: its head has "
-                                         f"at least {fixed} orbits > {DEFAULT_ENUMERATION_CAP}")
+            refuse_above("enumeration cap: head orbits to self-test, at least", fixed,
+                         DEFAULT_ENUMERATION_CAP)
         reps = orbit_reps(self.action)
         identity = self.action.head_identity()
         heads = []
@@ -123,10 +122,8 @@ class WreathProduct(Frozen):
 
     def enumerate_elements(self) -> list[WreathElement]:
         """All elements, head-major: base tuples cycle fastest, rightmost point fastest."""
-        order = self.order()
-        if order > DEFAULT_ENUMERATION_CAP:
-            raise GroupTooLargeError(
-                f"group too large to enumerate: {order} > {DEFAULT_ENUMERATION_CAP}")
+        refuse_above("enumeration cap: elements to enumerate", self.order(),
+                     DEFAULT_ENUMERATION_CAP)
         # Group elements on ascending points: canonical once identities are dropped.
         points = self.action.points()
         identity = self.base_group.identity
@@ -143,9 +140,7 @@ class WreathProduct(Frozen):
         generators and has the full wreath-product order.
         """
         order = self.order()
-        if order > DEFAULT_ENUMERATION_CAP:
-            raise GroupTooLargeError(
-                f"group too large to embed: {order} > {DEFAULT_ENUMERATION_CAP}")
+        refuse_above("enumeration cap: order of the copy to embed", order, DEFAULT_ENUMERATION_CAP)
         degree_g = self.base_group.degree
         points = list(self.action.points())
 
@@ -245,11 +240,9 @@ class WreathElement(Frozen):
         Over the integers, with a nonzero head h and a nonempty base, the
         support of u^n spreads over the support of u shifted by 0, -h, ...,
         -(|n|-1)h: at most len(u.base) * |n| points, and at most the width
-        of u's support plus (|n|-1)|h|.  When the smaller of the two is
-        above DEFAULT_ENUMERATION_CAP, or its coordinates would hold more
-        than IMAGE_ENTRY_BUDGET image entries, GroupTooLargeError is raised
-        before any product is formed.  Otherwise u^n is read off in one pass
-        by _shift_power, with O(len(u.base)) base-group products.
+        of u's support plus (|n|-1)|h|.  The smaller of the two is refused
+        past its budgets before any product is formed; otherwise u^n is read
+        off in one pass by _shift_power, with O(len(u.base)) base-group products.
 
         Every other element, a pure base element, a pure shift or an element
         of a finite ambient, keeps its support bounded and is never refused.
@@ -261,16 +254,11 @@ class WreathElement(Frozen):
         if isinstance(self.ambient.action, IntTranslation) and self.head != 0 and self.base:
             width = self.base[-1][0] - self.base[0][0] + 1
             estimate = min(len(self.base) * n, width + (n - 1) * abs(self.head))
-            if estimate > DEFAULT_ENUMERATION_CAP:
-                raise GroupTooLargeError(
-                    f"power too large: its support may reach {estimate} points "
-                    f"> {DEFAULT_ENUMERATION_CAP}")
+            refuse_above("enumeration cap: points the power's support may reach", estimate,
+                         DEFAULT_ENUMERATION_CAP)
             degree = self.ambient.base_group.degree
-            if estimate * degree > IMAGE_ENTRY_BUDGET:
-                raise GroupTooLargeError(
-                    f"power too large: its support may reach {estimate} points of "
-                    f"degree {degree}, {estimate * degree} image entries "
-                    f"> {IMAGE_ENTRY_BUDGET}")
+            refuse_above(f"image-entry budget: {estimate} support points of degree {degree} hold",
+                         estimate * degree, groups.IMAGE_ENTRY_BUDGET)
             if n:
                 return _shift_power(self, n)
         result = self.ambient.identity()

@@ -107,7 +107,8 @@ class TestRegularAction:
         monkeypatch.setattr(groups, "IMAGE_ENTRY_BUDGET", 35)
         monkeypatch.setattr(Perm, "__init__", unbuilt)
         with pytest.raises(GroupTooLargeError,
-                           match="6 elements of degree 6 hold 36 image entries > 35$"):
+                           match="^too large for the image-entry budget: "
+                                 "6 elements of degree 6 hold 36 > 35$"):
             regular_action(H)
 
     def test_regular_action_of_cyclic_group_is_the_rotation(self):

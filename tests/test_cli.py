@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wreathgen import cli, groups, parsing, wreath
+from wreathgen import cli, groups, parsing
 from wreathgen.actions import IntTranslation
 from wreathgen.cli import main
 from wreathgen.wreath import WreathElement
@@ -65,20 +65,21 @@ class TestClasses:
         # Sym(9) has 362,880 elements; it is refused before any is built.
         code, out, err = run(capsys, *argv, "--cap", "100")
         assert code == 2 and out == ""
-        assert "too large" in err and "cap 100" in err
+        assert "too large for the closure cap" in err and "> 100" in err
 
 
 class TestKnownOrders:
     """Named groups whose order is past the cap exit 2 before any Perm or group is built."""
 
-    @pytest.mark.parametrize("argv", [
-        ["classes", "sym 200"],
-        ["classes", "sym 1000"],
-        ["classes", "alt 1000000000"],
-        ["wreath", "eval", "sym 10 wr int-translation", "t"],
-        ["construct", "gamma", "sym 10"],
+    # The order product stops once it passes the cap of 10^6: at 10! for Sym, 10!/2 for Alt.
+    @pytest.mark.parametrize("argv, order", [
+        (["classes", "sym 200"], 3628800),
+        (["classes", "sym 1000"], 3628800),
+        (["classes", "alt 1000000000"], 1814400),
+        (["wreath", "eval", "sym 10 wr int-translation", "t"], 3628800),
+        (["construct", "gamma", "sym 10"], 3628800),
     ])
-    def test_refused_before_building(self, capsys, monkeypatch, argv):
+    def test_refused_before_building(self, capsys, monkeypatch, argv, order):
         built = []
 
         def unbuilt(*args, **kwargs):
@@ -90,7 +91,8 @@ class TestKnownOrders:
         monkeypatch.setattr(groups.Perm, "from_cycles", unbuilt)
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
-        assert err == "error: group too large: closure exceeded cap 1000000\n"
+        assert err == (f"error: too large for the closure cap: group order at least {order} "
+                       "> 1000000\n")
         assert built == []
 
     @pytest.mark.parametrize("argv, order, degree", [
@@ -115,8 +117,8 @@ class TestKnownOrders:
         monkeypatch.setattr(groups.Perm, "__init__", unbuilt)
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
-        assert err == (f"error: group too large: {order} elements of degree {degree} hold "
-                       f"{order * degree} image entries > 16777216\n")
+        assert err == (f"error: too large for the image-entry budget: {order} elements of degree "
+                       f"{degree} hold {order * degree} > 16777216\n")
         assert built == []
 
     def test_perm_group_past_the_image_budget_is_refused(self, capsys, monkeypatch):
@@ -126,8 +128,8 @@ class TestKnownOrders:
         cycle = " ".join(map(str, range(37)))
         code, out, err = run(capsys, "classes", f"perm 50: ({cycle}), (0 1)")
         assert (code, out) == (2, "")
-        assert err == ("error: group too large: more than 20 elements of degree 50 pass "
-                       "the image-entry budget 1000\n")
+        assert err == ("error: too large for the image-entry budget: 21 elements of degree 50 "
+                       "hold 1050 > 1000\n")
 
     @pytest.mark.parametrize("argv, degree, budget, column", [
         (["classes", "perm 1001: (0 1)"], 1001, 1000, 6),
@@ -138,7 +140,7 @@ class TestKnownOrders:
         def unfolded(*args):
             raise AssertionError("a cycle was folded")
 
-        monkeypatch.setattr(parsing, "IMAGE_ENTRY_BUDGET", budget)
+        monkeypatch.setattr(groups, "IMAGE_ENTRY_BUDGET", budget)
         monkeypatch.setattr(parsing, "_cycles_product", unfolded)
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
@@ -155,7 +157,7 @@ class TestKnownOrders:
         def unfolded(*args):
             raise AssertionError("a cycle was folded")
 
-        monkeypatch.setattr(parsing, "IMAGE_ENTRY_BUDGET", 1000)
+        monkeypatch.setattr(groups, "IMAGE_ENTRY_BUDGET", 1000)
         monkeypatch.setattr(parsing, "_cycles_product", unfolded)
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
@@ -165,8 +167,7 @@ class TestKnownOrders:
     def test_perm_degree_at_a_quarter_of_the_image_budget_answers(self, capsys, monkeypatch):
         # 4 * 250 entries fill the budget: the group of the identity and (0 1)
         # is closed, within the budget // degree = 4 elements.
-        for module in (groups, parsing):
-            monkeypatch.setattr(module, "IMAGE_ENTRY_BUDGET", 1000)
+        monkeypatch.setattr(groups, "IMAGE_ENTRY_BUDGET", 1000)
         code, out, err = run(capsys, "classes", "perm 250: (0 1)", "--json")
         assert (code, err) == (0, "")
         assert json.loads(out)["group"]["order"] == 2
@@ -177,8 +178,8 @@ class TestKnownOrders:
         code, out, err = run(capsys, "construct", "torsion-igset",
                              f"cyclic 2 wr ({head}, regular)")
         assert (code, out) == (2, "")
-        assert err == (f"error: group too large: {order} elements of degree {order} hold "
-                       f"{order * order} image entries > 16777216\n")
+        assert err == (f"error: too large for the image-entry budget: {order} elements of degree "
+                       f"{order} hold {order * order} > 16777216\n")
 
     @pytest.mark.parametrize("spec", ["cyclic 4096", "sym 9"])
     def test_named_groups_within_the_image_budget_pass_the_check(self, monkeypatch, spec):
@@ -227,7 +228,7 @@ class TestInvgen:
         monkeypatch.setattr(cli, "invariably_generates", unsearched)
         code, out, err = run(capsys, "invgen", "sym 6", "(0 1), (0 1 2 3 4 5)", "--oracle")
         assert code == 2 and out == ""
-        assert "group too large for subgroup enumeration: 720 > 200" in err
+        assert "too large for the subgroup cap: group order 720 > 200" in err
 
     def test_min_mode(self, capsys):
         code, payload, _ = run_json(capsys, "invgen", "sym 3", "--min")
@@ -334,7 +335,8 @@ class TestWreathEval:
                              "sym 3 wr int-translation", "((0 1)@0 * t)^99999999")
         assert code == 2
         assert out == ""
-        assert err == "error: power too large: its support may reach 99999999 points > 100000\n"
+        assert err == ("error: too large for the enumeration cap: points the power's support "
+                       "may reach 99999999 > 100000\n")
 
     def test_powers_past_the_image_budget_exit_2_before_any_product(self, capsys, monkeypatch):
         # About 50,000 coordinates of degree 1000: within the support cap,
@@ -355,8 +357,8 @@ class TestWreathEval:
         argv[-1] += "^49999"
         code, out, err = run(capsys, *argv, "--json")
         assert (code, out) == (2, "")
-        assert err == ("error: power too large: its support may reach 50000 points of "
-                       "degree 1000, 50000000 image entries > 16777216\n")
+        assert err == ("error: too large for the image-entry budget: 50000 support points of "
+                       "degree 1000 hold 50000000 > 16777216\n")
         assert products == unpowered
 
     def test_powers_within_the_image_budget_run(self, capsys):
@@ -369,12 +371,12 @@ class TestWreathEval:
     def test_the_image_budget_is_support_times_degree(self, capsys, monkeypatch):
         # ((0 1)@0 * (0 1 2)@1 * t)^99 may reach 100 points of degree 3.
         argv = ("wreath", "eval", "sym 3 wr int-translation", "((0 1)@0 * (0 1 2)@1 * t)^99")
-        monkeypatch.setattr(wreath, "IMAGE_ENTRY_BUDGET", 300)
+        monkeypatch.setattr(groups, "IMAGE_ENTRY_BUDGET", 300)
         assert run_json(capsys, *argv)[0] == 0
-        monkeypatch.setattr(wreath, "IMAGE_ENTRY_BUDGET", 299)
+        monkeypatch.setattr(groups, "IMAGE_ENTRY_BUDGET", 299)
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
-        assert err.endswith("100 points of degree 3, 300 image entries > 299\n")
+        assert err.endswith("100 support points of degree 3 hold 300 > 299\n")
 
     def test_a_closed_pipe_ends_the_command_quietly(self):
         # About 1.9 MB of output: the command is still writing when the
@@ -502,7 +504,8 @@ class TestConstruct:
         monkeypatch.setattr(random.Random, "random", lambda self: draws.append(self))
         code, out, err = run(capsys, "construct", "gamma", "sym 4", "--support", "100000000")
         assert (code, out) == (2, "")
-        assert err == "error: conjugator window too large: 200000001 points > 100000\n"
+        assert err == ("error: too large for the enumeration cap: conjugator window points "
+                       "200000001 > 100000\n")
         assert draws == []
 
     def test_gamma_runs_on_a_wide_window(self, capsys):

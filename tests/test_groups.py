@@ -125,11 +125,12 @@ class TestClosure:
         monkeypatch.setattr(groups, "IMAGE_ENTRY_BUDGET", 96)
         assert len(closure(gens)) == 24
         monkeypatch.setattr(groups, "IMAGE_ENTRY_BUDGET", 95)
-        with pytest.raises(GroupTooLargeError, match=r"^group too large: more than 23 elements "
-                           r"of degree 4 pass the image-entry budget 95$"):
+        with pytest.raises(GroupTooLargeError, match=r"^too large for the image-entry budget: "
+                           r"24 elements of degree 4 hold 96 > 95$"):
             closure(gens)
         # A cap below the budget keeps its own message.
-        with pytest.raises(GroupTooLargeError, match=r"^group too large: closure exceeded cap 10$"):
+        with pytest.raises(GroupTooLargeError,
+                           match=r"^too large for the closure cap: group order at least 11 > 10$"):
             closure(gens, cap=10)
 
     def test_the_search_stops_one_past_the_budget(self, monkeypatch):
@@ -142,7 +143,8 @@ class TestClosure:
         gens = symmetric_group(5).generators
         monkeypatch.setattr(groups, "_closed_images", counting)
         monkeypatch.setattr(groups, "IMAGE_ENTRY_BUDGET", 5 * 10)
-        with pytest.raises(GroupTooLargeError, match="image-entry budget 50$"):
+        with pytest.raises(GroupTooLargeError,
+                           match="image-entry budget: 11 elements of degree 5 hold 55 > 50$"):
             closure(gens)
         assert found == [11]
 
@@ -173,9 +175,12 @@ class TestClosure:
         monkeypatch.setattr(groups, "closure", unbuilt)
         monkeypatch.setattr(Perm, "__init__", unbuilt)
         monkeypatch.setattr(Perm, "from_cycles", unbuilt)
-        for build in (partial(symmetric_group, 10**9), partial(alternating_group, 10**9),
-                      partial(cyclic_group, 1001), klein_four_group):
-            with pytest.raises(GroupTooLargeError, match="closure exceeded cap 3$"):
+        # The order product stops once it passes the cap: 2 * 3 for Sym, 3 * 4 for Alt.
+        for build, order in ((partial(symmetric_group, 10**9), 6),
+                             (partial(alternating_group, 10**9), 12),
+                             (partial(cyclic_group, 1001), 1001), (klein_four_group, 4)):
+            with pytest.raises(GroupTooLargeError,
+                               match=f"closure cap: group order at least {order} > 3$"):
                 build(cap=3)
 
     def test_right_maps_multiply_on_the_right(self):

@@ -4,11 +4,15 @@ import itertools
 
 import pytest
 
-from wreathgen.groups import (Perm, alternating_group, class_of, closure, conjugacy_classes,
-                              cyclic_group, klein_four_group, symmetric_group)
+from wreathgen import groups, invgen
+from wreathgen.actions import FiniteAction
+from wreathgen.groups import (GroupTooLargeError, Perm, alternating_group, class_of, closure,
+                              conjugacy_classes, cyclic_group, klein_four_group, refuse_above,
+                              symmetric_group)
 from wreathgen.invgen import (invariably_generates, invariably_generates_oracle,
                               min_invariable_size)
 from wreathgen.parsing import parse_ambient, parse_perm
+from wreathgen.wreath import WreathProduct
 
 from small_groups import dihedral_group
 from test_kernel_equivalence import old_invariably_generates
@@ -155,3 +159,95 @@ class TestMinimalSize:
         assert size == 2
         ok, _ = invariably_generates(G, list(example))
         assert ok
+
+
+class TestTupleSearchBudget:
+    """The tuple search's estimate bounds its work, and a search past the
+    budget is refused before any tuple is closed."""
+
+    GROUPS = {
+        "sym 4": lambda: symmetric_group(4),
+        "sym 5": lambda: symmetric_group(5),
+        "alt 5": lambda: alternating_group(5),
+        "order 72": lambda: WreathProduct(
+            symmetric_group(3), FiniteAction(cyclic_group(2))).imprimitive_embedding()[0],
+        "order 162": lambda: WreathProduct(
+            cyclic_group(3), FiniteAction(symmetric_group(3))).imprimitive_embedding()[0],
+    }
+
+    @pytest.mark.parametrize("table", [True, False], ids=["rows", "image tuples"])
+    @pytest.mark.parametrize("name", GROUPS)
+    def test_counted_work_never_exceeds_the_estimate(self, monkeypatch, name, table):
+        if not table:
+            monkeypatch.setattr(groups, "RIGHT_MAP_BUDGET", 0)
+        G = self.GROUPS[name]()
+        assert (G._rows is not None) == table
+        # The classes are found before counting starts; they run _orbit too.
+        reps = [c.representative for c in conjugacy_classes(G)][1:]
+        work, estimates = [0], []
+        orbit, closed_images, search = groups._orbit, groups._closed_images, invariably_generates
+
+        def counted_orbit(*args):
+            found = orbit(*args)
+            work[0] += len(found)
+            return found
+
+        def counted_images(gen_images, degree, stop):
+            images = closed_images(gen_images, degree, stop)
+            work[0] += len(images) * degree
+            return images
+
+        def noted(what, estimate, limit):
+            estimates.append((what, estimate))
+            refuse_above(what, estimate, limit)
+
+        def measured(G, S):
+            (size_estimate,) = [e for what, e in estimates if "of size" in what][-1:]
+            work[0] = 0
+            result = search(G, S)
+            assert 0 < work[0] <= estimates[-1][1] <= size_estimate
+            return result
+
+        monkeypatch.setattr(groups, "_orbit", counted_orbit)
+        monkeypatch.setattr(groups, "_closed_images", counted_images)
+        monkeypatch.setattr(invgen, "refuse_above", noted)
+        for k in (1, 2):
+            for S in itertools.combinations(reps, k):
+                work[0] = 0
+                search(G, S)
+                assert 0 < work[0] <= estimates[-1][1]
+        monkeypatch.setattr(invgen, "invariably_generates", measured)
+        min_invariable_size(G)
+
+    def test_a_search_past_the_budget_is_refused_before_any_tuple_is_closed(self, monkeypatch):
+        # 6 transpositions, each closure within 24 // 2 + 2 of Sym(4)'s rows: 84 steps.
+        G = symmetric_group(4)
+        S = [Perm.from_cycles([(0, 1, 2, 3)], 4), Perm.from_cycles([(0, 1)], 4)]
+        closed = []
+        generated = groups.generated_indices
+        monkeypatch.setattr(invgen, "generated_indices",
+                            lambda *args: closed.append(args) or generated(*args))
+        monkeypatch.setattr(invgen, "TUPLE_SEARCH_BUDGET", 84)
+        assert invariably_generates(G, S)[0] is False and closed
+        closed.clear()
+        monkeypatch.setattr(invgen, "TUPLE_SEARCH_BUDGET", 83)
+        with pytest.raises(GroupTooLargeError, match="^too large for the tuple-search budget: "
+                           "estimated closure steps 84 > 83$"):
+            invariably_generates(G, S)
+        assert closed == []
+
+    def test_a_minimal_size_past_the_budget_is_refused_before_its_searches(self, monkeypatch):
+        # Size 1 takes 13 steps a search; size 2 pairs the 8 3-cycles with
+        # another class, 8 * (24 // 2 + 2) = 112 steps.
+        G = symmetric_group(4)
+        sizes = []
+        search = invariably_generates
+        monkeypatch.setattr(invgen, "invariably_generates",
+                            lambda G, S: sizes.append(len(S)) or search(G, S))
+        monkeypatch.setattr(invgen, "TUPLE_SEARCH_BUDGET", 111)
+        with pytest.raises(GroupTooLargeError, match="^too large for the tuple-search budget: "
+                           "estimated closure steps of one search of size 2 112 > 111$"):
+            min_invariable_size(G)
+        assert sizes == [1, 1, 1, 1]
+        monkeypatch.setattr(invgen, "TUPLE_SEARCH_BUDGET", 112)
+        assert min_invariable_size(G)[0] == 2

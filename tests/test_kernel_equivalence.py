@@ -307,7 +307,8 @@ class TestImageTupleClosure:
         order = len(expected)
         assert list(closure(gens, cap=order).elements) == expected
         with pytest.raises(GroupTooLargeError,
-                           match=f"^group too large: closure exceeded cap {order - 1}$"):
+                           match=f"^too large for the closure cap: group order at least "
+                                 f"{order} > {order - 1}$"):
             closure(gens, cap=order - 1)
 
     @pytest.mark.parametrize("name", NAMED)

@@ -1,0 +1,138 @@
+"""The budgets: one refusal rule in the source, and the command line's guards
+against blow-ups, each run as a user runs it: a fresh `python -m wreathgen.cli`
+process, killed past a timeout, and for some under an address-space limit that
+acts on that child process alone."""
+
+import ast
+import os
+import re
+import resource
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import pytest
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+ONE_GB = 1_000_000 * 1024  # `ulimit -v 1000000`, which counts KiB
+MODULES = {path.stem: ast.parse(path.read_text())
+           for path in sorted(Path(SRC, "wreathgen").glob("*.py"))}
+LIMIT_NAME = re.compile(r"[A-Z][A-Z0-9_]*_(CAP|BUDGET)")
+
+
+def test_group_too_large_is_raised_only_inside_refuse_above():
+    def raises(tree):
+        return [node for node in ast.walk(tree) if isinstance(node, ast.Raise)
+                and node.exc is not None and "GroupTooLargeError" in ast.unparse(node.exc)]
+
+    (helper,) = [node for node in MODULES["groups"].body
+                 if isinstance(node, ast.FunctionDef) and node.name == "refuse_above"]
+    everywhere = [node for tree in MODULES.values() for node in raises(tree)]
+    assert len(everywhere) == 1 and everywhere == raises(helper)
+
+
+def test_each_limit_is_bound_once_and_by_no_other_module():
+    defined: dict[str, list[str]] = {}
+    for module, tree in MODULES.items():
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    if isinstance(target, ast.Name) and LIMIT_NAME.fullmatch(target.id):
+                        defined.setdefault(target.id, []).append(module)
+    assert defined == {"DEFAULT_CLOSURE_CAP": ["groups"], "DEFAULT_SUBGROUP_CAP": ["groups"],
+                       "RIGHT_MAP_BUDGET": ["groups"], "IMAGE_ENTRY_BUDGET": ["groups"],
+                       "DEFAULT_ENUMERATION_CAP": ["wreath"],
+                       "TUPLE_SEARCH_BUDGET": ["invgen"]}
+    for module, tree in MODULES.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                bound = [alias.asname or alias.name for alias in node.names]
+            elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+                bound = [node.id]
+            else:
+                continue
+            for name in bound:
+                assert defined.get(name, [module]) == [module], f"{module} binds {name}"
+
+
+def wreathgen(*argv: str, timeout: float, memory: int | None = None) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of `python -m wreathgen.cli ARGV`, killed
+    past `timeout` seconds, with its address space limited to `memory` bytes."""
+    def limit_memory():
+        if memory is not None:
+            resource.setrlimit(resource.RLIMIT_AS, (memory, memory))
+
+    env = {**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.Popen([sys.executable, "-m", "wreathgen.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+                            preexec_fn=limit_memory)
+    try:
+        out, err = proc.communicate(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        proc.communicate()
+        raise
+    return proc.returncode, out.decode(), err.decode()
+
+
+def error_lines(err: str, pattern: str = "") -> int:
+    return len(re.findall(rf"^error: .*{pattern}", err, re.M))
+
+
+NESTED = "(" * 5000 + "t" + ")" * 5000
+R1000 = " ".join(map(str, range(1000)))
+CYCLE37 = " ".join(map(str, range(37)))
+
+
+@pytest.mark.parametrize("argv", [
+    ["classes", "sym 1000"],
+    ["wreath", "eval", "sym 3 wr int-translation", NESTED],
+    ["classes", "cyclic 100000"],
+    ["construct", "gamma", "sym 4", "--support", "100000000"],
+    ["wreath", "eval", "cyclic 1000 wr int-translation",
+     f"(({R1000})@0 * ({R1000})@1 * t)^49999", "--json"],
+], ids=["sym 1000", "nested 5000 deep", "cyclic 100000", "gamma window",
+        "power past the budget"])
+def test_refused_with_exit_2_within_10_s(argv):
+    assert wreathgen(*argv, timeout=10)[0] == 2
+
+
+def test_a_49999th_power_over_the_integers_answers_within_20_s():
+    assert wreathgen("wreath", "eval", "sym 3 wr int-translation",
+                     "((0 1)@0 * (0 1 2)@1 * t)^49999", "--json", timeout=20)[0] == 0
+
+
+@pytest.mark.parametrize("spec", [f"perm 5000: ({CYCLE37}), (0 1)", "perm 30000000: (0 1)",
+                                  "perm 16000000: (0 1)", "perm 7000000: (0 1)",
+                                  "perm 8388608: (0 1)"],
+                         ids=lambda spec: spec.split(":")[0])
+def test_perm_groups_past_the_image_entry_budget_exit_2_with_one_error_line_under_1_gb(spec):
+    code, _, err = wreathgen("classes", spec, timeout=20, memory=ONE_GB)
+    assert code == 2
+    assert error_lines(err, "image-entry budget") == 1
+    assert error_lines(err) == 1
+
+
+def test_a_perm_action_head_of_degree_20000_self_tests_within_10_s():
+    assert wreathgen("wreath", "eval", "cyclic 2 wr perm-action 20000: (0 1)", "id",
+                     timeout=10)[0] == 0
+
+
+def test_a_perm_action_head_of_degree_2_22_exits_2_with_one_error_line_under_1_gb():
+    code, _, err = wreathgen("wreath", "eval", "cyclic 2 wr perm-action 4194304: (0 1)", "id",
+                             timeout=20, memory=ONE_GB)
+    assert code == 2
+    assert error_lines(err) == 1
+
+
+def test_the_sym8_triple_exits_2_with_one_error_line_within_1_s():
+    # 1 * 5760 * 28 tuples, each closed over up to 20,163 image tuples of
+    # degree 8: about 2.6 * 10^10 steps, past the tuple-search budget.
+    start = time.perf_counter()
+    code, out, err = wreathgen("invgen", "sym 8", "(0 1 2 3 4 5 6 7), (1 2 3 4 5 6 7), (0 1)",
+                               timeout=10, memory=ONE_GB)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert error_lines(err, "tuple-search budget") == 1
+    assert error_lines(err) == 1

@@ -324,13 +324,15 @@ class TestGroupSpecs:
 
     def test_cap_refuses_while_closing(self):
         # Sym(9) has 362,880 elements; it is refused before any is built.
-        with pytest.raises(GroupTooLargeError, match="cap 100"):
+        with pytest.raises(GroupTooLargeError,
+                           match="closure cap: group order at least 120 > 100$"):
             parse_group_spec("sym 9", cap=100)
         for spec in ("cyclic 5", "alt 4", "klein4", "perm 3: (0 1), (0 1 2)",
                      "sym 1", "alt 1", "alt 2", "cyclic 1", "sym 4"):
             order = parse_group_spec(spec).order
             assert parse_group_spec(spec, cap=order).order == order
-            with pytest.raises(GroupTooLargeError, match=f"closure exceeded cap {order - 1}$"):
+            with pytest.raises(GroupTooLargeError,
+                               match=f"closure cap: group order at least {order} > {order - 1}$"):
                 parse_group_spec(spec, cap=order - 1)
 
     def test_trailing_input_is_reported_before_closing(self, monkeypatch):
@@ -422,7 +424,8 @@ class TestChains:
         assert closures == []
         assert levels[0].build().order == 362880 and len(closures) == 1
         # Sym(7) is closed, then its regular action (5040 points) is refused.
-        with pytest.raises(GroupTooLargeError, match="image entries"):
+        with pytest.raises(GroupTooLargeError,
+                           match="image-entry budget: 5040 elements of degree 5040 hold"):
             levels[1].build()
         assert len(closures) == 2
         assert levels[2].build() == IntTranslation() and len(closures) == 2

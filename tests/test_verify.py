@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from wreathgen import verify
+from wreathgen import verify, wreath
 from wreathgen.actions import IntTranslation
 from wreathgen.groups import GroupTooLargeError, symmetric_group
 from wreathgen.verify import SUITES, random_alpha, run_suites
@@ -43,11 +43,12 @@ def test_a_count_below_one_is_rejected(count):
 
 def test_random_alpha_refuses_a_window_past_the_cap_before_drawing(monkeypatch):
     W = WreathProduct(symmetric_group(3), IntTranslation())
-    monkeypatch.setattr(verify, "DEFAULT_ENUMERATION_CAP", 9)
+    monkeypatch.setattr(wreath, "DEFAULT_ENUMERATION_CAP", 9)
     random_alpha(random.Random(1), W, W.base_group.identity, 4)  # 9 points: drawn
     rng = random.Random(1)
     state = rng.getstate()
-    with pytest.raises(GroupTooLargeError, match="^conjugator window too large: 11 points > 9$"):
+    with pytest.raises(GroupTooLargeError, match="^too large for the enumeration cap: "
+                       "conjugator window points 11 > 9$"):
         random_alpha(rng, W, W.base_group.identity, 5)
     assert rng.getstate() == state
 
