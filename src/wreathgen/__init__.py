@@ -3,7 +3,7 @@ classification of iterated wreath products by generation behaviour.
 
 The building blocks:
 
-- groups: permutations, finite groups by closure, conjugacy classes, subgroups
+- groups: permutations, finite groups by closure, conjugacy classes, maximal subgroups
 - actions: finite head actions and the integer-shift action
 - wreath: restricted wreath products and their elements
 - invgen: invariable-generation tests and minimal-size search

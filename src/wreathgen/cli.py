@@ -235,9 +235,14 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func, command=command or name)
         return p
 
+    def cap(text: str) -> int:
+        if int(text) < 1:
+            raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+        return int(text)
+
     p = leaf(sub, "classes", _cmd_classes, "conjugacy classes of a finite group")
     p.add_argument("group", help="group spec, e.g. 'sym 3' or 'perm 3: (0 1), (0 1 2)'")
-    p.add_argument("--cap", type=int, default=groups.DEFAULT_CLOSURE_CAP)
+    p.add_argument("--cap", type=cap, default=groups.DEFAULT_CLOSURE_CAP)
 
     p = leaf(sub, "invgen", _cmd_invgen, "test a set for invariable generation")
     p.add_argument("group")
@@ -245,7 +250,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min", action="store_true", help="search for the minimal size instead")
     p.add_argument("--oracle", action="store_true",
                    help="cross-check against the maximal-subgroup criterion")
-    p.add_argument("--cap", type=int, default=groups.DEFAULT_CLOSURE_CAP)
+    p.add_argument("--cap", type=cap, default=groups.DEFAULT_CLOSURE_CAP)
 
     p = leaf(sub, "classify", _cmd_classify, "status of an iterated wreath product")
     p.add_argument("chain", help="e.g. '{FIG, fg} wr int-translation' "

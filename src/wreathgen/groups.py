@@ -1,4 +1,4 @@
-"""Exact arithmetic for finite permutation groups: closure, conjugacy, subgroups."""
+"""Exact arithmetic for finite permutation groups: closure, conjugacy, maximal subgroups."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 DEFAULT_CLOSURE_CAP = 1_000_000
-DEFAULT_SUBGROUP_CAP = 200
 # A group keeps a table of right-multiplication rows for the subgroup kernel,
 # each of |G| list slots (8 bytes each), exactly when all |G| rows fit in this
 # many slots: up to order 2048.  A bigger group closes subgroups over image
@@ -17,6 +16,8 @@ RIGHT_MAP_BUDGET = 1 << 22
 # address-space limit `classes 'cyclic n'` built C_5000 (25 million entries)
 # and ran out of memory at C_5500; this leaves a margin below that.
 IMAGE_ENTRY_BUDGET = 1 << 24
+# Closure steps one walk over the subgroup classes may take (see maximal_subgroups).
+SUBGROUP_WALK_BUDGET = 1 << 24
 
 
 class GroupTooLargeError(Exception):
@@ -228,8 +229,8 @@ class FiniteGroup:
         self.identity = self.elements[i]
         self._classes: list[ConjClass] | None = None
         self._class_index: list[int] = []
-        self._subgroups: list[tuple[Perm, ...]] | None = None
-        self._maximal: list[tuple[Perm, ...]] | None = None
+        # The walk's last estimate, and one maximal subgroup per class.
+        self._maximal: tuple[int, list[frozenset[int]]] | None = None
         n = len(self.elements)
         # The table of right-multiplication rows, kept when all n of them fit
         # in RIGHT_MAP_BUDGET: None for a row right_map has not built.  The
@@ -311,10 +312,7 @@ def closure(generators: Sequence[Perm], cap: int = DEFAULT_CLOSURE_CAP) -> Finit
             raise ValueError(f"degree mismatch among generators: {g.degree} vs {degree}")
     stop = min(cap, IMAGE_ENTRY_BUDGET // max(degree, 1))
     images = _closed_images([g.images for g in gens], degree, stop)
-    found = len(images)  # the search stops at stop + 1 elements, past one limit or the other
-    refuse_above("closure cap: group order at least", found, cap)
-    refuse_above(f"image-entry budget: {found} elements of degree {degree} hold",
-                 found * degree, IMAGE_ENTRY_BUDGET)
+    _refuse_order(cap, [len(images)], degree)  # the search stops one past either limit
     return FiniteGroup(degree, gens, list(map(_trusted, images)))
 
 
@@ -378,19 +376,23 @@ def generated_indices(G: FiniteGroup, generators: Iterable[int]) -> Sequence[int
     return range(n) if len(found) > half else found
 
 
+def _conjugation_maps(G: FiniteGroup) -> list[list[int]]:
+    """One index map per generator s of G: j -> the index of s^-1 * elements[j] * s."""
+    index = G._index
+    conjugators = [(s.inverse().images, s.images) for s in G.generators]
+    images = [p.images for p in G.elements]
+    return [[index[tuple([s[x[k]] for k in s_inv])] for x in images]
+            for s_inv, s in conjugators]
+
+
 def conjugacy_classes(G: FiniteGroup) -> list[ConjClass]:
     """Partition G into conjugation orbits; the identity's class comes first.
 
     Each class is the orbit of its representative, the first element not yet
-    classed, under the index maps j -> index of s^-1 * elements[j] * s, one
-    per generator s of G.
+    classed, under the conjugation maps, one per generator of G.
     """
     if G._classes is None:
-        elements, index = G.elements, G._index
-        conjugators = [(s.inverse().images, s.images) for s in G.generators]
-        images = [p.images for p in elements]
-        maps = [[index[tuple([s[x[k]] for k in s_inv])] for x in images]
-                for s_inv, s in conjugators]
+        elements, maps = G.elements, _conjugation_maps(G)
         seen = bytearray(len(elements))
         class_index = [0] * len(elements)
         classes: list[ConjClass] = []
@@ -424,50 +426,51 @@ def generates(G: FiniteGroup, S: Iterable[Perm]) -> bool:
     return len(generated_indices(G, map(G.index_of, gens))) == len(G)
 
 
-def all_subgroups(G: FiniteGroup) -> list[tuple[Perm, ...]]:
-    """Every subgroup of G, each as a sorted element tuple.
+def _closure_steps(G: FiniteGroup, closures: int, size: int) -> int:
+    """A bound on the steps of `closures` closures of up to `size` generators: a closure
+    stops once past |G|/2 elements, at most one per generator past it, and a step is
+    a row lookup when G keeps a table, else an image tuple of G's degree."""
+    return closures * min(len(G), len(G) // 2 + size) * (G.degree if G._rows is None else 1)
 
-    Subgroups are produced by closing the set of cyclic subgroups under
-    joins with a cyclic subgroup until no new subgroup appears; every
-    subgroup is a join of the cyclic subgroups it contains, so the fixpoint
-    is complete.  A join closes the joined subgroup's stored generators plus
-    the cyclic generator.  The subgroup cap is checked on every call.
+
+def maximal_subgroups(G: FiniteGroup) -> list[frozenset[int]]:
+    """One maximal subgroup from each conjugacy class of them, as element indices.
+
+    A walk keeps one subgroup of each class of proper subgroups, from the trivial
+    one: it joins each with every cyclic subgroup it misses, and keeps a proper
+    join not yet seen, marking its conjugates seen.  If K = A' v <c> and A'^g = A,
+    then K^g = A v <c^g>, so every class is reached; a kept subgroup is maximal
+    exactly when none of its joins is proper.  The budget is checked before the
+    cyclic pass and before each class's joins, so a refusal can come after up to
+    one budget's worth of work, and a finished walk's last estimate on every call.
     """
-    refuse_above("subgroup cap: group order", len(G), DEFAULT_SUBGROUP_CAP)
-    if G._subgroups is None:
-        cyclics: dict[frozenset[int], int] = {}
-        for g in range(len(G)):
-            cyclics.setdefault(frozenset(generated_indices(G, [g])), g)
-        subgroups = {C: [g] for C, g in cyclics.items()}
-        frontier = list(subgroups.items())
-        while frontier:
-            fresh: list[tuple[frozenset[int], list[int]]] = []
-            for A, gens in frontier:
-                for c in cyclics.values():
-                    if c in A:
-                        continue
-                    joined = gens + [c]
-                    J = frozenset(generated_indices(G, joined))
-                    if J not in subgroups:
-                        subgroups[J] = joined
-                        fresh.append((J, joined))
-            frontier = fresh
-        listed = (tuple(sorted(G.elements[i] for i in s)) for s in subgroups)
-        G._subgroups = sorted(listed, key=lambda t: (len(t), t))
-    return G._subgroups
-
-
-def maximal_subgroups(G: FiniteGroup) -> list[tuple[Perm, ...]]:
-    """The maximal elements of the proper-subgroup poset of G."""
-    subs = all_subgroups(G)
-    if G._maximal is None:
-        proper = [frozenset(s) for s in subs if len(s) < len(G)]
-        maximal = [
-            s for s in proper
-            if not any(s < t for t in proper if len(t) > len(s))
-        ]
-        G._maximal = sorted((tuple(sorted(s)) for s in maximal), key=lambda t: (len(t), t))
-    return G._maximal
+    n, what = len(G), "subgroup-walk budget: estimated closure steps"
+    steps, maximal = G._maximal or (_closure_steps(G, n, 1), None)
+    refuse_above(what, steps, SUBGROUP_WALK_BUDGET)
+    if maximal is None:
+        cyclics = {frozenset(generated_indices(G, [g])): g for g in range(n)}
+        trivial = frozenset([G.index_of(G.identity)])
+        # Joined in the order kept, so that the generator lists never shrink.
+        kept, seen, maximal = [(trivial, [])] if n > 1 else [], {trivial}, []
+        maps = _conjugation_maps(G)
+        for A, gens in kept:
+            steps = _closure_steps(G, n + len(kept) * len(cyclics), len(gens) + 1)
+            refuse_above(what, steps, SUBGROUP_WALK_BUDGET)
+            joins = [(generated_indices(G, gens + [c]), c) for c in cyclics.values() if c not in A]
+            proper = [(frozenset(J), c) for J, c in joins if len(J) < n]
+            if not proper:
+                maximal.append(A)
+            for J, c in proper:
+                if J not in seen:
+                    kept.append((J, gens + [c]))
+                    seen.add(J)
+                    conjugates = [J]
+                    for B in conjugates:
+                        fresh = {frozenset(map(m.__getitem__, B)) for m in maps} - seen
+                        seen |= fresh
+                        conjugates += fresh
+        G._maximal = steps, maximal
+    return maximal
 
 
 def _refuse_order(cap: int, factors: Iterable[int], degree: int) -> None:

@@ -12,7 +12,7 @@ import itertools
 import math
 from typing import Sequence
 
-from .groups import (FiniteGroup, Frozen, Perm, class_of, conjugacy_classes,
+from .groups import (FiniteGroup, Frozen, Perm, _closure_steps, class_of, conjugacy_classes,
                      generated_indices, maximal_subgroups, refuse_above)
 
 # Closure steps one tuple search may take: the Sym(8) pair, 9.3 * 10^8 steps, answers
@@ -36,13 +36,6 @@ def _checked_elements(G: FiniteGroup, S: Sequence[Perm]) -> list[Perm]:
     if not elements:
         raise ValueError("need a nonempty set of elements")
     return elements
-
-
-def _closure_steps(G: FiniteGroup, tuples: int, size: int) -> int:
-    """A bound on the steps of closing `tuples` tuples of `size` elements: a closure
-    stops once past |G|/2 elements, at most one per generator past it, and a step is
-    a row lookup when G keeps a table, else an image tuple of G's degree."""
-    return tuples * min(len(G), len(G) // 2 + size) * (G.degree if G._rows is None else 1)
 
 
 def invariably_generates(G: FiniteGroup, S: Sequence[Perm]) -> tuple[bool, IGWitness | None]:
@@ -71,15 +64,14 @@ def invariably_generates(G: FiniteGroup, S: Sequence[Perm]) -> tuple[bool, IGWit
 
 
 def invariably_generates_oracle(G: FiniteGroup, S: Sequence[Perm]) -> bool:
-    """Maximal-subgroup criterion: S invariably generates iff no maximal
-    subgroup of G intersects the conjugacy class of every element of S."""
+    """Maximal-subgroup criterion: S invariably generates iff no maximal subgroup
+    of G meets the conjugacy class of every element of S.  A subgroup meets a class
+    exactly when its conjugates do, so one maximal subgroup per class is enough."""
     elements = _checked_elements(G, S)
-    class_sets = [frozenset(class_of(G, s).members) for s in elements]
-    for M in maximal_subgroups(G):
-        M_set = frozenset(M)
-        if all(cls & M_set for cls in class_sets):
-            return False
-    return True
+    maximal = maximal_subgroups(G)
+    conjugacy_classes(G)
+    wanted = {G._class_index[G.index_of(s)] for s in elements}
+    return not any(wanted <= {G._class_index[i] for i in M} for M in maximal)
 
 
 def min_invariable_size(G: FiniteGroup) -> tuple[int, tuple[Perm, ...]]:

@@ -60,6 +60,16 @@ class TestClasses:
         assert code == 2
         assert "too large" in err
 
+    @pytest.mark.parametrize("argv", [["classes", "sym 3", "--cap", "0"],
+                                      ["invgen", "sym 3", "--min", "--cap", "-1"]])
+    def test_a_cap_below_one_is_a_usage_error_naming_the_option(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            f"wreathgen {argv[0]}: error: argument --cap: must be at least 1, got {argv[-1]}"]
+
     @pytest.mark.parametrize("argv", [["classes", "sym 9"], ["invgen", "sym 9", "--min"]])
     def test_cap_refuses_before_building_the_group(self, capsys, argv):
         # Sym(9) has 362,880 elements; it is refused before any is built.
@@ -221,14 +231,17 @@ class TestInvgen:
         assert code == 0
         assert "oracle: yes (agrees)" in out
 
-    def test_oracle_above_the_subgroup_cap_is_refused_before_the_tuple_search(
+    def test_oracle_past_the_subgroup_walk_budget_is_refused_before_any_closure(
             self, capsys, monkeypatch):
+        # Sym(7) keeps no row table: 5040 cyclic closures * (5040 // 2 + 1) * degree 7.
         def unsearched(*args):
-            raise AssertionError("the tuple search ran")
+            raise AssertionError("the tuple search or a subgroup closure ran")
         monkeypatch.setattr(cli, "invariably_generates", unsearched)
-        code, out, err = run(capsys, "invgen", "sym 6", "(0 1), (0 1 2 3 4 5)", "--oracle")
+        monkeypatch.setattr(groups, "generated_indices", unsearched)
+        code, out, err = run(capsys, "invgen", "sym 7", "(0 1), (0 1 2 3 4 5 6)", "--oracle")
         assert code == 2 and out == ""
-        assert "too large for the subgroup cap: group order 720 > 200" in err
+        assert err == ("error: too large for the subgroup-walk budget: "
+                       "estimated closure steps 88940880 > 16777216\n")
 
     def test_min_mode(self, capsys):
         code, payload, _ = run_json(capsys, "invgen", "sym 3", "--min")

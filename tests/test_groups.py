@@ -1,4 +1,4 @@
-"""Permutations, closure, classes and subgroups, pinned to hand-checked values."""
+"""Permutations, closure, classes and maximal subgroups, pinned to hand-checked values."""
 
 import itertools
 import random
@@ -10,10 +10,9 @@ from hypothesis import strategies as st
 
 from wreathgen import groups
 from wreathgen.actions import IntTranslation
-from wreathgen.groups import (FiniteGroup, GroupTooLargeError, Perm, all_subgroups,
-                              alternating_group, class_of, closure, compose,
-                              conjugacy_classes, cyclic_group, generates,
-                              klein_four_group, maximal_subgroups, symmetric_group)
+from wreathgen.groups import (FiniteGroup, GroupTooLargeError, Perm, alternating_group,
+                              class_of, closure, compose, conjugacy_classes, cyclic_group,
+                              generates, klein_four_group, maximal_subgroups, symmetric_group)
 from wreathgen.wreath import WreathProduct
 
 from small_groups import dihedral_group, quaternion_group
@@ -343,49 +342,51 @@ class TestGenerates:
             generates(symmetric_group(3), [Perm((1, 0))])
 
 
-class TestSubgroups:
-    def test_sym3_has_six_subgroups(self):
-        subs = all_subgroups(symmetric_group(3))
-        assert len(subs) == 6
-        assert sorted(len(s) for s in subs) == [1, 2, 2, 2, 3, 6]
+class TestMaximalSubgroups:
+    """One maximal subgroup per conjugacy class of them, as element indices."""
 
-    def test_klein_four_has_five_subgroups(self):
-        assert len(all_subgroups(klein_four_group())) == 5
+    @staticmethod
+    def sizes(G):
+        return sorted(len(M) for M in maximal_subgroups(G))
 
-    def test_dihedral4_has_ten_subgroups_three_maximal(self):
-        G = dihedral_group(4)
-        assert len(all_subgroups(G)) == 10
-        maximal = maximal_subgroups(G)
-        assert [len(s) for s in maximal] == [4, 4, 4]
+    def test_sym3_has_two_maximal_classes(self):
+        assert self.sizes(symmetric_group(3)) == [2, 3]
 
-    def test_quaternion_has_six_subgroups_three_maximal(self):
-        G = quaternion_group()
-        assert len(all_subgroups(G)) == 6
-        assert [len(s) for s in maximal_subgroups(G)] == [4, 4, 4]
+    def test_klein_four_has_three_maximal_classes(self):
+        # Abelian: every class holds one subgroup.
+        assert self.sizes(klein_four_group()) == [2, 2, 2]
+
+    def test_dihedral4_has_three_maximal_classes(self):
+        assert self.sizes(dihedral_group(4)) == [4, 4, 4]
+
+    def test_quaternion_has_three_maximal_classes(self):
+        assert self.sizes(quaternion_group()) == [4, 4, 4]
 
     def test_cyclic4_has_one_maximal_subgroup(self):
         maximal = maximal_subgroups(cyclic_group(4))
         assert len(maximal) == 1
         assert len(maximal[0]) == 2
 
-    def test_subgroup_listing_is_sorted_and_closed(self):
-        G = symmetric_group(3)
-        subs = all_subgroups(G)
-        assert subs == sorted(subs, key=lambda t: (len(t), t))
-        for s in subs:
-            inside = set(s)
-            assert all(compose(a, b) in inside for a in s for b in s)
+    @pytest.mark.parametrize("G", [symmetric_group(3), symmetric_group(4), dihedral_group(4),
+                                   alternating_group(5)], ids=["sym3", "sym4", "d4", "alt5"])
+    def test_each_is_a_proper_subgroup_that_every_outside_element_completes(self, G):
+        for M in maximal_subgroups(G):
+            inside = [G.elements[i] for i in M]
+            assert len(M) < len(G)
+            assert all(compose(a, b) in inside for a in inside for b in inside)
+            for g in set(range(len(G))) - M:
+                assert generates(G, inside + [G.elements[g]])
 
-    def test_cap_is_enforced(self, monkeypatch):
-        monkeypatch.setattr(groups, "DEFAULT_SUBGROUP_CAP", 10)
-        with pytest.raises(GroupTooLargeError):
-            all_subgroups(symmetric_group(4))
+    def test_budget_is_enforced(self, monkeypatch):
+        monkeypatch.setattr(groups, "SUBGROUP_WALK_BUDGET", 10)
+        with pytest.raises(GroupTooLargeError, match="subgroup-walk budget"):
+            maximal_subgroups(symmetric_group(4))
 
-    def test_cap_is_checked_on_cached_groups_too(self, monkeypatch):
+    def test_budget_is_checked_on_cached_groups_too(self, monkeypatch):
+        # (24 + 10 kept classes * 17 cyclic subgroups) * (24 // 2 + 3) closure steps.
         G = symmetric_group(4)
-        assert len(maximal_subgroups(G)) == 8
-        monkeypatch.setattr(groups, "DEFAULT_SUBGROUP_CAP", 23)
-        with pytest.raises(GroupTooLargeError, match="24 > 23"):
+        assert len(maximal_subgroups(G)) == 3
+        monkeypatch.setattr(groups, "SUBGROUP_WALK_BUDGET", 2909)
+        with pytest.raises(GroupTooLargeError, match="^too large for the subgroup-walk budget: "
+                           "estimated closure steps 2910 > 2909$"):
             maximal_subgroups(G)
-        with pytest.raises(GroupTooLargeError, match="24 > 23"):
-            all_subgroups(G)

@@ -7,8 +7,8 @@ import pytest
 from wreathgen import groups, invgen
 from wreathgen.actions import FiniteAction
 from wreathgen.groups import (GroupTooLargeError, Perm, alternating_group, class_of, closure,
-                              conjugacy_classes, cyclic_group, klein_four_group, refuse_above,
-                              symmetric_group)
+                              conjugacy_classes, cyclic_group, klein_four_group,
+                              maximal_subgroups, refuse_above, symmetric_group)
 from wreathgen.invgen import (invariably_generates, invariably_generates_oracle,
                               min_invariable_size)
 from wreathgen.parsing import parse_ambient, parse_perm
@@ -103,14 +103,14 @@ class TestOracle:
         assert True in answers and False in answers
 
     def test_agrees_on_class_representatives_of_finite_wreath_products(self):
-        # The paper's finite wreath products, as their imprimitive embeddings,
-        # up to order 162: within the oracle's subgroup cap of 200.
+        # The paper's finite wreath products, as their imprimitive embeddings.
         answers = []
         for spec, order in [("sym 3 wr (cyclic 2, natural)", 72),
                             ("cyclic 2 wr (sym 3, natural)", 48),
                             ("cyclic 3 wr (sym 3, natural)", 162),
                             ("klein4 wr (cyclic 2, natural)", 32),
-                            ("cyclic 2 wr (cyclic 4, natural)", 64)]:
+                            ("cyclic 2 wr (cyclic 4, natural)", 64),
+                            ("sym 3 wr (cyclic 3, natural)", 648)]:
             G, _ = parse_ambient(spec).imprimitive_embedding()
             assert len(G) == order
             reps = [c.representative for c in conjugacy_classes(G)]
@@ -119,7 +119,19 @@ class TestOracle:
                     ok, _ = invariably_generates(G, list(S))
                     assert ok == invariably_generates_oracle(G, list(S)), (spec, S)
                     answers.append(ok)
-        assert len(answers) == 549 and answers.count(True) == 47
+        assert len(answers) == 702 and answers.count(True) == 69
+
+    def test_agrees_on_pairs_of_class_representatives_of_sym6(self):
+        # d_I(Sym 6) = 3: no pair invariably generates, and the triple --min finds does.
+        G = symmetric_group(6)
+        reps = [c.representative for c in conjugacy_classes(G)][1:]
+        triple = [parse_perm(c, 6) for c in ("(0 1)", "(0 1 2 3 4 5)", "(0 2 3 4 5)")]
+        answers = []
+        for S in [*itertools.combinations(reps, 2), triple]:
+            ok, _ = invariably_generates(G, list(S))
+            assert ok == invariably_generates_oracle(G, list(S)), S
+            answers.append(ok)
+        assert answers == [False] * 45 + [True]
 
     def test_abelian_groups_reduce_to_plain_generation(self):
         # Classes are singletons, so invariable generation is generation.
@@ -251,3 +263,44 @@ class TestTupleSearchBudget:
         assert sizes == [1, 1, 1, 1]
         monkeypatch.setattr(invgen, "TUPLE_SEARCH_BUDGET", 112)
         assert min_invariable_size(G)[0] == 2
+
+
+class TestSubgroupWalkBudget:
+    """The walk over subgroup classes never does more work than its estimates
+    allow: each check's estimate covers all the work done before the next check."""
+
+    @pytest.mark.parametrize("table", [True, False], ids=["rows", "image tuples"])
+    @pytest.mark.parametrize("name", TestTupleSearchBudget.GROUPS)
+    def test_counted_work_never_exceeds_the_estimate(self, monkeypatch, name, table):
+        if not table:
+            monkeypatch.setattr(groups, "RIGHT_MAP_BUDGET", 0)
+        G = TestTupleSearchBudget.GROUPS[name]()
+        assert (G._rows is not None) == table
+        work, checks = [0], []
+        orbit, closed_images = groups._orbit, groups._closed_images
+
+        def counted_orbit(*args):
+            found = orbit(*args)
+            work[0] += len(found)
+            return found
+
+        def counted_images(gen_images, degree, stop):
+            images = closed_images(gen_images, degree, stop)
+            work[0] += len(images) * degree
+            return images
+
+        def noted(what, estimate, limit):
+            assert what == "subgroup-walk budget: estimated closure steps"
+            checks.append((work[0], estimate))
+            refuse_above(what, estimate, limit)
+
+        monkeypatch.setattr(groups, "_orbit", counted_orbit)
+        monkeypatch.setattr(groups, "_closed_images", counted_images)
+        monkeypatch.setattr(groups, "refuse_above", noted)
+        maximal_subgroups(G)
+        assert checks[0][0] == 0 and work[0] > 0
+        for (_, estimate), (done, _) in zip(checks, checks[1:] + [(work[0], None)]):
+            assert done <= estimate
+        # A cached walk checks its last estimate again, and does no work.
+        maximal_subgroups(G)
+        assert checks[-1] == (work[0], checks[-2][1])

@@ -40,7 +40,7 @@ def test_each_limit_is_bound_once_and_by_no_other_module():
                 for target in node.targets:
                     if isinstance(target, ast.Name) and LIMIT_NAME.fullmatch(target.id):
                         defined.setdefault(target.id, []).append(module)
-    assert defined == {"DEFAULT_CLOSURE_CAP": ["groups"], "DEFAULT_SUBGROUP_CAP": ["groups"],
+    assert defined == {"DEFAULT_CLOSURE_CAP": ["groups"], "SUBGROUP_WALK_BUDGET": ["groups"],
                        "RIGHT_MAP_BUDGET": ["groups"], "IMAGE_ENTRY_BUDGET": ["groups"],
                        "DEFAULT_ENUMERATION_CAP": ["wreath"],
                        "TUPLE_SEARCH_BUDGET": ["invgen"]}
@@ -135,4 +135,17 @@ def test_the_sym8_triple_exits_2_with_one_error_line_within_1_s():
     assert time.perf_counter() - start < 1
     assert (code, out) == (2, "")
     assert error_lines(err, "tuple-search budget") == 1
+    assert error_lines(err) == 1
+
+
+def test_the_oracle_on_c2_7_exits_2_with_one_error_line_within_1_s():
+    # Order 128, under the old subgroup cap of 200, with 29,212 subgroups, each
+    # a class of its own: the walk's estimate passes its budget once 1,999
+    # classes are kept, after the joins of 41.
+    start = time.perf_counter()
+    code, out, err = wreathgen("invgen", "perm 14: (0 1), (2 3), (4 5), (6 7), (8 9), (10 11), "
+                               "(12 13)", "(0 1)", "--oracle", timeout=10, memory=ONE_GB)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert error_lines(err, "subgroup-walk budget") == 1
     assert error_lines(err) == 1
