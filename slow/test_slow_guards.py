@@ -13,7 +13,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
-from test_limits import ONE_GB, wreathgen  # noqa: E402
+from test_limits import (BOUNDARY, ONE_GB, TEMPLATES, VERIFY_COUNT,  # noqa: E402
+                         VERIFY_SUITES, assert_exits_cleanly, command, wreathgen)
 
 
 def answer(*argv: str, timeout: float, memory: int | None = None) -> dict:
@@ -61,3 +62,13 @@ def test_a_perm_group_of_degree_2_22_answers_within_20_s_under_1_gb():
     # A quarter of the image-entry budget.
     code, _, err = wreathgen("classes", "perm 4194304: (0 1)", timeout=20, memory=ONE_GB)
     assert (code, err) == (0, "")
+
+
+# Every numeric template of tests/test_limits.py at every boundary integer:
+# 192 fresh processes, about 25 s together.
+@pytest.mark.parametrize("argv", [
+    command(template, suite, n) for template in TEMPLATES
+    for suite in (VERIFY_SUITES if template == VERIFY_COUNT else [""]) for n in BOUNDARY
+], ids=" ".join)
+def test_no_boundary_integer_ends_in_a_traceback_or_a_hang(argv):
+    assert_exits_cleanly(argv)

@@ -18,8 +18,8 @@ from typing import Sequence
 
 from .actions import FiniteAction, IntTranslation
 from .classify import iterated_status, iterated_status_direct
-from .constructions import (CoordinateContractError, choose_mn, gamma_coordinate,
-                            nottorsion_igset, torsion_igset)
+from .constructions import (CoordinateContractError, gamma_coordinate, nottorsion_igset,
+                            torsion_igset)
 from . import groups
 from .groups import FiniteGroup, GroupTooLargeError, Record, conjugacy_classes
 from .invgen import invariably_generates, invariably_generates_oracle, min_invariable_size
@@ -175,7 +175,7 @@ def _cmd_construct_nottorsion(args: argparse.Namespace) -> Output:
     payload = {
         "ambient": args.ambient,
         "base_generators": [format_perm(s) for s in gens],
-        "igset": [format_wreath_element(u) for u in nottorsion_igset(W, [gens], [1], [1])],
+        "igset": [format_wreath_element(u) for u in nottorsion_igset(W, gens, 1, [1])],
     }
     return Output(payload, [
         f"base generators: {', '.join(payload['base_generators']) or '(none)'}",
@@ -191,12 +191,11 @@ def _cmd_construct_gamma(args: argparse.Namespace) -> Output:
     for g in G.generators:
         alpha_e = random_alpha(rng, W, G.identity, args.support)
         alpha_g = random_alpha(rng, W, g, args.support)
-        params = choose_mn(alpha_e.support_radius, alpha_g.support_radius)
-        point, found = gamma_coordinate(alpha_e, alpha_g)
+        params, found = gamma_coordinate(alpha_e, alpha_g)
         rows.append({
             "generator": format_perm(g),
             "c": params.c, "d": params.d, "m": params.m, "n": params.n,
-            "coordinate": point,
+            "coordinate": params.c,
             "found": format_perm(found),
         })
     payload = {"group": _group_info(G), "seed": args.seed, "rows": rows}

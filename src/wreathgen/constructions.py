@@ -73,39 +73,8 @@ def alpha_power_form(alpha_e: AlphaElement, alpha_f: AlphaElement, m: int) -> Wr
     return alpha_e.element ** (-m) * alpha_f.element ** m
 
 
-def _assemble(alpha_e: AlphaElement, alpha_f: AlphaElement, m: int, n: int = 0,
-              conjugated: bool = False) -> WreathElement:
-    # The blocks of alpha_e^-m * alpha_f^m, all but the first shifted by -n;
-    # conjugating by alpha_e^n (beta) adds the first conjugator's two tails.
-    # Every block is a pure base tuple, so their product is pointwise.
-    W = alpha_e.element.ambient
-    if alpha_f.element.ambient is not W and alpha_f.element.ambient != W:
-        raise ValueError("elements live in different ambient wreath products")
-    group = W.base_group
-    product, inverse = group.product, group.inverse
-    a, b, f = alpha_e.conjugator.base, alpha_f.conjugator.base, alpha_f.g
-    blocks = [
-        [(i, inverse(g)) for i, g in a],
-        [(i + m - n, g) for i, g in a],
-        [(i + m - n, inverse(g)) for i, g in b],
-        [(j - n, f) for j in range(1, m + 1)],
-        [(i - n, g) for i, g in b],
-    ]
-    if conjugated:
-        blocks += [
-            [(i - n, inverse(g)) for i, g in a],
-            [(i, g) for i, g in a],
-        ]
-    coords: dict[int, Perm] = {}
-    for block in blocks:
-        for x, g in block:
-            h = coords.get(x)
-            coords[x] = g if h is None else product(h, g)
-    return _pure_base(W, coords)
-
-
 def assemble_alpha_power(alpha_e: AlphaElement, alpha_f: AlphaElement, m: int) -> WreathElement:
-    """The predicted closed form of alpha_e^-m * alpha_f^m.
+    """The predicted closed form of alpha_e^-m * alpha_f^m: beta's at n = 0.
 
     The inner conjugator blocks telescope away, leaving: the inverted first
     conjugator in place, the first conjugator shifted up by m, the inverted
@@ -114,7 +83,7 @@ def assemble_alpha_power(alpha_e: AlphaElement, alpha_f: AlphaElement, m: int) -
     """
     if m < 0:
         raise ValueError("m must be >= 0")
-    return _assemble(alpha_e, alpha_f, m)
+    return assemble_beta(alpha_e, alpha_f, m, 0)
 
 
 def beta(alpha_e: AlphaElement, alpha_g: AlphaElement, m: int, n: int) -> WreathElement:
@@ -130,7 +99,34 @@ def assemble_beta(alpha_e: AlphaElement, alpha_g: AlphaElement, m: int, n: int) 
     wrapped between the first conjugator's blocks.  Must equal beta exactly."""
     if m < 0 or n < 0:
         raise ValueError("m and n must be >= 0")
-    return _assemble(alpha_e, alpha_g, m, n, conjugated=True)
+    # The blocks of alpha_e^-m * alpha_g^m, all but the first shifted by -n;
+    # conjugating by alpha_e^n adds the first conjugator's two tails, which
+    # cancel point by point at n = 0.  Every block is a pure base tuple, so
+    # their product is pointwise.
+    W = alpha_e.element.ambient
+    if alpha_g.element.ambient is not W and alpha_g.element.ambient != W:
+        raise ValueError("elements live in different ambient wreath products")
+    group = W.base_group
+    product, inverse = group.product, group.inverse
+    a, b, f = alpha_e.conjugator.base, alpha_g.conjugator.base, alpha_g.g
+    blocks = [
+        [(i, inverse(g)) for i, g in a],
+        [(i + m - n, g) for i, g in a],
+        [(i + m - n, inverse(g)) for i, g in b],
+        [(j - n, f) for j in range(1, m + 1)],
+        [(i - n, g) for i, g in b],
+    ]
+    if n:
+        blocks += [
+            [(i - n, inverse(g)) for i, g in a],
+            [(i, g) for i, g in a],
+        ]
+    coords: dict[int, Perm] = {}
+    for block in blocks:
+        for x, g in block:
+            h = coords.get(x)
+            coords[x] = g if h is None else product(h, g)
+    return _pure_base(W, coords)
 
 
 class BetaParams(Frozen):
@@ -159,13 +155,14 @@ def choose_mn(c: int, d: int) -> BetaParams:
     return BetaParams(m=c + max(c, d) + 1, n=max(1, d - c + 1), c=c, d=d)
 
 
-def gamma_coordinate(alpha_e: AlphaElement, alpha_g: AlphaElement) -> tuple[int, Perm]:
+def gamma_coordinate(alpha_e: AlphaElement, alpha_g: AlphaElement) -> tuple[BetaParams, Perm]:
     """Isolate alpha_g's group element at a known coordinate.
 
     Builds beta(alpha_e, alpha_g, m + n, n) for the least admissible (m, n)
     and reads the coordinate at c = alpha_e.support_radius, which the block
     arithmetic guarantees to be exactly alpha_g.g; anything else is reported
     as a contract violation, since it would mean the arithmetic is wrong.
+    Returns the exponents chosen, with c and d, and the element found at c.
     """
     params = choose_mn(alpha_e.support_radius, alpha_g.support_radius)
     element = beta(alpha_e, alpha_g, params.m + params.n, params.n)
@@ -175,7 +172,7 @@ def gamma_coordinate(alpha_e: AlphaElement, alpha_g: AlphaElement) -> tuple[int,
             f"expected {alpha_g.g!r} at coordinate {params.c}, found {found!r} "
             f"(c={params.c}, d={params.d}, m={params.m}, n={params.n})"
         )
-    return params.c, found
+    return params, found
 
 
 # -- orbit-collapse conjugators over finite actions ---------------------------
@@ -258,26 +255,24 @@ def torsion_igset(W: WreathProduct, G_igset: Sequence[Perm],
     return tuple(out)
 
 
-def nottorsion_igset(W: WreathProduct, gensets: Sequence[Sequence[Perm]],
-                     t_shifts: Sequence[int], S_H: Sequence[int]) -> tuple[WreathElement, ...]:
+def nottorsion_igset(W: WreathProduct, gens: Sequence[Perm], t: int,
+                     S_H: Sequence[int]) -> tuple[WreathElement, ...]:
     """Invariable generating set over the integer-shift action.
 
-    Takes one plain generating set per orbit (there is a single orbit here),
-    one nonzero shift per orbit, and an invariable generating set of shifts
-    for the head.  The result is the head set, then each generating set
-    embedded at its orbit representative, the same set multiplied by the
-    orbit's shift, and the shift itself.  Identities are dropped.
+    Takes a plain generating set of the base group, a nonzero shift t, and an
+    invariable generating set of shifts for the head.  The result is the head
+    set, then the generating set embedded at 0, the same set multiplied by t,
+    and t itself.  Identities are dropped.
+
+    The paper states this per orbit of the head, with one generating set and
+    one shift for each orbit representative; the shifts have the single
+    orbit of 0.
     """
     _require_int_translation(W)
-    reps = orbit_reps(W.action)
-    if len(gensets) != len(reps) or len(t_shifts) != len(reps):
-        raise ValueError(f"need exactly {len(reps)} generating sets and shifts")
-    for gens in gensets:
-        if not generates(W.base_group, gens):
-            raise ValueError("a listed set does not generate the base group")
-    for t in t_shifts:
-        if t == 0:
-            raise ValueError("orbit shifts must have infinite order")
+    if not generates(W.base_group, gens):
+        raise ValueError("the listed set does not generate the base group")
+    if t == 0:
+        raise ValueError("the orbit shift must have infinite order")
     if not S_H or math.gcd(*(abs(s) for s in S_H)) != 1:
         raise ValueError("the head shifts do not invariably generate the integers")
     out: list[WreathElement] = []
@@ -288,11 +283,10 @@ def nottorsion_igset(W: WreathProduct, gensets: Sequence[Sequence[Perm]],
 
     for s in S_H:
         push(W.head_embed(s))
-    for y, gens, t in zip(reps, gensets, t_shifts):
-        shift = W.head_embed(t)
-        for g in gens:
-            push(W.base_embed(g, y))
-        for g in gens:
-            push(W.base_embed(g, y) * shift)
-        push(shift)
+    shift = W.head_embed(t)
+    for g in gens:
+        push(W.base_embed(g, 0))
+    for g in gens:
+        push(W.base_embed(g, 0) * shift)
+    push(shift)
     return tuple(out)

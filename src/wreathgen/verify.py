@@ -80,8 +80,8 @@ def _check_conjugation_hom(W: WreathProduct, name: str, results: list[CheckResul
         triples = [(u, v, a) for u in elements for v in elements for a in elements]
         mode = "exhaustive"
     else:
-        triples = [(rng.choice(elements), rng.choice(elements), rng.choice(elements))
-                   for _ in range(count)]
+        triples = ((rng.choice(elements), rng.choice(elements), rng.choice(elements))
+                   for _ in range(count))
         mode = f"{count} seeded triples"
     failures = []
     for u, v, a in triples:
@@ -159,15 +159,21 @@ def random_alpha(rng: random.Random, W: WreathProduct, g: Perm, radius: int):
                        _random_coords(rng, W.base_group, window))
 
 
+def _alpha_pairs(rng: random.Random, count: int, targets: list[Perm] | None = None):
+    """`count` seeded draws over sym3 wr Z: an alpha for the identity, paired
+    with an alpha for each of `targets`, or else for one random element."""
+    W = WreathProduct(symmetric_group(3), IntTranslation())
+    for _ in range(count):
+        alpha_e = random_alpha(rng, W, W.base_group.identity, 4)
+        for g in targets or [rng.choice(W.base_group.elements)]:
+            yield alpha_e, random_alpha(rng, W, g, 4)
+
+
 def suite_alpha(seed: int = 0, count: int = 200) -> list[CheckResult]:
     rng = _rng("alpha", seed)
-    W = WreathProduct(symmetric_group(3), IntTranslation())
     results: list[CheckResult] = []
-    identity = W.base_group.identity
     failures = []
-    for _ in range(count):
-        alpha_e = random_alpha(rng, W, identity, 4)
-        alpha_f = random_alpha(rng, W, rng.choice(W.base_group.elements), 4)
+    for alpha_e, alpha_f in _alpha_pairs(rng, count):
         m = rng.randint(0, 6)
         direct = alpha_power_form(alpha_e, alpha_f, m)
         assembled = assemble_alpha_power(alpha_e, alpha_f, m)
@@ -182,14 +188,10 @@ def suite_alpha(seed: int = 0, count: int = 200) -> list[CheckResult]:
 
 def suite_beta(seed: int = 0, count: int = 200) -> list[CheckResult]:
     rng = _rng("beta", seed)
-    W = WreathProduct(symmetric_group(3), IntTranslation())
     results: list[CheckResult] = []
-    identity = W.base_group.identity
     form_failures = []
     head_failures = []
-    for _ in range(count):
-        alpha_e = random_alpha(rng, W, identity, 4)
-        alpha_g = random_alpha(rng, W, rng.choice(W.base_group.elements), 4)
+    for alpha_e, alpha_g in _alpha_pairs(rng, count):
         m = rng.randint(0, 6)
         n = rng.randint(0, 4)
         direct = beta(alpha_e, alpha_g, m, n)
@@ -206,23 +208,17 @@ def suite_beta(seed: int = 0, count: int = 200) -> list[CheckResult]:
 
 
 def suite_gamma(seed: int = 0, count: int = 200) -> list[CheckResult]:
-    rng = _rng("gamma", seed)
-    W = WreathProduct(symmetric_group(3), IntTranslation())
     results: list[CheckResult] = []
-    identity = W.base_group.identity
     targets = [Perm.from_cycles([(0, 1)], 3), Perm.from_cycles([(0, 1, 2)], 3)]
     failures = []
-    for _ in range(count):
-        alpha_e = random_alpha(rng, W, identity, 4)
-        for g in targets:
-            alpha_g = random_alpha(rng, W, g, 4)
-            try:
-                point, found = gamma_coordinate(alpha_e, alpha_g)
-            except CoordinateContractError as exc:
-                failures.append(str(exc))
-                continue
-            if point != alpha_e.support_radius or found != g:
-                failures.append(f"g={g!r} -> ({point}, {found!r})")
+    for alpha_e, alpha_g in _alpha_pairs(_rng("gamma", seed), count, targets):
+        try:
+            params, found = gamma_coordinate(alpha_e, alpha_g)
+        except CoordinateContractError as exc:
+            failures.append(str(exc))
+            continue
+        if params.c != alpha_e.support_radius or found != alpha_g.g:
+            failures.append(f"g={alpha_g.g!r} -> ({params.c}, {found!r})")
     _record(results, "gamma: the chosen coordinate isolates each generator",
             failures, f"{count} seeded instances, both generators of sym3")
     return results
@@ -266,7 +262,7 @@ def suite_igsets(seed: int = 0, count: int = 50) -> list[CheckResult]:
             mode = "exhaustive conjugators"
         else:
             pool = W.enumerate_elements()
-            conjugator_picks = [[rng.choice(pool) for _ in heads] for _ in range(count)]
+            conjugator_picks = ([rng.choice(pool) for _ in heads] for _ in range(count))
             mode = f"{count} seeded conjugator choices"
         failures = []
         for picks in conjugator_picks:
@@ -290,9 +286,13 @@ SUITES: dict[str, Callable[[int, int], list[CheckResult]]] = {
 
 
 def run_suites(names: list[str], seed: int = 0, count: int | None = None) -> list[CheckResult]:
-    """Run the named suites ('all' for every one) with their default counts."""
-    if count is not None and count < 1:
-        raise ValueError(f"count must be at least 1, got {count}")
+    """Run the named suites ('all' for every one) with their default counts, or
+    with `count` instances per check, refused past the enumeration cap."""
+    if count is not None:
+        if count < 1:
+            raise ValueError(f"count must be at least 1, got {count}")
+        refuse_above("enumeration cap: seeded instances per check", count,
+                     wreath.DEFAULT_ENUMERATION_CAP)
     if names == ["all"]:
         names = list(SUITES)
     results: list[CheckResult] = []

@@ -212,8 +212,8 @@ class TestGammaCoordinate:
         alpha_e = build_alpha(OVER_Z, SYM3.identity, {}, {})
         for g in (SWAP, ROT, SYM3.identity):
             alpha_g = build_alpha(OVER_Z, g, {}, {})
-            point, found = gamma_coordinate(alpha_e, alpha_g)
-            assert point == 0 and found == g
+            params, found = gamma_coordinate(alpha_e, alpha_g)
+            assert params.c == 0 and found == g
 
     def test_seeded_instances_isolate_the_element(self):
         rng = random.Random(59)
@@ -225,8 +225,9 @@ class TestGammaCoordinate:
             alpha_g = build_alpha(OVER_Z, g,
                                   _random_coords(rng, SYM3, WINDOW),
                                   _random_coords(rng, SYM3, WINDOW))
-            point, found = gamma_coordinate(alpha_e, alpha_g)
-            assert point == alpha_e.support_radius
+            params, found = gamma_coordinate(alpha_e, alpha_g)
+            assert params == choose_mn(alpha_e.support_radius, alpha_g.support_radius)
+            assert params.c == alpha_e.support_radius
             assert found == g
 
     def test_lying_about_the_radius_breaks_the_contract(self):
@@ -355,31 +356,29 @@ class TestNottorsionIgset:
         C2 = cyclic_group(2)
         W = WreathProduct(C2, IntTranslation())
         flip = C2.elements[1]
-        igset = nottorsion_igset(W, [[flip]], [1], [1])
+        igset = nottorsion_igset(W, [flip], 1, [1])
         assert igset == (W.head_embed(1), W.base_embed(flip, 0),
                          W.base_embed(flip, 0) * W.head_embed(1))
 
     def test_trivial_base_keeps_only_the_shifts(self):
         trivial = cyclic_group(1)
         W = WreathProduct(trivial, IntTranslation())
-        igset = nottorsion_igset(W, [[trivial.identity]], [1], [1])
+        igset = nottorsion_igset(W, [trivial.identity], 1, [1])
         assert igset == (W.head_embed(1),)
 
     def test_sym3_with_a_distinct_orbit_shift_gives_six(self):
-        igset = nottorsion_igset(OVER_Z, [[SWAP, ROT]], [2], [1])
+        igset = nottorsion_igset(OVER_Z, [SWAP, ROT], 2, [1])
         assert len(igset) == 6
         assert igset[0] == OVER_Z.head_embed(1)
         assert OVER_Z.head_embed(2) in igset
 
     def test_preconditions_are_checked(self):
-        with pytest.raises(ValueError):
-            nottorsion_igset(OVER_Z, [[SWAP]], [1], [1])  # does not generate Sym(3)
-        with pytest.raises(ValueError):
-            nottorsion_igset(OVER_Z, [[SWAP, ROT]], [0], [1])  # zero orbit shift
-        with pytest.raises(ValueError):
-            nottorsion_igset(OVER_Z, [[SWAP, ROT]], [1], [2, 4])  # gcd 2
-        with pytest.raises(ValueError):
-            nottorsion_igset(OVER_Z, [[SWAP, ROT], [SWAP, ROT]], [1, 1], [1])
+        with pytest.raises(ValueError, match="does not generate the base group"):
+            nottorsion_igset(OVER_Z, [SWAP], 1, [1])  # does not generate Sym(3)
+        with pytest.raises(ValueError, match="infinite order"):
+            nottorsion_igset(OVER_Z, [SWAP, ROT], 0, [1])  # zero orbit shift
+        with pytest.raises(ValueError, match="do not invariably generate the integers"):
+            nottorsion_igset(OVER_Z, [SWAP, ROT], 1, [2, 4])  # gcd 2
         W = WreathProduct(SYM3, FiniteAction(cyclic_group(2)))
-        with pytest.raises(ValueError):
-            nottorsion_igset(W, [[SWAP, ROT]], [1], [1])
+        with pytest.raises(ValueError, match="shift action on the integers"):
+            nottorsion_igset(W, [SWAP, ROT], 1, [1])  # a finite action

@@ -13,6 +13,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 ONE_GB = 1_000_000 * 1024  # `ulimit -v 1000000`, which counts KiB
@@ -138,6 +140,16 @@ def test_the_sym8_triple_exits_2_with_one_error_line_within_1_s():
     assert error_lines(err) == 1
 
 
+def test_a_verify_count_past_the_enumeration_cap_exits_2_with_one_error_line_within_1_s():
+    start = time.perf_counter()
+    code, out, err = wreathgen("verify", "conjugation", "--count", "100000000",
+                               timeout=10, memory=ONE_GB)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert error_lines(err, "enumeration cap") == 1
+    assert error_lines(err) == 1
+
+
 def test_the_oracle_on_c2_7_exits_2_with_one_error_line_within_1_s():
     # Order 128, under the old subgroup cap of 200, with 29,212 subgroups, each
     # a class of its own: the walk's estimate passes its budget once 1,999
@@ -149,3 +161,43 @@ def test_the_oracle_on_c2_7_exits_2_with_one_error_line_within_1_s():
     assert (code, out) == (2, "")
     assert error_lines(err, "subgroup-walk budget") == 1
     assert error_lines(err) == 1
+
+
+# -- no boundary integer ends in a traceback or a hang ---------------------------
+
+BOUNDARY = [-1, 0, 1, 2, 255, 256, 257, 2**22, 2**22 + 1, 2**23, 2**24, 10**8]
+VERIFY_COUNT = ("verify", "{suite}", "--count", "{n}")
+TEMPLATES = [
+    VERIFY_COUNT,
+    ("verify", "coset", "--seed", "{n}", "--count", "1"),
+    ("construct", "gamma", "sym 3", "--support", "{n}"),
+    ("construct", "gamma", "sym 3", "--seed", "{n}"),
+    ("classes", "sym 4", "--cap", "{n}"),
+    ("classes", "cyclic {n}"),
+    ("classes", "perm {n}: (0 1)"),
+    ("invgen", "cyclic {n}", "--min"),
+    ("wreath", "eval", "sym 3 wr int-translation", "((0 1)@0 * t)^{n}"),
+    ("wreath", "eval", "cyclic 2 wr (cyclic {n}, natural)", "id"),
+]
+VERIFY_SUITES = ["alpha", "beta", "conjugation", "coset", "gamma", "igsets", "all"]
+# Empty, one `error:` line, or argparse's usage (which may wrap) and its error line.
+CLEAN_STDERR = re.compile(r"(usage: .*\n(?: .*\n)*\S[^\n]*?: )?error: .*\n")
+
+
+def command(template: tuple[str, ...], suite: str, n: int) -> list[str]:
+    return [word.format(suite=suite, n=n) for word in template]
+
+
+def assert_exits_cleanly(argv: list[str]) -> None:
+    code, _, err = wreathgen(*argv, timeout=20, memory=ONE_GB)
+    assert code in (0, 2), (argv, code, err)
+    assert "Traceback" not in err, (argv, err)
+    assert err == "" or CLEAN_STDERR.fullmatch(err), (argv, err)
+
+
+@settings(derandomize=True, max_examples=20, deadline=None, database=None)
+@given(st.sampled_from(TEMPLATES), st.sampled_from(VERIFY_SUITES), st.sampled_from(BOUNDARY))
+@example(VERIFY_COUNT, "alpha", 10**8)
+def test_no_boundary_integer_ends_in_a_traceback_or_a_hang(template, suite, n):
+    # A slice; slow/test_slow_guards.py runs every template at every integer.
+    assert_exits_cleanly(command(template, suite, n))

@@ -59,3 +59,47 @@ def test_a_failed_check_carries_its_first_failure():
     verify._record(results, "fails", ["first", "second"], "3 instances")
     assert results == [verify.CheckResult("passes", True, "3 instances"),
                        verify.CheckResult("fails", False, "first")]
+
+
+def _fails_on_its_third_call(fn):
+    calls = []
+
+    def wrapped(*args):
+        calls.append(args)
+        return None if len(calls) == 3 else fn(*args)
+    return wrapped
+
+
+def test_the_alpha_suite_draws_its_pinned_instances(monkeypatch):
+    monkeypatch.setattr(verify, "assemble_alpha_power",
+                        _fails_on_its_third_call(verify.assemble_alpha_power))
+    (result,) = run_suites(["alpha"], seed=1, count=4)
+    assert not result.passed
+    assert result.detail == (
+        "m=3 e-conj={-4: Perm((1, 2, 0)), -3: Perm((1, 2, 0)), -2: Perm((2, 1, 0)), "
+        "-1: Perm((0, 2, 1)), 1: Perm((2, 1, 0)), 2: Perm((2, 1, 0)), 4: Perm((2, 0, 1))} "
+        "f=Perm((0, 1, 2)) f-conj={-3: Perm((2, 1, 0)), -1: Perm((2, 0, 1)), "
+        "0: Perm((1, 2, 0)), 1: Perm((2, 0, 1)), 2: Perm((1, 2, 0)), 4: Perm((2, 1, 0))}")
+
+
+def test_the_beta_suite_draws_its_pinned_instances(monkeypatch):
+    monkeypatch.setattr(verify, "assemble_beta", _fails_on_its_third_call(verify.assemble_beta))
+    form, head = run_suites(["beta"], seed=1, count=4)
+    assert not form.passed and head.passed
+    assert form.detail == (
+        "m=2 n=0 e-conj={-4: Perm((1, 0, 2)), -3: Perm((1, 2, 0)), -2: Perm((2, 1, 0)), "
+        "0: Perm((0, 2, 1)), 2: Perm((1, 0, 2)), 4: Perm((2, 0, 1))} g=Perm((2, 1, 0)) "
+        "g-conj={-4: Perm((1, 0, 2)), -3: Perm((2, 1, 0)), -2: Perm((1, 2, 0)), "
+        "0: Perm((1, 2, 0)), 2: Perm((0, 2, 1)), 4: Perm((1, 2, 0))}")
+
+
+def test_a_count_past_the_enumeration_cap_is_refused_before_any_suite_runs(monkeypatch):
+    ran = []
+    for name in SUITES:
+        monkeypatch.setitem(SUITES, name, lambda seed, count, name=name: ran.append(name) or [])
+    with pytest.raises(GroupTooLargeError, match="^too large for the enumeration cap: "
+                       "seeded instances per check 100001 > 100000$"):
+        run_suites(["all"], seed=0, count=100_001)
+    assert ran == []
+    run_suites(["all"], seed=0, count=100_000)
+    assert ran == list(SUITES)
