@@ -2,8 +2,8 @@
 
 Every subcommand accepts --json for machine-readable output; JSON payloads
 carry a schema_version field (currently 1).  Exit codes: 0 on success, 1 when
-a requested check fails (verify failures, oracle disagreement), 2 on bad
-input or anything the grammars reject.
+a requested check fails (verify failures, oracle disagreement, a broken
+construction contract), 2 on bad input or anything the grammars reject.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .constructions import (CoordinateContractError, gamma_coordinate, nottorsio
 from . import groups
 from .groups import FiniteGroup, GroupTooLargeError, Record, conjugacy_classes
 from .invgen import invariably_generates, invariably_generates_oracle, min_invariable_size
-from .parsing import (ParseError, _element_text, chain_to_descriptors, format_perm,
+from .parsing import (_element_text, chain_to_descriptors, format_perm,
                       format_wreath_element, parse_ambient, parse_chain,
                       parse_group_spec, parse_perm_list, parse_wreath_element)
 from .verify import SUITES, random_alpha, run_suites
@@ -288,9 +288,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         out = args.func(args)
-    except (ParseError, ValueError, GroupTooLargeError, CoordinateContractError) as exc:
+    except (ValueError, GroupTooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except CoordinateContractError as exc:  # a construction broke its own contract
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     try:
         if args.json:
             payload = {"schema_version": SCHEMA_VERSION, "command": args.command, **out.payload}

@@ -1,15 +1,17 @@
 """Seeded verification suites exercising the identities behind the constructions.
 
-Each suite returns a list of CheckResult records; a failing record carries the
-concrete instance that broke.  All randomness is drawn from a Random seeded
-with the suite name and the given seed, so runs are reproducible.
+Each suite returns a list of CheckResult records.  A check stops at its first
+failure, which its record carries as the concrete instance that broke, and
+draws no more.  All randomness is drawn from a Random seeded with the suite
+name and the given seed, so runs are reproducible.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from .actions import FiniteAction, IntTranslation, cyclic_orbit, orbit_reps
 from .constructions import (CoordinateContractError, alpha_power_form,
@@ -20,18 +22,18 @@ from . import wreath
 from .groups import (FiniteGroup, Perm, Record, class_of, cyclic_group, generates, refuse_above,
                      symmetric_group)
 from .invgen import invariably_generates
-from .wreath import WreathProduct
+from .wreath import WreathElement, WreathProduct
 
 
 class CheckResult(Record):
     __match_args__ = ("name", "passed", "detail")
 
-    def __init__(self, name: str, passed: bool, detail: str = "") -> None:
-        super().__init__(name, passed, detail)
 
-
-def _record(results: list[CheckResult], name: str, failures: list[str], detail: str = "") -> None:
-    results.append(CheckResult(name, not failures, failures[0] if failures else detail))
+def _check(name: str, failures: Iterable[str], detail: str) -> CheckResult:
+    """Passes with `detail` when `failures` yields nothing; otherwise fails
+    with the first failure and draws no more."""
+    first = next(iter(failures), None)
+    return CheckResult(name, first is None, detail if first is None else first)
 
 
 def _rng(suite: str, seed: int) -> random.Random:
@@ -45,11 +47,10 @@ def _random_coords(rng: random.Random, G: FiniteGroup, points) -> dict[int, Perm
 # -- conjugation: single coordinates translate, heads decompose -----------------
 
 
-def _check_embedded_conjugates(W: WreathProduct, name: str, results: list[CheckResult]) -> None:
+def _embedded_conjugate_failures(W: WreathProduct) -> Iterator[str]:
     G = W.base_group
     head = W.action.head
     elements = W.enumerate_elements()
-    failures: list[str] = []
     for u in elements:
         if u.is_base() and len(u.base) == 1:
             (y, g), = u.base
@@ -58,49 +59,38 @@ def _check_embedded_conjugates(W: WreathProduct, name: str, results: list[CheckR
                 target = W.action.point_map(a.head)(y)
                 if (not conj.is_base() or conj.support() != (target,)
                         or conj.coordinate(target) not in class_of(G, g)):
-                    failures.append(f"u={u!r} a={a!r} gave {conj!r}")
-                    break
+                    yield f"u={u!r} a={a!r} gave {conj!r}"
         elif not u.base:
             for a in elements:
                 conj = u.conjugate_by(a)
                 rebuilt = W.element(dict(conj.base), head.identity) * W.head_embed(conj.head)
                 if conj.head not in class_of(head, u.head) or conj != rebuilt:
-                    failures.append(f"u={u!r} a={a!r} gave {conj!r}")
-                    break
-        if failures:
-            break
-    _record(results, f"conjugation: embedded elements in {name}", failures,
-            f"{len(elements)} conjugators, exhaustive")
+                    yield f"u={u!r} a={a!r} gave {conj!r}"
 
 
-def _check_conjugation_hom(W: WreathProduct, name: str, results: list[CheckResult],
-                           rng: random.Random | None, count: int) -> None:
-    elements = W.enumerate_elements()
-    if rng is None:
-        triples = [(u, v, a) for u in elements for v in elements for a in elements]
-        mode = "exhaustive"
-    else:
-        triples = ((rng.choice(elements), rng.choice(elements), rng.choice(elements))
-                   for _ in range(count))
-        mode = f"{count} seeded triples"
-    failures = []
+def _conjugation_hom_failures(triples: Iterable[tuple[WreathElement, ...]]) -> Iterator[str]:
     for u, v, a in triples:
         if (u * v).conjugate_by(a) != u.conjugate_by(a) * v.conjugate_by(a):
-            failures.append(f"u={u!r} v={v!r} a={a!r}")
-            break
-    _record(results, f"conjugation: respects products in {name}", failures, mode)
+            yield f"u={u!r} v={v!r} a={a!r}"
 
 
 def suite_conjugation(seed: int = 0, count: int = 200) -> list[CheckResult]:
     rng = _rng("conjugation", seed)
-    results: list[CheckResult] = []
     small = WreathProduct(cyclic_group(2), FiniteAction(cyclic_group(2)))
     large = WreathProduct(symmetric_group(3), FiniteAction(cyclic_group(2)))
-    _check_embedded_conjugates(small, "c2 wr c2", results)
-    _check_embedded_conjugates(large, "sym3 wr c2", results)
-    _check_conjugation_hom(small, "c2 wr c2", results, None, count)
-    _check_conjugation_hom(large, "sym3 wr c2", results, rng, count)
-    return results
+    pool = large.enumerate_elements()
+    seeded = ((rng.choice(pool), rng.choice(pool), rng.choice(pool)) for _ in range(count))
+    return [
+        _check("conjugation: embedded elements in c2 wr c2", _embedded_conjugate_failures(small),
+               f"{small.order()} conjugators, exhaustive"),
+        _check("conjugation: embedded elements in sym3 wr c2", _embedded_conjugate_failures(large),
+               f"{large.order()} conjugators, exhaustive"),
+        _check("conjugation: respects products in c2 wr c2",
+               _conjugation_hom_failures(itertools.product(small.enumerate_elements(), repeat=3)),
+               "exhaustive"),
+        _check("conjugation: respects products in sym3 wr c2", _conjugation_hom_failures(seeded),
+               f"{count} seeded triples"),
+    ]
 
 
 # -- coset: collapsing a cyclic-orbit tuple to one coordinate --------------------
@@ -136,10 +126,10 @@ def suite_coset(seed: int = 0, count: int = 500) -> list[CheckResult]:
                 if single.conjugate_by(c) != expected2:
                     uniform_failures.append(f"y={y} k={k!r} u0={u[y]!r} g={g!r} v={v}")
             label = f"{base_name} wr c{d + 1}"
-            _record(results, f"coset: collapse along the orbit in {label}",
-                    collapse_failures, f"{count} constructed conjugators")
-            _record(results, f"coset: uniform conjugation at one coordinate in {label}",
-                    uniform_failures, f"{count} constructed conjugators")
+            results += [_check(f"coset: collapse along the orbit in {label}",
+                               collapse_failures, f"{count} constructed conjugators"),
+                        _check(f"coset: uniform conjugation at one coordinate in {label}",
+                               uniform_failures, f"{count} constructed conjugators")]
     return results
 
 
@@ -171,24 +161,19 @@ def _alpha_pairs(rng: random.Random, count: int, targets: list[Perm] | None = No
 
 def suite_alpha(seed: int = 0, count: int = 200) -> list[CheckResult]:
     rng = _rng("alpha", seed)
-    results: list[CheckResult] = []
-    failures = []
-    for alpha_e, alpha_f in _alpha_pairs(rng, count):
-        m = rng.randint(0, 6)
-        direct = alpha_power_form(alpha_e, alpha_f, m)
-        assembled = assemble_alpha_power(alpha_e, alpha_f, m)
-        if direct != assembled:
-            failures.append(
-                f"m={m} e-conj={dict(alpha_e.conjugator.base)} "
-                f"f={alpha_f.g!r} f-conj={dict(alpha_f.conjugator.base)}")
-    _record(results, "alpha: telescoped power product matches its closed form",
-            failures, f"{count} seeded instances, m <= 6")
-    return results
+
+    def failures() -> Iterator[str]:
+        for alpha_e, alpha_f in _alpha_pairs(rng, count):
+            m = rng.randint(0, 6)
+            if alpha_power_form(alpha_e, alpha_f, m) != assemble_alpha_power(alpha_e, alpha_f, m):
+                yield (f"m={m} e-conj={dict(alpha_e.conjugator.base)} "
+                       f"f={alpha_f.g!r} f-conj={dict(alpha_f.conjugator.base)}")
+    return [_check("alpha: telescoped power product matches its closed form", failures(),
+                   f"{count} seeded instances, m <= 6")]
 
 
 def suite_beta(seed: int = 0, count: int = 200) -> list[CheckResult]:
     rng = _rng("beta", seed)
-    results: list[CheckResult] = []
     form_failures = []
     head_failures = []
     for alpha_e, alpha_g in _alpha_pairs(rng, count):
@@ -200,57 +185,48 @@ def suite_beta(seed: int = 0, count: int = 200) -> list[CheckResult]:
                                  f"g={alpha_g.g!r} g-conj={dict(alpha_g.conjugator.base)}")
         if direct.head != 0:
             head_failures.append(f"m={m} n={n} head={direct.head}")
-    _record(results, "beta: conjugated power product matches its closed form",
-            form_failures, f"{count} seeded instances, m <= 6, n <= 4")
-    _record(results, "beta: the head is always the zero shift", head_failures,
-            f"{count} seeded instances")
-    return results
+    return [_check("beta: conjugated power product matches its closed form",
+                   form_failures, f"{count} seeded instances, m <= 6, n <= 4"),
+            _check("beta: the head is always the zero shift", head_failures,
+                   f"{count} seeded instances")]
 
 
 def suite_gamma(seed: int = 0, count: int = 200) -> list[CheckResult]:
-    results: list[CheckResult] = []
     targets = [Perm.from_cycles([(0, 1)], 3), Perm.from_cycles([(0, 1, 2)], 3)]
-    failures = []
-    for alpha_e, alpha_g in _alpha_pairs(_rng("gamma", seed), count, targets):
-        try:
-            params, found = gamma_coordinate(alpha_e, alpha_g)
-        except CoordinateContractError as exc:
-            failures.append(str(exc))
-            continue
-        if params.c != alpha_e.support_radius or found != alpha_g.g:
-            failures.append(f"g={alpha_g.g!r} -> ({params.c}, {found!r})")
-    _record(results, "gamma: the chosen coordinate isolates each generator",
-            failures, f"{count} seeded instances, both generators of sym3")
-    return results
+
+    def failures() -> Iterator[str]:
+        for alpha_e, alpha_g in _alpha_pairs(_rng("gamma", seed), count, targets):
+            try:
+                params, found = gamma_coordinate(alpha_e, alpha_g)
+            except CoordinateContractError as exc:
+                yield str(exc)
+                continue
+            if params.c != alpha_e.support_radius or found != alpha_g.g:
+                yield f"g={alpha_g.g!r} -> ({params.c}, {found!r})"
+    return [_check("gamma: the chosen coordinate isolates each generator", failures(),
+                   f"{count} seeded instances, both generators of sym3")]
 
 
 # -- igsets: the explicit sets invariably generate --------------------------------
 
 
-def _igset_ambients() -> list[tuple[str, WreathProduct, list[Perm], list[Perm]]]:
+def suite_igsets(seed: int = 0, count: int = 50) -> list[CheckResult]:
+    results: list[CheckResult] = []
+    rng = _rng("igsets", seed)
     c2 = cyclic_group(2)
     c3 = cyclic_group(3)
     s3 = symmetric_group(3)
     swap = Perm.from_cycles([(0, 1)], 3)
     rot3 = Perm.from_cycles([(0, 1, 2)], 3)
-    return [
-        ("c2 wr c2", WreathProduct(c2, FiniteAction(c2)),
-         [c2.elements[1]], [c2.elements[1]]),
-        ("c3 wr sym3", WreathProduct(c3, FiniteAction(s3)),
-         [c3.elements[1]], [swap, rot3]),
-    ]
-
-
-def suite_igsets(seed: int = 0, count: int = 50) -> list[CheckResult]:
-    results: list[CheckResult] = []
-    rng = _rng("igsets", seed)
-    for name, W, g_set, h_set in _igset_ambients():
+    for name, W, g_set, h_set in [
+            ("c2 wr c2", WreathProduct(c2, FiniteAction(c2)), [c2.elements[1]], [c2.elements[1]]),
+            ("c3 wr sym3", WreathProduct(c3, FiniteAction(s3)), [c3.elements[1]], [swap, rot3])]:
         igset = torsion_igset(W, g_set, h_set)
         P, embed = W.imprimitive_embedding()
         ok, witness = invariably_generates(P, [embed(u) for u in igset])
-        failures = [] if ok else [f"witness {witness!r}"]
-        _record(results, f"igsets: embedded base and head sets invariably generate {name}",
-                failures, f"order {P.order}, exhaustive tuple search")
+        results.append(_check(f"igsets: embedded base and head sets invariably generate {name}",
+                              [] if ok else [f"witness {witness!r}"],
+                              f"order {P.order}, exhaustive tuple search"))
 
         # Generation must also survive replacing the head set by arbitrary
         # conjugates when the full base copies ride along.
@@ -264,14 +240,11 @@ def suite_igsets(seed: int = 0, count: int = 50) -> list[CheckResult]:
             pool = W.enumerate_elements()
             conjugator_picks = ([rng.choice(pool) for _ in heads] for _ in range(count))
             mode = f"{count} seeded conjugator choices"
-        failures = []
-        for picks in conjugator_picks:
-            gens = base_gens + [embed(h.conjugate_by(a)) for h, a in zip(heads, picks)]
-            if not generates(P, gens):
-                failures.append(f"conjugators {picks!r}")
-                break
-        _record(results, f"igsets: base copies with any head conjugates generate {name}",
-                failures, mode)
+        failures = (f"conjugators {picks!r}" for picks in conjugator_picks
+                    if not generates(P, base_gens + [embed(h.conjugate_by(a))
+                                                     for h, a in zip(heads, picks)]))
+        results.append(_check(f"igsets: base copies with any head conjugates generate {name}",
+                              failures, mode))
     return results
 
 
@@ -299,9 +272,5 @@ def run_suites(names: list[str], seed: int = 0, count: int | None = None) -> lis
     for name in names:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)} or all")
-        suite = SUITES[name]
-        if count is None:
-            results.extend(suite(seed))
-        else:
-            results.extend(suite(seed, count))
+        results += SUITES[name](seed) if count is None else SUITES[name](seed, count)
     return results

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wreathgen import cli, groups, parsing
+from wreathgen import cli, constructions, groups, parsing
 from wreathgen.actions import IntTranslation
 from wreathgen.cli import main
 from wreathgen.wreath import WreathElement
@@ -520,6 +520,15 @@ class TestConstruct:
         assert err == ("error: too large for the enumeration cap: conjugator window points "
                        "200000001 > 100000\n")
         assert draws == []
+
+    def test_a_broken_coordinate_contract_exits_1(self, capsys, monkeypatch):
+        # An internal check failing, not bad input: beta returns the identity.
+        monkeypatch.setattr(constructions, "beta",
+                            lambda alpha_e, alpha_g, m, n: alpha_e.element.ambient.identity())
+        code, out, err = run(capsys, "construct", "gamma", "sym 3")
+        assert (code, out) == (1, "")
+        assert err == ("error: expected Perm((1, 0, 2)) at coordinate 4, found Perm((0, 1, 2)) "
+                       "(c=4, d=4, m=9, n=1)\n")
 
     def test_gamma_runs_on_a_wide_window(self, capsys):
         # 40,001 points, each drawn for both conjugators of each generator.
