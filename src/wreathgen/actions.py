@@ -40,7 +40,7 @@ class FiniteAction(Frozen):
         return self.head.inverse(h)
 
     def contains_head(self, h: object) -> bool:
-        return isinstance(h, Perm) and h.images in self.head._index
+        return h in self.head
 
     def contains_point(self, x: object) -> bool:
         return isinstance(x, int) and not isinstance(x, bool) and 0 <= x < self.degree

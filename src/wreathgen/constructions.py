@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .actions import FiniteAction, IntTranslation, cyclic_orbit, orbit_reps
 from .groups import Frozen, Perm, generates
@@ -226,6 +226,13 @@ def uniform_orbit_conjugator(W: WreathProduct, y: int, k, g: Perm) -> WreathElem
 # -- explicit invariable generating sets --------------------------------------
 
 
+def _distinct(W: WreathProduct, elements: Iterable[WreathElement]) -> tuple[WreathElement, ...]:
+    """The non-identity elements, each kept once, in order: the identity and
+    a repeat add nothing to a generating set."""
+    identity = W.identity()
+    return tuple(e for e in dict.fromkeys(elements) if e != identity)
+
+
 def torsion_igset(W: WreathProduct, G_igset: Sequence[Perm],
                   H_igset: Sequence[Perm]) -> tuple[WreathElement, ...]:
     """Invariable generating set for a finite action: base sets at orbit
@@ -242,17 +249,8 @@ def torsion_igset(W: WreathProduct, G_igset: Sequence[Perm],
     ok, _ = invariably_generates(W.action.head, H_igset)
     if not ok:
         raise ValueError("the head set does not invariably generate the head group")
-    out: list[WreathElement] = []
-    for y in orbit_reps(W.action):
-        for g in G_igset:
-            element = W.base_embed(g, y)
-            if element.base and element not in out:
-                out.append(element)
-    for h in H_igset:
-        element = W.head_embed(h)
-        if h != W.action.head_identity() and element not in out:
-            out.append(element)
-    return tuple(out)
+    base = [W.base_embed(g, y) for y in orbit_reps(W.action) for g in G_igset]
+    return _distinct(W, base + [W.head_embed(h) for h in H_igset])
 
 
 def nottorsion_igset(W: WreathProduct, gens: Sequence[Perm], t: int,
@@ -275,18 +273,6 @@ def nottorsion_igset(W: WreathProduct, gens: Sequence[Perm], t: int,
         raise ValueError("the orbit shift must have infinite order")
     if not S_H or math.gcd(*(abs(s) for s in S_H)) != 1:
         raise ValueError("the head shifts do not invariably generate the integers")
-    out: list[WreathElement] = []
-
-    def push(element: WreathElement) -> None:
-        if element != W.identity() and element not in out:
-            out.append(element)
-
-    for s in S_H:
-        push(W.head_embed(s))
     shift = W.head_embed(t)
-    for g in gens:
-        push(W.base_embed(g, 0))
-    for g in gens:
-        push(W.base_embed(g, 0) * shift)
-    push(shift)
-    return tuple(out)
+    base = [W.base_embed(g, 0) for g in gens]
+    return _distinct(W, [*map(W.head_embed, S_H), *base, *(b * shift for b in base), shift])

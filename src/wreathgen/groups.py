@@ -253,8 +253,13 @@ class FiniteGroup:
     def __contains__(self, p: object) -> bool:
         return isinstance(p, Perm) and p.images in self._index
 
-    def index_of(self, p: Perm) -> int:
-        return self._index[p.images]
+    def index_of(self, p: object) -> int:
+        """The index of p in the element list: the one membership check,
+        raising ValueError for anything that is not an element."""
+        i = self._index.get(p.images) if isinstance(p, Perm) else None
+        if i is None:
+            raise ValueError(f"{p!r} is not an element of the group")
+        return i
 
     def right_map(self, i: int) -> list[int]:
         """j -> the index of elements[j] * elements[i]: built on first use and
@@ -410,20 +415,14 @@ def conjugacy_classes(G: FiniteGroup) -> list[ConjClass]:
 
 
 def class_of(G: FiniteGroup, s: Perm) -> ConjClass:
-    if s not in G:
-        raise ValueError(f"{s!r} is not an element of the group")
-    return conjugacy_classes(G)[G._class_index[G.index_of(s)]]
+    i = G.index_of(s)
+    return conjugacy_classes(G)[G._class_index[i]]
 
 
 def generates(G: FiniteGroup, S: Iterable[Perm]) -> bool:
     """Whether the elements of S generate all of G.  S must lie inside G."""
-    gens = list(S)
-    for s in gens:
-        if s not in G:
-            raise ValueError(f"{s!r} is not an element of the group")
-    if not gens:
-        return len(G) == 1
-    return len(generated_indices(G, map(G.index_of, gens))) == len(G)
+    gens = [*map(G.index_of, S)]
+    return len(generated_indices(G, gens)) == len(G) if gens else len(G) == 1
 
 
 def _closure_steps(G: FiniteGroup, closures: int, size: int) -> int:
@@ -498,40 +497,31 @@ def cyclic_group(n: int, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
     return FiniteGroup(n, [r], [_trusted(twice[k:k + n]) for k in range(n)])
 
 
+def _named_group(degree: int, factors: Iterable[int],
+                 cycle_lists: Iterable[Iterable[Sequence[int]]], cap: int) -> FiniteGroup:
+    """The closure of one generator per list of cycles, refused by its order,
+    the product of `factors`, before any Perm is built.  A generator with a
+    point past the degree, a trivial one and a repeat are dropped; a trivial
+    group is closed from its identity."""
+    if degree < 1:
+        raise ValueError("n must be >= 1")
+    _refuse_order(cap, factors, degree)
+    gens = dict.fromkeys(_cycles_product(cycles, degree) for cycles in cycle_lists
+                         if all(point < degree for cycle in cycles for point in cycle))
+    return closure([g for g in gens if not g.is_identity()] or [Perm.identity(degree)], cap)
+
+
 def symmetric_group(n: int, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
     """Sym(n) generated by (0 1) and the n-cycle (0 1 ... n-1)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    _refuse_order(cap, range(2, n + 1), n)
-    if n == 1:
-        return closure([Perm.identity(1)], cap)
-    swap = Perm.from_cycles([(0, 1)], n)
-    if n == 2:
-        return closure([swap], cap)
-    return closure([swap, Perm(tuple((i + 1) % n for i in range(n)))], cap)
+    return _named_group(n, range(2, n + 1), [[(0, 1)], [range(n)]], cap)
 
 
 def alternating_group(n: int, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
-    """Alt(n) from a 3-cycle and a long even cycle; trivial for n <= 2."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    _refuse_order(cap, range(3, n + 1), n)
-    if n <= 2:
-        return closure([Perm.identity(n)], cap)
-    three = Perm.from_cycles([(0, 1, 2)], n)
-    if n == 3:
-        return closure([three], cap)
-    if n % 2:
-        long_cycle = Perm.from_cycles([tuple(range(n))], n)
-    else:
-        long_cycle = Perm.from_cycles([tuple(range(1, n))], n)
-    return closure([three, long_cycle], cap)
+    """Alt(n) from the 3-cycle (0 1 2) and the long even cycle (0 1 ... n-1)
+    or (1 2 ... n-1); trivial for n <= 2."""
+    return _named_group(n, range(3, n + 1), [[(0, 1, 2)], [range(1 - n % 2, n)]], cap)
 
 
 def klein_four_group(cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
     """C2 x C2 as <(0 1)(2 3), (0 2)(1 3)> on four points."""
-    _refuse_order(cap, [4], 4)
-    return closure([
-        Perm.from_cycles([(0, 1), (2, 3)], 4),
-        Perm.from_cycles([(0, 2), (1, 3)], 4),
-    ], cap)
+    return _named_group(4, [4], [[(0, 1), (2, 3)], [(0, 2), (1, 3)]], cap)

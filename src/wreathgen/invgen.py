@@ -27,12 +27,8 @@ class IGWitness(Frozen):
 
 
 def _checked_elements(G: FiniteGroup, S: Sequence[Perm]) -> list[Perm]:
-    elements = []
-    for s in S:
-        if s not in G:
-            raise ValueError(f"{s!r} is not an element of the group")
-        if s not in elements:
-            elements.append(s)
+    """S as G's own elements, each checked by index_of and kept once, in order."""
+    elements = list(dict.fromkeys(G.elements[G.index_of(s)] for s in S))
     if not elements:
         raise ValueError("need a nonempty set of elements")
     return elements

@@ -306,6 +306,7 @@ _ABSTRACT_ACTIONS = {"torsion": ActionDescriptor(True, True),
 
 
 def _chain_level(p: _Parser, first: bool) -> ParsedLevel:
+    tok = p.peek()  # a level's errors point at its first token
     if p.at_word("int-translation"):
         p.advance()
         if first:
@@ -314,16 +315,16 @@ def _chain_level(p: _Parser, first: bool) -> ParsedLevel:
     if p.at_punct("{"):
         descriptor = _descriptor(p)
         if not first:
-            p.error("a head level needs an action: ({...}, torsion) or ({...}, non-torsion)")
+            p.error("a head level needs an action: ({...}, torsion) or ({...}, non-torsion)", tok)
         return ParsedLevel(descriptor, None, None)
     if p.at_word("perm-action"):
-        tok = p.advance()
+        p.advance()
         gens = _perm_generators(p)
         if first:
             p.error("the first level is a group, not an action", tok)
         return ParsedLevel(FIG_FG, FINITE_ACTION, lambda: FiniteAction(closure(gens)))
     if p.at_punct("("):
-        open_tok = p.advance()
+        p.advance()
         abstract = p.at_punct("{")
         level = _descriptor(p) if abstract else _group_spec(p)
         actions = _ABSTRACT_ACTIONS if abstract else _CONCRETE_ACTIONS
@@ -334,13 +335,13 @@ def _chain_level(p: _Parser, first: bool) -> ParsedLevel:
         action = actions[p.advance().value.lower()]
         p.expect_punct(")")
         if first:
-            p.error("the first level carries no action", open_tok)
+            p.error("the first level carries no action", tok)
         if abstract:
             return ParsedLevel(level, action, None)
         return ParsedLevel(FIG_FG, FINITE_ACTION, lambda: action(level()))
     build = _group_spec(p)
     if not first:
-        p.error("a head level needs an action: (group, natural|regular) or int-translation")
+        p.error("a head level needs an action: (group, natural|regular) or int-translation", tok)
     return ParsedLevel(FIG_FG, None, build)
 
 

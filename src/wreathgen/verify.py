@@ -198,11 +198,13 @@ def suite_gamma(seed: int = 0, count: int = 200) -> list[CheckResult]:
         for alpha_e, alpha_g in _alpha_pairs(_rng("gamma", seed), count, targets):
             try:
                 params, found = gamma_coordinate(alpha_e, alpha_g)
+                if params.c == alpha_e.support_radius and found == alpha_g.g:
+                    continue
+                failure = f"g={alpha_g.g!r} -> ({params.c}, {found!r})"
             except CoordinateContractError as exc:
-                yield str(exc)
-                continue
-            if params.c != alpha_e.support_radius or found != alpha_g.g:
-                yield f"g={alpha_g.g!r} -> ({params.c}, {found!r})"
+                failure = str(exc)
+            yield (f"{failure} e-conj={dict(alpha_e.conjugator.base)} "
+                   f"g-conj={dict(alpha_g.conjugator.base)}")
     return [_check("gamma: the chosen coordinate isolates each generator", failures(),
                    f"{count} seeded instances, both generators of sym3")]
 

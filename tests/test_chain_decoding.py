@@ -27,13 +27,14 @@ class _Level:
 
 
 def _ref_level(p: _Parser, first: bool) -> _Level:
+    tok = p.peek()
     if p.at_word("int-translation"):
         p.advance()
         return _Level("int-translation", None, None, None if first else "int-translation")
     if p.at_punct("{"):
         descriptor = _descriptor(p)
         if not first:
-            p.error("a head level needs an action: ({...}, torsion) or ({...}, non-torsion)")
+            p.error("a head level needs an action: ({...}, torsion) or ({...}, non-torsion)", tok)
         return _Level("abstract", None, descriptor, None)
     if p.at_word("perm-action"):
         tok = p.advance()
@@ -59,7 +60,7 @@ def _ref_level(p: _Parser, first: bool) -> _Level:
         return _Level(kind, build, descriptor, action)
     build = _group_spec(p)
     if not first:
-        p.error("a head level needs an action: (group, natural|regular) or int-translation")
+        p.error("a head level needs an action: (group, natural|regular) or int-translation", tok)
     return _Level("concrete", build, None, None)
 
 

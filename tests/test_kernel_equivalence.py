@@ -1,11 +1,15 @@
 """The index-based closure kernel, the image-tuple closure, the listed cyclic
-groups, wreath arithmetic with finite heads and the alpha/beta closed forms
-against test-local copies of the code they replaced: element orders, closure
-orders, tuple-search witnesses, conjugacy classes, the maximal subgroups,
-wreath products, closed forms and head orbits must all come out the same."""
+groups, the named groups, wreath arithmetic with finite heads, the alpha/beta
+closed forms and the explicit invariable generating sets against test-local
+copies of the code they replaced: element orders, closure orders, tuple-search
+witnesses, conjugacy classes, the maximal subgroups, wreath products, closed
+forms, head orbits and generating lists must all come out the same."""
 
+import ast
 import itertools
 import random
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,12 +18,12 @@ from hypothesis import strategies as st
 from wreathgen.actions import (FiniteAction, IntTranslation, apply, cyclic_orbit,
                                orbit_reps, regular_action)
 from wreathgen.constructions import (alpha_power_form, assemble_alpha_power, assemble_beta,
-                                     beta, build_alpha)
+                                     beta, build_alpha, nottorsion_igset, torsion_igset)
 from wreathgen.groups import (FiniteGroup, GroupTooLargeError, Perm, alternating_group,
                               class_of, closure, compose, conjugacy_classes, cyclic_group,
                               generated_indices, generates, klein_four_group,
                               maximal_subgroups, symmetric_group)
-from wreathgen.invgen import invariably_generates
+from wreathgen.invgen import invariably_generates, invariably_generates_oracle
 from wreathgen.parsing import parse_ambient, parse_group_spec
 from wreathgen.verify import random_alpha
 from wreathgen.wreath import WreathProduct
@@ -187,6 +191,68 @@ def old_cyclic_orbit(action, x, k):
         orbit.append(y)
         y = move(y)
     return orbit
+
+
+def old_symmetric_group(n):
+    """symmetric_group's own branches on n."""
+    if n == 1:
+        return closure([Perm.identity(1)])
+    swap = Perm.from_cycles([(0, 1)], n)
+    if n == 2:
+        return closure([swap])
+    return closure([swap, Perm(tuple((i + 1) % n for i in range(n)))])
+
+
+def old_alternating_group(n):
+    """alternating_group's own branches on n."""
+    if n <= 2:
+        return closure([Perm.identity(n)])
+    three = Perm.from_cycles([(0, 1, 2)], n)
+    if n == 3:
+        return closure([three])
+    if n % 2:
+        long_cycle = Perm.from_cycles([tuple(range(n))], n)
+    else:
+        long_cycle = Perm.from_cycles([tuple(range(1, n))], n)
+    return closure([three, long_cycle])
+
+
+def old_klein_four_group():
+    return closure([Perm.from_cycles([(0, 1), (2, 3)], 4), Perm.from_cycles([(0, 2), (1, 3)], 4)])
+
+
+def old_torsion_igset(W, G_igset, H_igset):
+    """torsion_igset's own loops over the (already checked) input sets."""
+    out = []
+    for y in orbit_reps(W.action):
+        for g in G_igset:
+            element = W.base_embed(g, y)
+            if element.base and element not in out:
+                out.append(element)
+    for h in H_igset:
+        element = W.head_embed(h)
+        if h != W.action.head_identity() and element not in out:
+            out.append(element)
+    return tuple(out)
+
+
+def old_nottorsion_igset(W, gens, t, S_H):
+    """nottorsion_igset's own push closure over the (already checked) inputs."""
+    out = []
+
+    def push(element):
+        if element != W.identity() and element not in out:
+            out.append(element)
+
+    for s in S_H:
+        push(W.head_embed(s))
+    shift = W.head_embed(t)
+    for g in gens:
+        push(W.base_embed(g, 0))
+    for g in gens:
+        push(W.base_embed(g, 0) * shift)
+    push(shift)
+    return tuple(out)
 
 
 # -- groups -------------------------------------------------------------------------
@@ -530,3 +596,61 @@ class TestClosedForms:
             for u in (assemble_alpha_power(alpha_e, alpha_f, 4),
                       assemble_beta(alpha_e, alpha_f, 4, 6)):
                 assert all(g is G.elements[G.index_of(g)] for _, g in u.base)
+
+
+# -- generating lists: one membership check, first occurrences kept -----------------
+
+
+class TestGeneratingLists:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_named_groups_equal_their_old_branches(self, n):
+        for new, old in [(symmetric_group, old_symmetric_group),
+                         (alternating_group, old_alternating_group)]:
+            got, expected = new(n), old(n)
+            assert (got.generators, got.elements) == (expected.generators, expected.elements)
+
+    def test_klein_four_equals_its_old_listing(self):
+        got, expected = klein_four_group(), old_klein_four_group()
+        assert (got.generators, got.elements) == (expected.generators, expected.elements)
+
+    def test_igsets_with_repeats_and_identities_equal_the_old_loops(self):
+        W = parse_ambient("sym 3 wr perm-action 3: (0 1)")  # two head orbits
+        g, h = W.base_group.generators
+        e, (k,) = W.base_group.identity, W.action.head.generators
+        base, head = [g, g, e, h], [k, W.action.head_identity(), k]
+        assert torsion_igset(W, base, head) == old_torsion_igset(W, base, head)
+        assert len(torsion_igset(W, base, head)) == 2 * 2 + 1
+
+        W = parse_ambient("sym 3 wr int-translation")
+        shifts = [3, -2, 0, 3]
+        assert nottorsion_igset(W, base, 2, shifts) == old_nottorsion_igset(W, base, 2, shifts)
+        assert len(nottorsion_igset(W, base, 2, shifts)) == 2 + 2 + 2 + 1
+
+    @pytest.mark.parametrize("outsider", [Perm((1, 0, 2)), Perm((1, 0)), 5],
+                             ids=["odd-perm", "other-degree", "int"])
+    def test_a_non_member_is_refused_with_one_text(self, outsider):
+        G = alternating_group(3)
+        message = f"^{re.escape(repr(outsider))} is not an element of the group$"
+        for check in (class_of, generates, invariably_generates, invariably_generates_oracle):
+            S = outsider if check is class_of else [G.generators[0], outsider]
+            with pytest.raises(ValueError, match=message):
+                check(G, S)
+        with pytest.raises(ValueError, match=message):
+            G.index_of(outsider)
+
+    def test_membership_is_refused_only_in_index_of_and_the_cli(self):
+        phrase = "is not an element of the group"
+
+        def formatted_in(node, scope):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                    yield from formatted_in(child, scope + [child.name])
+                elif isinstance(child, ast.Constant) and phrase in str(child.value):
+                    yield ".".join(scope)
+                else:
+                    yield from formatted_in(child, scope)
+
+        src = Path(__file__).resolve().parents[1] / "src" / "wreathgen"
+        found = [(path.stem, where) for path in sorted(src.glob("*.py"))
+                 for where in formatted_in(ast.parse(path.read_text()), [])]
+        assert found == [("cli", "_cmd_invgen"), ("groups", "FiniteGroup.index_of")]

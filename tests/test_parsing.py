@@ -388,10 +388,14 @@ class TestChains:
             parse_chain("{FIG, nonfg}")
 
     def test_head_without_action_is_rejected(self):
-        with pytest.raises(ParseError, match="needs an action"):
-            parse_chain("sym 3 wr cyclic 2")
-        with pytest.raises(ParseError, match="needs an action"):
-            parse_chain("sym 3 wr {FIG, fg}")
+        # Reported at the head level's first token.
+        for text, where in [("sym 3 wr cyclic 2", "line 1, column 10"),
+                            ("sym 3 wr sym 3", "line 1, column 10"),
+                            ("sym 3 wr {FIG, fg}", "line 1, column 10"),
+                            ("sym 3 wr sym 3 wr int-translation", "line 1, column 10"),
+                            ("sym 3\nwr sym 3", "line 2, column 4")]:
+            with pytest.raises(ParseError, match=rf"needs an action: .* \({where}\)$"):
+                parse_chain(text)
 
     def test_first_level_with_action_is_rejected(self):
         with pytest.raises(ParseError, match="first level"):
