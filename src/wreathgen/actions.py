@@ -108,24 +108,22 @@ def orbit_reps(action: ActionSpec) -> list[int]:
 
 def cyclic_orbit(action: ActionSpec, x: int, k) -> list[int]:
     """The finite orbit [x, x·k, x·k², ...] of x under the cyclic group <k>."""
+    apply(action, x, k)  # refuses a point or head element outside the action
     if isinstance(action, IntTranslation):
-        if not action.contains_point(x) or not action.contains_head(k):
-            raise ValueError("invalid point or shift")
         if k != 0:
             raise ValueError("orbit of a nonzero shift on the integers is infinite")
         return [x]
-    apply(action, x, k)  # refuses a point or head element outside the action
     return _orbit([k.images], x, bytearray(action.degree))
 
 
 def regular_action(H: FiniteGroup) -> FiniteAction:
     """H permuting its own element list by right multiplication: |H| elements
     of degree |H|, refused past the image-entry budget before any Perm is made."""
-    _refuse_order(len(H), [len(H)], len(H))
+    _refuse_order([len(H)], len(H))
     gens = []
     for h in H.generators:
         gens.append(Perm(tuple(H.index_of(compose(x, h)) for x in H.elements)))
-    head = closure(gens, cap=len(H))
+    head = closure(gens)
     if len(head) != len(H):
         raise RuntimeError("regular action has wrong order")
     return FiniteAction(head)

@@ -20,7 +20,6 @@ from .actions import FiniteAction, IntTranslation
 from .classify import iterated_status, iterated_status_direct
 from .constructions import (CoordinateContractError, gamma_coordinate, nottorsion_igset,
                             torsion_igset)
-from . import groups
 from .groups import FiniteGroup, GroupTooLargeError, Record, conjugacy_classes
 from .invgen import invariably_generates, invariably_generates_oracle, min_invariable_size
 from .parsing import (_element_text, chain_to_descriptors, format_perm,
@@ -50,7 +49,7 @@ def _group_line(group: dict) -> str:
 
 
 def _cmd_classes(args: argparse.Namespace) -> Output:
-    G = parse_group_spec(args.group, args.cap)
+    G = parse_group_spec(args.group)
     payload = {
         "group": _group_info(G),
         "classes": [{
@@ -69,7 +68,7 @@ def _cmd_invgen(args: argparse.Namespace) -> Output:
         raise ValueError("--min searches for its own set; drop the ELEMENTS argument")
     if args.min and args.oracle:
         raise ValueError("--oracle cross-checks a given set; it cannot be combined with --min")
-    G = parse_group_spec(args.group, args.cap)
+    G = parse_group_spec(args.group)
     if args.min:
         size, example = min_invariable_size(G)
         payload = {
@@ -234,14 +233,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func, command=command or name)
         return p
 
-    def cap(text: str) -> int:
-        if int(text) < 1:
-            raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
-        return int(text)
-
     p = leaf(sub, "classes", _cmd_classes, "conjugacy classes of a finite group")
     p.add_argument("group", help="group spec, e.g. 'sym 3' or 'perm 3: (0 1), (0 1 2)'")
-    p.add_argument("--cap", type=cap, default=groups.DEFAULT_CLOSURE_CAP)
 
     p = leaf(sub, "invgen", _cmd_invgen, "test a set for invariable generation")
     p.add_argument("group")
@@ -249,7 +242,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min", action="store_true", help="search for the minimal size instead")
     p.add_argument("--oracle", action="store_true",
                    help="cross-check against the maximal-subgroup criterion")
-    p.add_argument("--cap", type=cap, default=groups.DEFAULT_CLOSURE_CAP)
 
     p = leaf(sub, "classify", _cmd_classify, "status of an iterated wreath product")
     p.add_argument("chain", help="e.g. '{FIG, fg} wr int-translation' "

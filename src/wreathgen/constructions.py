@@ -57,8 +57,6 @@ def build_alpha(W: WreathProduct, g: Perm,
     computed by literal wreath multiplication, never assembled symbolically.
     """
     _require_int_translation(W)
-    if g not in W.base_group:
-        raise ValueError(f"{g!r} is not in the base group")
     b = _pure_base(W, conj_base) * _pure_base(W, w_correction).inverse()
     element = b.inverse() * W.base_embed(g, 0) * W.head_embed(1) * b
     support = b.support()

@@ -300,13 +300,14 @@ class FiniteGroup:
         return f"FiniteGroup(degree={self.degree}, order={self.order})"
 
 
-def closure(generators: Sequence[Perm], cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
+def closure(generators: Sequence[Perm]) -> FiniteGroup:
     """Close a nonempty generator list under multiplication, breadth-first.
 
     The element list starts at the identity and explores products in FIFO
     order, multiplying by the generators in the order given, which fixes a
-    deterministic element order.  It stops and refuses past `cap` elements
-    or the image-entry budget.
+    deterministic element order.  The group keeps the first occurrence of each
+    generator but the identity, or the first generator if all are the identity.
+    It stops and refuses past DEFAULT_CLOSURE_CAP elements or the image-entry budget.
     """
     gens = list(generators)
     if not gens:
@@ -315,9 +316,10 @@ def closure(generators: Sequence[Perm], cap: int = DEFAULT_CLOSURE_CAP) -> Finit
     for g in gens:
         if g.degree != degree:
             raise ValueError(f"degree mismatch among generators: {g.degree} vs {degree}")
-    stop = min(cap, IMAGE_ENTRY_BUDGET // max(degree, 1))
+    gens = [g for g in dict.fromkeys(gens) if not g.is_identity()] or gens[:1]
+    stop = min(DEFAULT_CLOSURE_CAP, IMAGE_ENTRY_BUDGET // max(degree, 1))
     images = _closed_images([g.images for g in gens], degree, stop)
-    _refuse_order(cap, [len(images)], degree)  # the search stops one past either limit
+    _refuse_order([len(images)], degree)  # the search stops one past either limit
     return FiniteGroup(degree, gens, list(map(_trusted, images)))
 
 
@@ -472,11 +474,11 @@ def maximal_subgroups(G: FiniteGroup) -> list[frozenset[int]]:
     return maximal
 
 
-def _refuse_order(cap: int, factors: Iterable[int], degree: int) -> None:
+def _refuse_order(factors: Iterable[int], degree: int) -> None:
     """Refuse, before any Perm is made, a group whose order, the product of
-    `factors`, passes cap or whose elements pass the image-entry budget; the
-    product stops growing once it passes cap, so a huge order is never formed."""
-    order = 1
+    `factors`, passes DEFAULT_CLOSURE_CAP or whose elements pass the image-entry
+    budget; the product stops growing once past the cap, so a huge order is never formed."""
+    cap, order = DEFAULT_CLOSURE_CAP, 1
     for f in factors:
         if order > cap:
             break
@@ -486,42 +488,40 @@ def _refuse_order(cap: int, factors: Iterable[int], degree: int) -> None:
                  order * degree, IMAGE_ENTRY_BUDGET)
 
 
-def cyclic_group(n: int, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
+def cyclic_group(n: int) -> FiniteGroup:
     """C_n as the rotation r = (0 1 ... n-1), trivial when n = 1, listed as
     r^0, ..., r^(n-1): the order closure([r]) finds them in."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    _refuse_order(cap, [n], n)
+    _refuse_order([n], n)
     r = Perm(tuple((i + 1) % n for i in range(n)))
     twice = tuple(range(n)) * 2
     return FiniteGroup(n, [r], [_trusted(twice[k:k + n]) for k in range(n)])
 
 
 def _named_group(degree: int, factors: Iterable[int],
-                 cycle_lists: Iterable[Iterable[Sequence[int]]], cap: int) -> FiniteGroup:
+                 cycle_lists: Iterable[Iterable[Sequence[int]]]) -> FiniteGroup:
     """The closure of one generator per list of cycles, refused by its order,
     the product of `factors`, before any Perm is built.  A generator with a
-    point past the degree, a trivial one and a repeat are dropped; a trivial
-    group is closed from its identity."""
+    point past the degree is dropped; the last list always fits the degree."""
     if degree < 1:
         raise ValueError("n must be >= 1")
-    _refuse_order(cap, factors, degree)
-    gens = dict.fromkeys(_cycles_product(cycles, degree) for cycles in cycle_lists
-                         if all(point < degree for cycle in cycles for point in cycle))
-    return closure([g for g in gens if not g.is_identity()] or [Perm.identity(degree)], cap)
+    _refuse_order(factors, degree)
+    return closure([_cycles_product(cycles, degree) for cycles in cycle_lists
+                    if all(point < degree for cycle in cycles for point in cycle)])
 
 
-def symmetric_group(n: int, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
+def symmetric_group(n: int) -> FiniteGroup:
     """Sym(n) generated by (0 1) and the n-cycle (0 1 ... n-1)."""
-    return _named_group(n, range(2, n + 1), [[(0, 1)], [range(n)]], cap)
+    return _named_group(n, range(2, n + 1), [[(0, 1)], [range(n)]])
 
 
-def alternating_group(n: int, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
+def alternating_group(n: int) -> FiniteGroup:
     """Alt(n) from the 3-cycle (0 1 2) and the long even cycle (0 1 ... n-1)
     or (1 2 ... n-1); trivial for n <= 2."""
-    return _named_group(n, range(3, n + 1), [[(0, 1, 2)], [range(1 - n % 2, n)]], cap)
+    return _named_group(n, range(3, n + 1), [[(0, 1, 2)], [range(1 - n % 2, n)]])
 
 
-def klein_four_group(cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
+def klein_four_group() -> FiniteGroup:
     """C2 x C2 as <(0 1)(2 3), (0 2)(1 3)> on four points."""
-    return _named_group(4, [4], [[(0, 1), (2, 3)], [(0, 2), (1, 3)]], cap)
+    return _named_group(4, [4], [[(0, 1), (2, 3)], [(0, 2), (1, 3)]])

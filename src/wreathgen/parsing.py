@@ -246,8 +246,8 @@ def _perm_generators(p: _Parser) -> list[Perm]:
 _SIZED_GROUPS = {"cyclic": cyclic_group, "sym": symmetric_group, "alt": alternating_group}
 
 
-def _group_spec(p: _Parser) -> Callable[..., FiniteGroup]:
-    """A group spec, checked now and closed later: returns a function of the cap."""
+def _group_spec(p: _Parser) -> Callable[[], FiniteGroup]:
+    """A group spec, checked now and closed later, when the returned function is called."""
     if not p.at_word("perm", "klein4", *_SIZED_GROUPS):
         p.error("expected a group spec (perm, cyclic, sym, alt, klein4)")
     word = p.advance().value.lower()
@@ -261,13 +261,13 @@ def _group_spec(p: _Parser) -> Callable[..., FiniteGroup]:
     return partial(_SIZED_GROUPS[word], size.value)
 
 
-def parse_group_spec(text: str, cap: int = groups.DEFAULT_CLOSURE_CAP) -> FiniteGroup:
+def parse_group_spec(text: str) -> FiniteGroup:
     """A named group or explicit generators: 'sym 3', 'perm 3: (0 1), (0 1 2)', ...
 
     The whole text is read before any group is built.  GroupTooLargeError comes at once
-    for a named group of order above cap, for 'perm' once closure passes cap or the budget.
+    for a named group of order above the closure cap, for 'perm' once closure passes a limit.
     """
-    return _parse_whole(text, _group_spec)(cap)
+    return _parse_whole(text, _group_spec)()
 
 
 # -- chains and ambients -------------------------------------------------------

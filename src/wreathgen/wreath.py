@@ -160,7 +160,7 @@ class WreathProduct(Frozen):
         gens = [self.base_embed(g, y)
                 for y in orbit_reps(self.action) for g in self.base_group.generators]
         gens += [self.head_embed(k) for k in self._head_generators()]
-        group = closure([embed(u) for u in gens], cap=order)
+        group = closure([embed(u) for u in gens])
         if len(group) != order:
             raise RuntimeError("embedded copy has wrong order")
         return group, embed

@@ -27,15 +27,19 @@ class TestApply:
             assert apply(SYM3_ACTION, apply(SYM3_ACTION, x, a), b) == \
                 apply(SYM3_ACTION, x, SYM3_ACTION.head_compose(a, b))
 
-    def test_rejects_foreign_points_and_heads(self):
-        with pytest.raises(ValueError):
-            apply(SYM3_ACTION, 3, Perm.identity(3))
-        with pytest.raises(ValueError):
-            apply(SYM3_ACTION, 0, 1)
-        with pytest.raises(ValueError):
-            apply(SHIFTS, 0, Perm.identity(3))
-        with pytest.raises(ValueError):
-            apply(SHIFTS, 0, True)
+    @pytest.mark.parametrize("call", [apply, cyclic_orbit])
+    def test_rejects_foreign_points_and_heads(self, call):
+        for action, x, h, message in [
+                (SYM3_ACTION, 3, Perm.identity(3), "point 3 is not in the action's index set"),
+                (SYM3_ACTION, 0, 1, "1 is not a head element of this action"),
+                (SHIFTS, 0, Perm.identity(3),
+                 "Perm((0, 1, 2)) is not a head element of this action"),
+                (SHIFTS, 0, True, "True is not a head element of this action"),
+                (SHIFTS, True, 1, "point True is not in the action's index set"),
+                (SHIFTS, "a", 0, "point 'a' is not in the action's index set")]:
+            with pytest.raises(ValueError) as exc:
+                call(action, x, h)
+            assert str(exc.value) == message
 
     @given(st.integers(), st.integers(), st.integers())
     def test_shift_action_axioms(self, x, s, t):
@@ -64,7 +68,8 @@ class TestOrbits:
         assert cyclic_orbit(SHIFTS, 7, 0) == [7]
 
     def test_cyclic_orbit_of_a_nonzero_shift_is_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^orbit of a nonzero shift on the integers is "
+                                             "infinite$"):
             cyclic_orbit(SHIFTS, 0, 1)
 
 

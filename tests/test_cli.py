@@ -55,27 +55,20 @@ class TestClasses:
         assert code == 2
         assert "error:" in err
 
-    def test_cap(self, capsys):
-        code, _, err = run(capsys, "classes", "sym 4", "--cap", "10")
-        assert code == 2
-        assert "too large" in err
-
-    @pytest.mark.parametrize("argv", [["classes", "sym 3", "--cap", "0"],
-                                      ["invgen", "sym 3", "--min", "--cap", "-1"]])
-    def test_a_cap_below_one_is_a_usage_error_naming_the_option(self, capsys, argv):
+    @pytest.mark.parametrize("command", ["classes", "invgen"])
+    def test_there_is_no_cap_option(self, capsys, command):
         with pytest.raises(SystemExit) as exc:
-            main(argv)
-        err = capsys.readouterr().err
+            main([command, "sym 4", "--cap", "10"])
         assert exc.value.code == 2
-        assert [line for line in err.splitlines() if "error:" in line] == [
-            f"wreathgen {argv[0]}: error: argument --cap: must be at least 1, got {argv[-1]}"]
+        assert "error: unrecognized arguments: --cap 10" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [["classes", "sym 9"], ["invgen", "sym 9", "--min"]])
-    def test_cap_refuses_before_building_the_group(self, capsys, argv):
+    def test_cap_refuses_before_building_the_group(self, capsys, monkeypatch, argv):
         # Sym(9) has 362,880 elements; it is refused before any is built.
-        code, out, err = run(capsys, *argv, "--cap", "100")
-        assert code == 2 and out == ""
-        assert "too large for the closure cap" in err and "> 100" in err
+        monkeypatch.setattr(groups, "DEFAULT_CLOSURE_CAP", 100)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: too large for the closure cap: group order at least 120 > 100\n"
 
 
 class TestKnownOrders:
@@ -108,14 +101,15 @@ class TestKnownOrders:
     @pytest.mark.parametrize("argv, order, degree", [
         (["classes", "cyclic 100000"], 100000, 100000),
         (["classes", "cyclic 4097"], 4097, 4097),
-        (["classes", "alt 10", "--cap", "2000000"], 1814400, 10),
-        (["classes", "sym 10", "--cap", "4000000"], 3628800, 10),
+        (["classes", "alt 10"], 1814400, 10),
+        (["classes", "sym 10"], 3628800, 10),
         (["wreath", "eval", "cyclic 5000 wr int-translation", "t"], 5000, 5000),
     ])
     def test_image_entries_past_the_budget_are_refused_before_building(
             self, capsys, monkeypatch, argv, order, degree):
-        # Each is under its order cap, but its elements would hold more than
-        # IMAGE_ENTRY_BUDGET = 2^24 images.
+        # Each is under a closure cap raised to 4 * 10^6, but its elements would
+        # hold more than IMAGE_ENTRY_BUDGET = 2^24 images.
+        monkeypatch.setattr(groups, "DEFAULT_CLOSURE_CAP", 4_000_000)
         built = []
 
         def unbuilt(*args, **kwargs):
@@ -486,6 +480,15 @@ class TestConstruct:
         assert code == 0
         assert payload["igset"][0] == "t"
         assert len(payload["igset"]) == 5
+
+    def test_a_repeated_or_identity_generator_is_listed_once_or_not_at_all(self, capsys):
+        code, out, _ = run(capsys, "construct", "nottorsion-igset",
+                           "perm 3: (0 1), (0 1), () wr int-translation")
+        assert (code, out) == (0, "base generators: (0 1)\ninvariable generating set "
+                                  "(3 elements):\n  t\n  (0 1)@0\n  (0 1)@0 * t\n")
+        code, out, _ = run(capsys, "construct", "gamma", "perm 3: (0 1), (0 1), ()")
+        assert (code, out) == (0, "group: order 2, degree 3 (seed 0)\n"
+                                  "  (0 1): c=2 d=4 m=7 n=3 -> coordinate 2 holds (0 1)\n")
 
     def test_nottorsion_igset_needs_the_shifts(self, capsys):
         code, _, err = run(capsys, "construct", "nottorsion-igset",

@@ -113,10 +113,12 @@ class TestClosure:
         for G in (cyclic_group(5), alternating_group(4), quaternion_group()):
             assert G.elements[0] == G.identity
 
-    def test_cap_is_enforced(self):
+    def test_cap_is_enforced(self, monkeypatch):
         gens = symmetric_group(5).generators
-        with pytest.raises(GroupTooLargeError):
-            closure(gens, cap=100)
+        monkeypatch.setattr(groups, "DEFAULT_CLOSURE_CAP", 100)
+        with pytest.raises(GroupTooLargeError,
+                           match="^too large for the closure cap: group order at least 101 > 100$"):
+            closure(gens)
 
     def test_image_entry_budget_is_enforced(self, monkeypatch):
         # Sym(4) is 24 elements of degree 4: 96 image entries.
@@ -128,9 +130,10 @@ class TestClosure:
                            r"24 elements of degree 4 hold 96 > 95$"):
             closure(gens)
         # A cap below the budget keeps its own message.
+        monkeypatch.setattr(groups, "DEFAULT_CLOSURE_CAP", 10)
         with pytest.raises(GroupTooLargeError,
                            match=r"^too large for the closure cap: group order at least 11 > 10$"):
-            closure(gens, cap=10)
+            closure(gens)
 
     def test_the_search_stops_one_past_the_budget(self, monkeypatch):
         found, closed_images = [], groups._closed_images
@@ -174,13 +177,14 @@ class TestClosure:
         monkeypatch.setattr(groups, "closure", unbuilt)
         monkeypatch.setattr(Perm, "__init__", unbuilt)
         monkeypatch.setattr(Perm, "from_cycles", unbuilt)
+        monkeypatch.setattr(groups, "DEFAULT_CLOSURE_CAP", 3)
         # The order product stops once it passes the cap: 2 * 3 for Sym, 3 * 4 for Alt.
         for build, order in ((partial(symmetric_group, 10**9), 6),
                              (partial(alternating_group, 10**9), 12),
                              (partial(cyclic_group, 1001), 1001), (klein_four_group, 4)):
             with pytest.raises(GroupTooLargeError,
                                match=f"closure cap: group order at least {order} > 3$"):
-                build(cap=3)
+                build()
 
     def test_right_maps_multiply_on_the_right(self):
         G = symmetric_group(4)

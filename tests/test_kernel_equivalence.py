@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wreathgen import groups
 from wreathgen.actions import (FiniteAction, IntTranslation, apply, cyclic_orbit,
                                orbit_reps, regular_action)
 from wreathgen.constructions import (alpha_power_form, assemble_alpha_power, assemble_beta,
@@ -417,14 +418,23 @@ class TestImageTupleClosure:
 
     @staticmethod
     def check(gens, expected):
-        """closure(gens) lists `expected`, passes at cap |G| and is refused
-        at cap |G| - 1."""
-        order = len(expected)
-        assert list(closure(gens, cap=order).elements) == expected
-        with pytest.raises(GroupTooLargeError,
-                           match=f"^too large for the closure cap: group order at least "
-                                 f"{order} > {order - 1}$"):
-            closure(gens, cap=order - 1)
+        """closure(gens) lists `expected` and keeps the first occurrence of each
+        generator but the identity, or the first generator when all are the
+        identity; it passes at a closure cap of |G| and is refused at |G| - 1."""
+        order, kept = len(expected), []
+        for g in gens:
+            if g not in kept and not g.is_identity():
+                kept.append(g)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(groups, "DEFAULT_CLOSURE_CAP", order)
+            G = closure(gens)
+            assert list(G.elements) == expected
+            assert list(G.generators) == (kept or gens[:1])
+            patch.setattr(groups, "DEFAULT_CLOSURE_CAP", order - 1)
+            with pytest.raises(GroupTooLargeError,
+                               match=f"^too large for the closure cap: group order at least "
+                                     f"{order} > {order - 1}$"):
+                closure(gens)
 
     @pytest.mark.parametrize("name", NAMED)
     def test_named_groups_keep_the_perm_space_order(self, name):
@@ -445,6 +455,14 @@ class TestImageTupleClosure:
     @given(st.integers(1, 7).flatmap(lambda n: st.lists(
         st.permutations(range(n)).map(lambda p: Perm(tuple(p))), min_size=1, max_size=3)))
     def test_drawn_generator_lists_keep_the_perm_space_order(self, gens):
+        self.check(gens, old_closure(gens))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 7).flatmap(lambda n: st.lists(
+        st.permutations(range(n)).map(lambda p: Perm(tuple(p))), min_size=1, max_size=3).flatmap(
+        lambda perms: st.lists(st.sampled_from([*perms, Perm.identity(n)]), min_size=1,
+                               max_size=6))))
+    def test_drawn_lists_with_repeats_and_identities_keep_the_perm_space_order(self, gens):
         self.check(gens, old_closure(gens))
 
 

@@ -1,7 +1,8 @@
-"""The budgets: one refusal rule in the source, and the command line's guards
-against blow-ups, each run as a user runs it: a fresh `python -m wreathgen.cli`
-process, killed past a timeout, and for some under an address-space limit that
-acts on that child process alone."""
+"""The budgets: one refusal rule in the source, each limit bound once and moved
+by one monkeypatch, and the command line's guards against blow-ups, each run
+as a user runs it: a fresh `python -m wreathgen.cli` process, killed past a
+timeout, and for some under an address-space limit that acts on that child
+process alone."""
 
 import ast
 import os
@@ -10,11 +11,14 @@ import resource
 import subprocess
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+from wreathgen import cli, groups, parsing
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 ONE_GB = 1_000_000 * 1024  # `ulimit -v 1000000`, which counts KiB
@@ -52,10 +56,42 @@ def test_each_limit_is_bound_once_and_by_no_other_module():
                 bound = [alias.asname or alias.name for alias in node.names]
             elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
                 bound = [node.id]
+            elif isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                # A default is bound once, when its function is defined, out
+                # of reach of a monkeypatch of the limit.
+                defaults = [*node.args.defaults, *filter(None, node.args.kw_defaults)]
+                bound = [ast.unparse(default) for default in defaults]
+                assert not any(map(LIMIT_NAME.search, bound)), f"{module} defaults to {bound}"
+                continue
             else:
                 continue
             for name in bound:
                 assert defined.get(name, [module]) == [module], f"{module} binds {name}"
+
+
+SYM4_GENERATORS = [groups.Perm.from_cycles([(0, 1)], 4), groups.Perm.from_cycles([range(4)], 4)]
+
+
+@pytest.mark.parametrize("build, order", [
+    (partial(parsing.parse_group_spec, "sym 4"), 24),
+    (partial(groups.symmetric_group, 4), 24),
+    (partial(groups.cyclic_group, 11), 11),
+    (partial(groups.closure, SYM4_GENERATORS), 11),  # the search stops one past the cap
+], ids=["parse_group_spec", "symmetric_group", "cyclic_group", "closure"])
+def test_one_monkeypatch_moves_the_closure_cap_on_every_route(monkeypatch, build, order):
+    monkeypatch.setattr(groups, "DEFAULT_CLOSURE_CAP", 10)
+    with pytest.raises(groups.GroupTooLargeError,
+                       match=f"^too large for the closure cap: group order at least {order} > 10$"):
+        build()
+
+
+def test_one_monkeypatch_moves_the_closure_cap_of_the_command_line(capsys, monkeypatch):
+    assert cli.main(["classes", "sym 4"]) == 0  # the parser is built and kept
+    capsys.readouterr()
+    monkeypatch.setattr(groups, "DEFAULT_CLOSURE_CAP", 10)
+    assert cli.main(["classes", "sym 4"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: too large for the closure cap: group order at least 24 > 10\n")
 
 
 def wreathgen(*argv: str, timeout: float, memory: int | None = None) -> tuple[int, str, str]:
@@ -172,7 +208,7 @@ TEMPLATES = [
     ("verify", "coset", "--seed", "{n}", "--count", "1"),
     ("construct", "gamma", "sym 3", "--support", "{n}"),
     ("construct", "gamma", "sym 3", "--seed", "{n}"),
-    ("classes", "sym 4", "--cap", "{n}"),
+    ("classes", "sym {n}"),
     ("classes", "cyclic {n}"),
     ("classes", "perm {n}: (0 1)"),
     ("invgen", "cyclic {n}", "--min"),

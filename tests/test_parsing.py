@@ -322,18 +322,22 @@ class TestGroupSpecs:
         with pytest.raises(ParseError):
             parse_group_spec("cyclic")
 
-    def test_cap_refuses_while_closing(self):
+    def test_cap_refuses_while_closing(self, monkeypatch):
         # Sym(9) has 362,880 elements; it is refused before any is built.
+        monkeypatch.setattr(groups, "DEFAULT_CLOSURE_CAP", 100)
         with pytest.raises(GroupTooLargeError,
                            match="closure cap: group order at least 120 > 100$"):
-            parse_group_spec("sym 9", cap=100)
+            parse_group_spec("sym 9")
         for spec in ("cyclic 5", "alt 4", "klein4", "perm 3: (0 1), (0 1 2)",
                      "sym 1", "alt 1", "alt 2", "cyclic 1", "sym 4"):
             order = parse_group_spec(spec).order
-            assert parse_group_spec(spec, cap=order).order == order
+            monkeypatch.setattr(groups, "DEFAULT_CLOSURE_CAP", order)
+            assert parse_group_spec(spec).order == order
+            monkeypatch.setattr(groups, "DEFAULT_CLOSURE_CAP", order - 1)
             with pytest.raises(GroupTooLargeError,
                                match=f"closure cap: group order at least {order} > {order - 1}$"):
-                parse_group_spec(spec, cap=order - 1)
+                parse_group_spec(spec)
+            monkeypatch.undo()
 
     def test_trailing_input_is_reported_before_closing(self, monkeypatch):
         closures, closure = [], groups.closure
@@ -406,7 +410,7 @@ class TestChains:
     def test_groups_are_closed_when_read(self, monkeypatch):
         closed = []
         monkeypatch.setattr(parsing, "closure",
-                            lambda gens, *cap: closed.append(gens) or closure(gens, *cap))
+                            lambda gens: closed.append(gens) or closure(gens))
         levels = parse_chain("cyclic 2 wr perm-action 3: (0 1), (0 1 2)")
         assert closed == []
         assert levels[1].build().head.order == 6 and len(closed) == 1
