@@ -86,9 +86,9 @@ ActionSpec = FiniteAction | IntTranslation
 def apply(action: ActionSpec, x: int, h) -> int:
     """The image of point x under head element h (a right action)."""
     if not action.contains_point(x):
-        raise ValueError(f"point {x!r} is not in the action's index set")
+        raise ValueError(f"point {x!r} is not in the index set")
     if not action.contains_head(h):
-        raise ValueError(f"{h!r} is not a head element of this action")
+        raise ValueError(f"{h!r} is not a head element")
     return action.point_map(h)(x)
 
 

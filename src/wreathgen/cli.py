@@ -2,8 +2,8 @@
 
 Every subcommand accepts --json for machine-readable output; JSON payloads
 carry a schema_version field (currently 1).  Exit codes: 0 on success, 1 when
-a requested check fails (verify failures, oracle disagreement, a broken
-construction contract), 2 on bad input or anything the grammars reject.
+a requested verify check fails or an internal check raises RuntimeError, 2 on
+bad input or anything the grammars reject.
 """
 
 from __future__ import annotations
@@ -18,8 +18,7 @@ from typing import Sequence
 
 from .actions import FiniteAction, IntTranslation
 from .classify import iterated_status, iterated_status_direct
-from .constructions import (CoordinateContractError, gamma_coordinate, nottorsion_igset,
-                            torsion_igset)
+from .constructions import gamma_coordinate, nottorsion_igset, torsion_igset
 from .groups import FiniteGroup, GroupTooLargeError, Record, conjugacy_classes
 from .invgen import invariably_generates, invariably_generates_oracle, min_invariable_size
 from .parsing import (_element_text, chain_to_descriptors, format_perm,
@@ -32,12 +31,12 @@ SCHEMA_VERSION = 1
 
 
 class Output(Record):
-    """A subcommand's JSON payload, its text lines, its exit code and a stderr message."""
+    """A subcommand's JSON payload, its text lines and its exit code."""
 
-    __match_args__ = ("payload", "lines", "code", "error")
+    __match_args__ = ("payload", "lines", "code")
 
-    def __init__(self, payload: dict, lines: list[str], code: int = 0, error: str = "") -> None:
-        super().__init__(payload, lines, code, error)
+    def __init__(self, payload: dict, lines: list[str], code: int = 0) -> None:
+        super().__init__(payload, lines, code)
 
 
 def _group_info(G: FiniteGroup) -> dict:
@@ -89,6 +88,9 @@ def _cmd_invgen(args: argparse.Namespace) -> Output:
             raise ValueError(f"{format_perm(s)} is not an element of the group")
     oracle = invariably_generates_oracle(G, S) if args.oracle else None
     ok, witness = invariably_generates(G, S)
+    if oracle is not None and oracle != ok:
+        raise RuntimeError(f"the tuple search says {'yes' if ok else 'no'}, "
+                           f"the maximal-subgroup oracle says {'yes' if oracle else 'no'}")
     payload = {
         "group": _group_info(G),
         "elements": [format_perm(s) for s in S],
@@ -107,11 +109,7 @@ def _cmd_invgen(args: argparse.Namespace) -> Output:
         lines.append(f"witness: {picks}  "
                      f"[generates order {payload['witness']['generated_order']}]")
     if oracle is not None:
-        agrees = "agrees" if oracle == ok else "DISAGREES"
-        lines.append(f"oracle: {'yes' if oracle else 'no'} ({agrees})")
-        if oracle != ok:
-            return Output(payload, lines, 1,
-                          "the tuple search and the maximal-subgroup oracle disagree")
+        lines.append(f"oracle: {'yes' if oracle else 'no'} (agrees)")
     return Output(payload, lines)
 
 
@@ -168,8 +166,6 @@ def _cmd_construct_torsion(args: argparse.Namespace) -> Output:
 
 def _cmd_construct_nottorsion(args: argparse.Namespace) -> Output:
     W = parse_ambient(args.ambient)
-    if not isinstance(W.action, IntTranslation):
-        raise ValueError("nottorsion-igset needs the integer-shift head")
     gens = [g for g in W.base_group.generators if not g.is_identity()]
     payload = {
         "ambient": args.ambient,
@@ -280,12 +276,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         out = args.func(args)
-    except (ValueError, GroupTooLargeError) as exc:
+    except (ValueError, GroupTooLargeError, RuntimeError) as exc:
+        # A RuntimeError is an internal check that failed; the rest is bad input.
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CoordinateContractError as exc:  # a construction broke its own contract
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 1 if isinstance(exc, RuntimeError) else 2
     try:
         if args.json:
             payload = {"schema_version": SCHEMA_VERSION, "command": args.command, **out.payload}
@@ -300,8 +294,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         # does not fail again and print a traceback.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    if out.error:
-        print(f"error: {out.error}", file=sys.stderr)
     return out.code
 
 

@@ -21,7 +21,7 @@ from .invgen import invariably_generates
 from .wreath import WreathElement, WreathProduct
 
 
-class CoordinateContractError(Exception):
+class CoordinateContractError(RuntimeError):
     """Raised when an isolated coordinate does not match the element it encodes."""
 
 
@@ -43,11 +43,6 @@ class AlphaElement(Frozen):
     __match_args__ = ("element", "g", "conjugator", "support_radius")
 
 
-def _require_int_translation(W: WreathProduct) -> None:
-    if not isinstance(W.action, IntTranslation):
-        raise ValueError("alpha/beta machinery needs the shift action on the integers")
-
-
 def build_alpha(W: WreathProduct, g: Perm,
                 conj_base: Mapping[int, Perm],
                 w_correction: Mapping[int, Perm]) -> AlphaElement:
@@ -56,7 +51,8 @@ def build_alpha(W: WreathProduct, g: Perm,
     The two mappings are independent base tuples; the element itself is
     computed by literal wreath multiplication, never assembled symbolically.
     """
-    _require_int_translation(W)
+    if not isinstance(W.action, IntTranslation):
+        raise ValueError("alpha/beta machinery needs the shift action on the integers")
     b = _pure_base(W, conj_base) * _pure_base(W, w_correction).inverse()
     element = b.inverse() * W.base_embed(g, 0) * W.head_embed(1) * b
     support = b.support()
@@ -79,8 +75,6 @@ def assemble_alpha_power(alpha_e: AlphaElement, alpha_f: AlphaElement, m: int) -
     second conjugator shifted up by m, a run of f along 1..m, and the second
     conjugator in place.  Must equal alpha_power_form exactly.
     """
-    if m < 0:
-        raise ValueError("m must be >= 0")
     return assemble_beta(alpha_e, alpha_f, m, 0)
 
 
@@ -264,7 +258,8 @@ def nottorsion_igset(W: WreathProduct, gens: Sequence[Perm], t: int,
     one shift for each orbit representative; the shifts have the single
     orbit of 0.
     """
-    _require_int_translation(W)
+    if not isinstance(W.action, IntTranslation):
+        raise ValueError("nottorsion-igset needs the integer-shift head")
     if not generates(W.base_group, gens):
         raise ValueError("the listed set does not generate the base group")
     if t == 0:

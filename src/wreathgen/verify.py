@@ -1,9 +1,10 @@
 """Seeded verification suites exercising the identities behind the constructions.
 
-Each suite returns a list of CheckResult records.  A check stops at its first
-failure, which its record carries as the concrete instance that broke, and
-draws no more.  All randomness is drawn from a Random seeded with the suite
-name and the given seed, so runs are reproducible.
+Each suite returns a list of CheckResult records, each carrying its check's
+first failure as the concrete instance that broke.  A check that draws alone
+draws no more after it; the check pairs of suite_coset and suite_beta share
+each draw, so they draw all `count` instances.  All randomness is drawn from a
+Random seeded with the suite name and the given seed, so runs are reproducible.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ class CheckResult(Record):
 
 def _check(name: str, failures: Iterable[str], detail: str) -> CheckResult:
     """Passes with `detail` when `failures` yields nothing; otherwise fails
-    with the first failure and draws no more."""
+    with the first failure and takes no more from `failures`."""
     first = next(iter(failures), None)
     return CheckResult(name, first is None, detail if first is None else first)
 

@@ -30,13 +30,13 @@ class TestApply:
     @pytest.mark.parametrize("call", [apply, cyclic_orbit])
     def test_rejects_foreign_points_and_heads(self, call):
         for action, x, h, message in [
-                (SYM3_ACTION, 3, Perm.identity(3), "point 3 is not in the action's index set"),
-                (SYM3_ACTION, 0, 1, "1 is not a head element of this action"),
+                (SYM3_ACTION, 3, Perm.identity(3), "point 3 is not in the index set"),
+                (SYM3_ACTION, 0, 1, "1 is not a head element"),
                 (SHIFTS, 0, Perm.identity(3),
-                 "Perm((0, 1, 2)) is not a head element of this action"),
-                (SHIFTS, 0, True, "True is not a head element of this action"),
-                (SHIFTS, True, 1, "point True is not in the action's index set"),
-                (SHIFTS, "a", 0, "point 'a' is not in the action's index set")]:
+                 "Perm((0, 1, 2)) is not a head element"),
+                (SHIFTS, 0, True, "True is not a head element"),
+                (SHIFTS, True, 1, "point True is not in the index set"),
+                (SHIFTS, "a", 0, "point 'a' is not in the index set")]:
             with pytest.raises(ValueError) as exc:
                 call(action, x, h)
             assert str(exc.value) == message

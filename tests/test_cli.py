@@ -13,8 +13,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wreathgen import cli, constructions, groups, parsing
-from wreathgen.actions import IntTranslation
+from wreathgen import actions, cli, constructions, groups, invgen, parsing, wreath
+from wreathgen.actions import FiniteAction, IntTranslation
+from wreathgen.classify import IGStatus
 from wreathgen.cli import main
 from wreathgen.wreath import WreathElement
 
@@ -524,15 +525,6 @@ class TestConstruct:
                        "200000001 > 100000\n")
         assert draws == []
 
-    def test_a_broken_coordinate_contract_exits_1(self, capsys, monkeypatch):
-        # An internal check failing, not bad input: beta returns the identity.
-        monkeypatch.setattr(constructions, "beta",
-                            lambda alpha_e, alpha_g, m, n: alpha_e.element.ambient.identity())
-        code, out, err = run(capsys, "construct", "gamma", "sym 3")
-        assert (code, out) == (1, "")
-        assert err == ("error: expected Perm((1, 0, 2)) at coordinate 4, found Perm((0, 1, 2)) "
-                       "(c=4, d=4, m=9, n=1)\n")
-
     def test_gamma_runs_on_a_wide_window(self, capsys):
         # 40,001 points, each drawn for both conjugators of each generator.
         code, payload, _ = run_json(capsys, "construct", "gamma", "sym 4", "--support", "20000")
@@ -564,6 +556,43 @@ class TestVerify:
     def test_unknown_suite_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit):
             main(["verify", "frobnicate"])
+
+
+def _first_generator_only(gens):
+    return groups.closure(gens[:1])
+
+
+class TestInternalChecks:
+    """A failed internal check is a RuntimeError; main turns it into exit 1,
+    nothing on stdout and one `error:` line on stderr, never a traceback."""
+
+    @pytest.mark.parametrize("patch, argv, message", [
+        ((cli, "iterated_status_direct", lambda chain: IGStatus.NEG_IG),
+         ["classify", "sym 3 wr (cyclic 2, natural)"], "fold gave FIG, closed form gave NEG_IG"),
+        ((cli, "invariably_generates_oracle", lambda G, S: False),
+         ["invgen", "sym 3", "(0 1), (0 1 2)", "--oracle"],
+         "the tuple search says yes, the maximal-subgroup oracle says no"),
+        ((FiniteAction, "head_inverse", lambda self, h: h),
+         ["wreath", "eval", "cyclic 3 wr (cyclic 3, natural)", "h:(0 1 2)"],
+         "conjugation convention violated: "),
+        ((actions, "closure", _first_generator_only),
+         ["construct", "torsion-igset", "cyclic 2 wr (sym 3, regular)"],
+         "regular action has wrong order"),
+        ((wreath, "closure", _first_generator_only),
+         ["verify", "igsets"], "embedded copy has wrong order"),
+        ((invgen, "invariably_generates", lambda G, S: (False, None)),
+         ["invgen", "sym 3", "--min"], "class representatives failed to invariably generate"),
+        ((constructions, "beta", lambda alpha_e, alpha_g, m, n: alpha_e.element.ambient.identity()),
+         ["construct", "gamma", "sym 3"],
+         "expected Perm((1, 0, 2)) at coordinate 4, found Perm((0, 1, 2)) (c=4, d=4, m=9, n=1)\n"),
+    ], ids=["classify", "oracle", "self-test", "regular-action", "embedding", "min", "gamma"])
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+    def test_exits_1_with_one_error_line(self, capsys, monkeypatch, patch, argv, message,
+                                         json_flag):
+        monkeypatch.setattr(*patch)
+        code, out, err = run(capsys, *argv, *json_flag)
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: {message}")
 
 
 class TestParserReuse:

@@ -380,5 +380,5 @@ class TestNottorsionIgset:
         with pytest.raises(ValueError, match="do not invariably generate the integers"):
             nottorsion_igset(OVER_Z, [SWAP, ROT], 1, [2, 4])  # gcd 2
         W = WreathProduct(SYM3, FiniteAction(cyclic_group(2)))
-        with pytest.raises(ValueError, match="shift action on the integers"):
+        with pytest.raises(ValueError, match="^nottorsion-igset needs the integer-shift head$"):
             nottorsion_igset(W, [SWAP, ROT], 1, [1])  # a finite action

@@ -1,10 +1,12 @@
-"""The budgets: one refusal rule in the source, each limit bound once and moved
-by one monkeypatch, and the command line's guards against blow-ups, each run
-as a user runs it: a fresh `python -m wreathgen.cli` process, killed past a
-timeout, and for some under an address-space limit that acts on that child
-process alone."""
+"""The budgets: one refusal rule in the source, every raise a kind that main
+reports, each limit bound once and moved by one monkeypatch, and the command
+line's guards against blow-ups, each run as a user runs it: a fresh
+`python -m wreathgen.cli` process, killed past a timeout, and for some under an
+address-space limit that acts on that child process alone."""
 
 import ast
+import builtins
+import importlib
 import os
 import re
 import resource
@@ -36,6 +38,35 @@ def test_group_too_large_is_raised_only_inside_refuse_above():
                  if isinstance(node, ast.FunctionDef) and node.name == "refuse_above"]
     everywhere = [node for tree in MODULES.values() for node in raises(tree)]
     assert len(everywhere) == 1 and everywhere == raises(helper)
+
+
+def _raised(node, scope=()):
+    """(qualified scope, raised name) for every raise under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Raise):
+            exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+            yield ".".join(scope), ast.unparse(exc)
+        named = isinstance(child, (ast.ClassDef, ast.FunctionDef))
+        yield from _raised(child, (*scope, child.name) if named else scope)
+
+
+def test_every_raise_is_a_fault_kind_that_main_reports():
+    # main turns a ValueError (ParseError among them) or a GroupTooLargeError,
+    # raised by refuse_above alone, into exit 2 and a RuntimeError, an internal
+    # check, into exit 1.  Any other kind would leave main as a traceback, so
+    # each is named here with the one library-only place it may be raised.
+    others = set()
+    for stem, tree in MODULES.items():
+        module = importlib.import_module(f"wreathgen.{stem}".removesuffix(".__init__"))
+        for scope, name in _raised(tree):
+            kind = getattr(module, name, None) or vars(builtins)[name]
+            if not issubclass(kind, (ValueError, RuntimeError)):
+                others.add((stem, scope, name))
+    assert others == {("groups", "refuse_above", "GroupTooLargeError"),
+                      ("groups", "Record.__init__", "TypeError"),
+                      ("wreath", "WreathProduct.__init__", "TypeError"),
+                      ("groups", "Frozen.__setattr__", "AttributeError"),
+                      ("groups", "Frozen.__delattr__", "AttributeError")}
 
 
 def test_each_limit_is_bound_once_and_by_no_other_module():

@@ -147,7 +147,6 @@ class _Output:
     payload: dict
     lines: list
     code: int = 0
-    error: str = ""
 
 
 COPIES = {Perm: _Perm, ConjClass: _ConjClass, FiniteAction: _FiniteAction,
@@ -232,7 +231,7 @@ def _samples() -> dict[type, list]:
                  ["verify", "alpha", "--count", "2"]):
         args = cli._build_parser().parse_args(argv)
         s[cli.Output].append(args.func(args))
-    s[cli.Output] += [cli.Output({}, []), cli.Output({}, [], 0, ""), cli.Output({}, [], 1, "why")]
+    s[cli.Output] += [cli.Output({}, []), cli.Output({}, [], 0), cli.Output({}, [], 1)]
     return s
 
 

@@ -206,9 +206,9 @@ class TestAmbient:
                 ambient.element({True: SWAP}, ambient.action.head_identity())
             with pytest.raises(ValueError, match="^point True is not in the index set$"):
                 ambient.base_embed(SWAP, True)
-            with pytest.raises(ValueError, match="^point True is not in the action's index set$"):
+            with pytest.raises(ValueError, match="^point True is not in the index set$"):
                 apply(ambient.action, True, ambient.action.head_identity())
-        with pytest.raises(ValueError, match="^point True is not in the action's index set$"):
+        with pytest.raises(ValueError, match="^point True is not in the index set$"):
             cyclic_orbit(W.action, True, flip)
         assert W.base_embed(SWAP, 1).coordinate(1) == SWAP
         assert cyclic_orbit(W.action, 1, flip) == [1, 0]
