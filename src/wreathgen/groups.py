@@ -3,14 +3,14 @@
 from __future__ import annotations
 
 from functools import total_ordering
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, Sequence
 
 DEFAULT_CLOSURE_CAP = 1_000_000
 # A group keeps a table of right-multiplication rows for the subgroup kernel,
 # each of |G| list slots (8 bytes each), exactly when all |G| rows fit in this
-# many slots: up to order 2048.  A bigger group closes subgroups over image
-# tuples.
+# many slots: up to order 2048.  A bigger group closes subgroups over images,
+# as closure does.
 RIGHT_MAP_BUDGET = 1 << 22
 # Image entries (order times degree) a group may hold.  Under a 600 MB
 # address-space limit `classes 'cyclic n'` built C_5000 (25 million entries)
@@ -320,26 +320,32 @@ def closure(generators: Sequence[Perm]) -> FiniteGroup:
     stop = min(DEFAULT_CLOSURE_CAP, IMAGE_ENTRY_BUDGET // max(degree, 1))
     images = _closed_images([g.images for g in gens], degree, stop)
     _refuse_order([len(images)], degree)  # the search stops one past either limit
-    return FiniteGroup(degree, gens, list(map(_trusted, images)))
+    images = [_trusted(tuple(x)) for x in images]  # the bytes are freed before indexing
+    return FiniteGroup(degree, gens, images)
 
 
-def _closed_images(gen_images: list[tuple[int, ...]], degree: int, stop: int) -> list[tuple]:
-    """The image tuples of the group generated by gen_images, breadth-first
-    from the identity, multiplying by the generators in the order given; the
-    search ends as soon as more than `stop` have been found."""
-    images = [tuple(range(degree))]
-    # itemgetter(*x)(g) is x then g; below degree 2 only the identity exists.
-    if degree > 1:
-        seen = set(images)
-        for x in images:
-            image_of = itemgetter(*x)
-            for g in gen_images:
-                y = image_of(g)
-                if y not in seen:
-                    seen.add(y)
-                    images.append(y)
-                    if len(images) > stop:
-                        return images
+def _closed_images(gen_images: list[tuple[int, ...]], degree: int, stop: int) -> list:
+    """The images of the group generated by gen_images, breadth-first from the
+    identity, multiplying by the generators in the order given; the search ends
+    as soon as more than `stop` have been found.  They are `bytes` while every
+    point fits a byte, and x then g is x.translate(g padded to 256 bytes), in C;
+    above 256 points they are tuples, and x then g is itemgetter(*x)(g)."""
+    if degree <= 256:
+        pad = bytes(256 - degree)
+        images, gens = [bytes(range(degree))], [bytes(g) + pad for g in gen_images]
+        then = attrgetter("translate")
+    else:
+        images, gens, then = [tuple(range(degree))], gen_images, lambda x: itemgetter(*x)
+    seen = set(images)
+    for x in images:
+        image_of = then(x)
+        for g in gens:
+            y = image_of(g)
+            if y not in seen:
+                seen.add(y)
+                images.append(y)
+                if len(images) > stop:
+                    return images
     return images
 
 
@@ -367,17 +373,17 @@ def generated_indices(G: FiniteGroup, generators: Iterable[int]) -> Sequence[int
     """Indices of the subgroup of G generated by the elements at `generators`.
 
     A breadth-first search from the identity: over G's right-multiplication
-    rows when G keeps a table, otherwise over image tuples.  It stops once
-    more than half of G is reached: a proper subgroup has at most |G|/2
-    elements (Lagrange), so the subgroup is then G itself and range(len(G))
-    is returned.
+    rows when G keeps a table, otherwise closure's search over images, bytes
+    up to 256 points and tuples above.  It stops once more than half of G is
+    reached: a proper subgroup has at most |G|/2 elements (Lagrange), so the
+    subgroup is then G itself and range(len(G)) is returned.
     """
     gens = dict.fromkeys(generators)
     n = len(G)
     half = n // 2
     if G._rows is None:
         images = _closed_images([G.elements[i].images for i in gens], G.degree, half)
-        return range(n) if len(images) > half else [*map(G._index.__getitem__, images)]
+        return range(n) if len(images) > half else [*map(G._index.__getitem__, map(tuple, images))]
     maps = [G.right_map(i) for i in gens]
     found = _orbit(maps, G.index_of(G.identity), bytearray(n), half)
     return range(n) if len(found) > half else found
@@ -430,7 +436,7 @@ def generates(G: FiniteGroup, S: Iterable[Perm]) -> bool:
 def _closure_steps(G: FiniteGroup, closures: int, size: int) -> int:
     """A bound on the steps of `closures` closures of up to `size` generators: a closure
     stops once past |G|/2 elements, at most one per generator past it, and a step is
-    a row lookup when G keeps a table, else an image tuple of G's degree."""
+    a row lookup when G keeps a table, else a composition of G's degree."""
     return closures * min(len(G), len(G) // 2 + size) * (G.degree if G._rows is None else 1)
 
 

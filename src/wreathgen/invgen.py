@@ -16,7 +16,7 @@ from .groups import (FiniteGroup, Frozen, Perm, _closure_steps, class_of, conjug
                      generated_indices, maximal_subgroups, refuse_above)
 
 # Closure steps one tuple search may take: the Sym(8) pair, 9.3 * 10^8 steps, answers
-# in 17-21 s on a shared 2-CPU machine, and its triple, 2.6 * 10^10, is refused.
+# in about 6 s on a shared 2-CPU machine, and its triple, 2.6 * 10^10, is refused.
 TUPLE_SEARCH_BUDGET = 1 << 31
 
 

@@ -127,10 +127,9 @@ class WreathProduct(Frozen):
         # Group elements on ascending points: canonical once identities are dropped.
         points = self.action.points()
         identity = self.base_group.identity
-        return [_element(self, tuple((x, g) for x, g in zip(points, picks)
-                                     if g is not identity), head)
-                for head in self.action.head.elements
-                for picks in itertools.product(self.base_group.elements, repeat=len(points))]
+        bases = [tuple([(x, g) for x, g in zip(points, picks) if g is not identity])
+                 for picks in itertools.product(self.base_group.elements, repeat=len(points))]
+        return [_element(self, base, head) for head in self.action.head.elements for base in bases]
 
     def imprimitive_embedding(self) -> tuple[FiniteGroup, Callable[[WreathElement], Perm]]:
         """A faithful permutation copy on points (x, p), plus the embedding map.
@@ -145,16 +144,14 @@ class WreathProduct(Frozen):
         points = list(self.action.points())
 
         def embed(u: WreathElement) -> Perm:
-            if u.ambient != self:
+            if u.ambient is not self and u.ambient != self:
                 raise ValueError("element from a different ambient wreath product")
-            images = [0] * (len(points) * degree_g)
+            images: list[int] = []
             lookup = dict(u.base)
             move = self.action.point_map(u.head)
-            for x in points:
-                w_x = lookup.get(x, self.base_group.identity)
-                xk = move(x)
-                for p in range(degree_g):
-                    images[x * degree_g + p] = xk * degree_g + w_x.images[p]
+            for x in points:  # in order 0, 1, ..., so each block lands at x * degree_g
+                xk = move(x) * degree_g
+                images += [xk + p for p in lookup.get(x, self.base_group.identity).images]
             return _trusted(tuple(images))
 
         gens = [self.base_embed(g, y)

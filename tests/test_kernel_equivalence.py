@@ -282,11 +282,10 @@ def nonidentity_reps(G):
 
 
 class TestClosureKernel:
-    @pytest.mark.parametrize("name", sorted(GROUPS))
-    def test_order_equals_perm_closure_on_every_conjugate_pair(self, name):
+    @staticmethod
+    def check_every_conjugate_pair(G, name):
         # Up to simultaneous conjugation a pair is (class rep, anything), so
         # on the order-72 group those pairs cover every conjugate tuple.
-        G = GROUPS[name]
         assert G.order == {"sym4": 24, "q8": 8, "d4": 8, "embedded72": 72}[name]
         firsts = G.elements if G.order <= 24 else [c.representative for c in conjugacy_classes(G)]
         proper = 0
@@ -298,7 +297,28 @@ class TestClosureKernel:
             if expected < G.order:
                 proper += 1
                 assert sorted(G.elements[i] for i in got) == sorted(old_closure([x, y]))
+            else:
+                assert got == range(G.order)
         assert proper > 0
+
+    @pytest.mark.parametrize("name", sorted(GROUPS))
+    def test_order_equals_perm_closure_on_every_conjugate_pair(self, name):
+        self.check_every_conjugate_pair(GROUPS[name], name)
+
+    @pytest.mark.parametrize("name", sorted(GROUPS))
+    def test_search_past_the_row_table_equals_perm_closure_on_every_conjugate_pair(
+            self, name, monkeypatch):
+        # A group that keeps no row table closes over images, breadth-first
+        # like old_closure, so a proper subgroup is listed in its order.
+        monkeypatch.setattr(groups, "RIGHT_MAP_BUDGET", 0)
+        tabled = GROUPS[name]
+        G = FiniteGroup(tabled.degree, tabled.generators, tabled.elements)
+        assert G._rows is None
+        self.check_every_conjugate_pair(G, name)
+        for x, y in itertools.product(G.elements, repeat=2):
+            got = generated_indices(G, [G.index_of(x), G.index_of(y)])
+            if len(got) < G.order:
+                assert [G.elements[i] for i in got] == old_closure([x, y]), (x, y)
 
     @pytest.mark.parametrize("name", sorted(GROUPS))
     def test_tuple_search_keeps_witnesses_and_orders(self, name):
@@ -442,6 +462,24 @@ class TestImageTupleClosure:
         expected = old_closure(list(G.generators))
         assert list(G.elements) == expected
         self.check(list(G.generators), expected)
+
+    # Groups on either side of the largest degree whose points fit a byte.
+    BYTE_BOUNDARY = {
+        **{f"perm {n}: (0 {n - 1}), (0 1 2)": n for n in (255, 256, 257)},
+        **{f"perm {n}: ({' '.join(map(str, range(n)))})": n for n in (255, 256, 257)},
+    }
+
+    @pytest.mark.parametrize("spec", BYTE_BOUNDARY,
+                             ids=[f"{kind}-{n}" for kind in ("sym4", "cycle")
+                                  for n in (255, 256, 257)])
+    def test_groups_either_side_of_a_byte_keep_the_perm_space_order(self, spec):
+        gens = list(parse_group_spec(spec).generators)
+        assert gens[0].degree == self.BYTE_BOUNDARY[spec]
+        expected = old_closure(gens)
+        assert len(expected) in (24, gens[0].degree)
+        self.check(gens, expected)
+        for p in closure(gens).elements:
+            assert type(p.images) is tuple and all(type(x) is int for x in p.images)
 
     @pytest.mark.parametrize("n", range(1, 65))
     def test_cyclic_groups_are_listed_as_closure_finds_them(self, n):

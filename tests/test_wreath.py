@@ -464,6 +464,23 @@ class TestFaithfulCopy:
         with pytest.raises(ValueError):
             embed(OVER_Z.identity())
 
+    def test_embedding_accepts_an_equal_ambient_rebuilt_from_the_same_text(self):
+        text = "sym 3 wr (cyclic 2, natural)"
+        W = parse_ambient(text)
+        _, embed = W.imprimitive_embedding()
+        rebuilt = parse_ambient(text)
+        assert rebuilt is not W and rebuilt == W
+        for u in rebuilt.enumerate_elements():
+            assert embed(u) == embed(W.element(dict(u.base), u.head))
+
+    def test_embedding_refuses_an_element_of_another_finite_ambient(self):
+        _, embed = parse_ambient("sym 3 wr (cyclic 2, natural)").imprimitive_embedding()
+        other = parse_ambient("cyclic 3 wr (cyclic 2, natural)")
+        for u in (other.identity(), other.head_embed(other.action.head.generators[0])):
+            with pytest.raises(ValueError,
+                               match="^element from a different ambient wreath product$"):
+                embed(u)
+
 
 class TestDirectConstruction:
     """enumerate_elements and the embedding build their results without the
@@ -474,6 +491,8 @@ class TestDirectConstruction:
         "regular": WreathProduct(C2, regular_action(SYM3)),
         "trivial base": WreathProduct(cyclic_group(1), FiniteAction(SYM3)),
         "alt 4 wr (cyclic 2, natural)": parse_ambient("alt 4 wr (cyclic 2, natural)"),
+        # Three heads share each of the 216 base tuples.
+        "sym 3 wr (cyclic 3, natural)": parse_ambient("sym 3 wr (cyclic 3, natural)"),
     }
 
     @pytest.mark.parametrize("name", AMBIENTS)
