@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .groups import FiniteGroup, Frozen, Perm, _orbit, _refuse_order, closure, compose
+from .groups import FiniteGroup, Frozen, Perm, _index_map, _orbit, _orbits, _refuse_order, closure
 
 
 class FiniteAction(Frozen):
@@ -97,13 +97,7 @@ def orbit_reps(action: ActionSpec) -> list[int]:
     if isinstance(action, IntTranslation):
         return [0]
     maps = [g.images for g in action.head.generators]
-    seen = bytearray(action.degree)
-    reps: list[int] = []
-    for x in action.points():
-        if not seen[x]:
-            reps.append(x)
-            _orbit(maps, x, seen)
-    return reps
+    return [orbit[0] for orbit in _orbits(maps, action.degree)]
 
 
 def cyclic_orbit(action: ActionSpec, x: int, k) -> list[int]:
@@ -120,10 +114,7 @@ def regular_action(H: FiniteGroup) -> FiniteAction:
     """H permuting its own element list by right multiplication: |H| elements
     of degree |H|, refused past the image-entry budget before any Perm is made."""
     _refuse_order([len(H)], len(H))
-    gens = []
-    for h in H.generators:
-        gens.append(Perm(tuple(H.index_of(compose(x, h)) for x in H.elements)))
-    head = closure(gens)
+    head = closure([Perm(tuple(_index_map(H, None, h))) for h in H.generators])
     if len(head) != len(H):
         raise RuntimeError("regular action has wrong order")
     return FiniteAction(head)

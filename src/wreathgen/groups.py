@@ -186,12 +186,17 @@ def _cycles_product(cycles: Iterable[Sequence[int]], degree: int) -> Perm:
     return _trusted(tuple(images))
 
 
+def _then(x: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
+    """The images of x then g, the right-action convention: point k goes to g[x[k]].
+    Below two points only the identity exists, and itemgetter would return an int."""
+    return itemgetter(*x)(g) if len(x) > 1 else x
+
+
 def compose(p: Perm, q: Perm) -> Perm:
     """Product under the right-action convention: x -> q(p(x)), with p acting first."""
-    qi = q.images
-    if len(p.images) != len(qi):
+    if len(p.images) != len(q.images):
         raise ValueError(f"degree mismatch: {p.degree} vs {q.degree}")
-    return _trusted(tuple([qi[i] for i in p.images]))
+    return _trusted(_then(p.images, q.images))
 
 
 class ConjClass(Frozen):
@@ -262,20 +267,16 @@ class FiniteGroup:
         return i
 
     def right_map(self, i: int) -> list[int]:
-        """j -> the index of elements[j] * elements[i]: built on first use and
-        kept.  Only a group that keeps a table has rows."""
+        """j -> the index of elements[j] * elements[i], an `_index_map` built on
+        first use and kept.  Only a group that keeps a table has rows."""
         row = self._rows[i]
         if row is None:
-            g, index = self.elements[i].images, self._index
-            row = self._rows[i] = [index[tuple([g[k] for k in x.images])] for x in self.elements]
+            row = self._rows[i] = _index_map(self, None, self.elements[i])
         return row
 
     def product(self, g: Perm, h: Perm) -> Perm:
-        """The group's own element g * h, for elements g and h of the group;
-        itemgetter(*g)(h) is g then h, and below degree 2 only the identity exists."""
-        if self.degree < 2:
-            return self.identity
-        return self.elements[self._index[itemgetter(*g.images)(h.images)]]
+        """The group's own element g * h, g then h by `_then`, for elements g and h of the group."""
+        return self.elements[self._index[_then(g.images, h.images)]]
 
     def inverse(self, g: Perm) -> Perm:
         """The group's own element g^-1, for an element g of the group, kept
@@ -328,8 +329,8 @@ def _closed_images(gen_images: list[tuple[int, ...]], degree: int, stop: int) ->
     """The images of the group generated by gen_images, breadth-first from the
     identity, multiplying by the generators in the order given; the search ends
     as soon as more than `stop` have been found.  They are `bytes` while every
-    point fits a byte, and x then g is x.translate(g padded to 256 bytes), in C;
-    above 256 points they are tuples, and x then g is itemgetter(*x)(g)."""
+    point fits a byte, and x then g (`_then`'s convention) is x.translate(g padded
+    to 256 bytes), in C; above 256 points they are tuples, composed as `_then` does."""
     if degree <= 256:
         pad = bytes(256 - degree)
         images, gens = [bytes(range(degree))], [bytes(g) + pad for g in gen_images]
@@ -389,13 +390,26 @@ def generated_indices(G: FiniteGroup, generators: Iterable[int]) -> Sequence[int
     return range(n) if len(found) > half else found
 
 
+def _orbits(maps: Sequence[Sequence[int]], n: int) -> Iterator[list[int]]:
+    """The orbits of the points below n under the integer `maps`, each as `_orbit`
+    finds it from its least point, in the order of those points."""
+    seen = bytearray(n)
+    return (_orbit(maps, x, seen) for x in range(n) if not seen[x])
+
+
+def _index_map(G: FiniteGroup, a: Perm | None, b: Perm) -> list[int]:
+    """j -> the index of a * elements[j] * b, for elements a (None: no left
+    factor) and b of G: a right row, or with a = b^-1 a conjugation map."""
+    images = [p.images for p in G.elements]
+    if a is not None:
+        images = [_then(a.images, x) for x in images]
+    index, b = G._index, b.images
+    return [index[_then(x, b)] for x in images]
+
+
 def _conjugation_maps(G: FiniteGroup) -> list[list[int]]:
     """One index map per generator s of G: j -> the index of s^-1 * elements[j] * s."""
-    index = G._index
-    conjugators = [(s.inverse().images, s.images) for s in G.generators]
-    images = [p.images for p in G.elements]
-    return [[index[tuple([s[x[k]] for k in s_inv])] for x in images]
-            for s_inv, s in conjugators]
+    return [_index_map(G, s.inverse(), s) for s in G.generators]
 
 
 def conjugacy_classes(G: FiniteGroup) -> list[ConjClass]:
@@ -405,20 +419,14 @@ def conjugacy_classes(G: FiniteGroup) -> list[ConjClass]:
     classed, under the conjugation maps, one per generator of G.
     """
     if G._classes is None:
-        elements, maps = G.elements, _conjugation_maps(G)
-        seen = bytearray(len(elements))
-        class_index = [0] * len(elements)
-        classes: list[ConjClass] = []
-        for i, rep in enumerate(elements):
-            if seen[i]:
-                continue
-            orbit = _orbit(maps, i, seen)
+        elements = G.elements
+        class_index, classes = [0] * len(elements), []
+        for orbit in _orbits(_conjugation_maps(G), len(elements)):
             for j in orbit:
                 class_index[j] = len(classes)
-            orbit.sort(key=lambda j: elements[j].images)
-            classes.append(ConjClass(rep, tuple(elements[j] for j in orbit)))
-        G._classes = classes
-        G._class_index = class_index
+            members = sorted(map(elements.__getitem__, orbit), key=attrgetter("images"))
+            classes.append(ConjClass(elements[orbit[0]], tuple(members)))
+        G._class_index, G._classes = class_index, classes  # classes last: then the index is set
     return G._classes
 
 

@@ -1,5 +1,6 @@
 """The command line, driven in-process through main(argv)."""
 
+import importlib
 import io
 import json
 import os
@@ -651,3 +652,19 @@ class TestJsonText:
         code, out, _ = run(capsys, *argv, "--json")
         assert code == 0
         assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+class TestConsoleScript:
+    def test_the_declared_script_is_main_and_answers_help(self, capsys):
+        # tomllib is in the standard library from Python 3.11 on.
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+        assert scripts == {"wreathgen": "wreathgen.cli:main"}
+        module, attr = scripts["wreathgen"].split(":")
+        entry = getattr(importlib.import_module(module), attr)
+        assert entry is main
+        with pytest.raises(SystemExit) as exc:
+            entry(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: wreathgen ")

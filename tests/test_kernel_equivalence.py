@@ -9,6 +9,7 @@ import ast
 import itertools
 import random
 import re
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
@@ -192,6 +193,71 @@ def old_cyclic_orbit(action, x, k):
         orbit.append(y)
         y = move(y)
     return orbit
+
+
+def old_compose_images(p, q):
+    """compose's own comprehension: x -> q(p(x))."""
+    qi = q.images
+    return tuple([qi[i] for i in p.images])
+
+
+def old_product(G, g, h):
+    """FiniteGroup.product's own guard and itemgetter."""
+    if G.degree < 2:
+        return G.identity
+    return G.elements[G._index[itemgetter(*g.images)(h.images)]]
+
+
+def old_right_map(G, i):
+    """right_map's own comprehension: j -> the index of elements[j] * elements[i]."""
+    g, index = G.elements[i].images, G._index
+    return [index[tuple([g[k] for k in x.images])] for x in G.elements]
+
+
+def old_conjugation_maps(G):
+    """_conjugation_maps' own comprehension: j -> the index of s^-1 * elements[j] * s."""
+    index = G._index
+    conjugators = [(s.inverse().images, s.images) for s in G.generators]
+    images = [p.images for p in G.elements]
+    return [[index[tuple([s[x[k]] for k in s_inv])] for x in images]
+            for s_inv, s in conjugators]
+
+
+def old_regular_generators(H):
+    """regular_action's own loop: one composition and one index_of per entry."""
+    gens = []
+    for h in H.generators:
+        gens.append(Perm(tuple(H.index_of(Perm(old_compose_images(x, h))) for x in H.elements)))
+    return gens
+
+
+def old_class_loop(G):
+    """conjugacy_classes' own loop: each element not yet classed walks its _orbit."""
+    elements, maps = G.elements, old_conjugation_maps(G)
+    seen = bytearray(len(elements))
+    class_index = [0] * len(elements)
+    classes = []
+    for i, rep in enumerate(elements):
+        if seen[i]:
+            continue
+        orbit = groups._orbit(maps, i, seen)
+        for j in orbit:
+            class_index[j] = len(classes)
+        orbit.sort(key=lambda j: elements[j].images)
+        classes.append((rep, tuple(elements[j] for j in orbit)))
+    return class_index, classes
+
+
+def old_orbit_reps_loop(action):
+    """orbit_reps' own loop: each point not yet seen walks its _orbit."""
+    maps = [g.images for g in action.head.generators]
+    seen = bytearray(action.degree)
+    reps = []
+    for x in action.points():
+        if not seen[x]:
+            reps.append(x)
+            groups._orbit(maps, x, seen)
+    return reps
 
 
 def old_symmetric_group(n):
@@ -383,6 +449,109 @@ class TestHeadOrbits:
         assert orbit_reps(action) == old_orbit_reps(action)
         for x, k in itertools.product(action.points(), action.head.elements):
             assert cyclic_orbit(action, x, k) == old_cyclic_orbit(action, x, k), (x, k)
+
+
+# Degrees 0 and 1, where only the identity exists; 2 and 3; 256, the last degree
+# whose points fit a byte, and 257; the regular heads of ROADMAP item 8's list.
+RULE_GROUPS = {
+    "degree0": closure([Perm(())]), "degree1": symmetric_group(1),
+    "degree2": symmetric_group(2), "degree3": symmetric_group(3),
+    "degree256": perm_group(256, [(0, 255)], [(0, 1, 255)]),
+    "degree257": perm_group(257, [(254, 255, 256)], [(0, 256)]),
+    **GROUPS,
+    **{f"regular-{name}": regular_action(H).head for name, H in [
+        ("c12", cyclic_group(12)), ("klein4", klein_four_group()), ("sym3", symmetric_group(3)),
+        ("sym4", symmetric_group(4)), ("sym5", symmetric_group(5))]},
+    "c2-wr-sym1-head": parse_ambient("cyclic 2 wr (sym 1, natural)").action.head,
+}
+
+
+class TestCompositionRule:
+    """compose, product, the right rows, the conjugation maps and the regular
+    action all read "x then g" through one rule; each must equal the
+    comprehension or loop it replaced."""
+
+    @pytest.mark.parametrize("name", sorted(RULE_GROUPS))
+    def test_every_composition_equals_the_replaced_code(self, name):
+        G = RULE_GROUPS[name]
+        for g, h in itertools.product(G.elements, repeat=2):
+            assert compose(g, h).images == old_compose_images(g, h), (g, h)
+            assert G.product(g, h) is old_product(G, g, h), (g, h)
+        n = len(G)
+        assert [G.right_map(i) for i in range(n)] == [old_right_map(G, i) for i in range(n)]
+        assert groups._conjugation_maps(G) == old_conjugation_maps(G)
+
+    @pytest.mark.parametrize("name", sorted(RULE_GROUPS))
+    def test_regular_action_equals_the_replaced_loop(self, name):
+        H = RULE_GROUPS[name]
+        old = old_regular_generators(H)
+        assert [Perm(tuple(groups._index_map(H, None, h))) for h in H.generators] == old
+        head, expected = regular_action(H).head, closure(old)
+        assert (head.generators, head.elements) == (expected.generators, expected.elements)
+
+    def test_a_degree_mismatch_is_still_refused(self):
+        with pytest.raises(ValueError, match="degree mismatch: 1 vs 0"):
+            compose(Perm((0,)), Perm(()))
+
+    def test_a_one_point_head_multiplies_like_the_compose_copy(self):
+        W = parse_ambient("cyclic 2 wr (sym 1, natural)")
+        elements = W.enumerate_elements()
+        assert len(elements) == 2
+        for u, v in itertools.product(elements, repeat=2):
+            assert u * v == old_mul(u, v)
+
+
+class TestOrbitPartition:
+    """The conjugacy classes and the head orbits come from one partition loop;
+    each must equal the loop it replaced."""
+
+    @pytest.mark.parametrize("G", [
+        *RULE_GROUPS.values(), symmetric_group(6), alternating_group(5),
+        # Listed so that the identity comes last, not first.
+        FiniteGroup(3, symmetric_group(3).generators, reversed(symmetric_group(3).elements)),
+    ], ids=[*RULE_GROUPS, "sym6", "alt5", "reversed-sym3"])
+    def test_classes_and_class_index_equal_the_replaced_loop(self, G):
+        class_index, classes = old_class_loop(G)
+        assert [(c.representative, c.members) for c in conjugacy_classes(G)] == classes
+        assert G._class_index == class_index
+
+    @pytest.mark.parametrize("spec", [
+        "cyclic 2 wr perm-action 7: (0 1 2), (3 4)", "cyclic 2 wr perm-action 10: (0 1)",
+        "cyclic 2 wr perm-action 9: (8 7 6), (5 2)", "cyclic 2 wr (sym 1, natural)",
+        "cyclic 2 wr (sym 4, natural)", "cyclic 2 wr (klein4, regular)",
+    ])
+    def test_orbit_reps_equal_the_replaced_loop(self, spec):
+        action = parse_ambient(spec).action
+        assert orbit_reps(action) == old_orbit_reps_loop(action)
+
+    def test_orbit_reps_with_fixed_points(self):
+        action = parse_ambient("cyclic 2 wr perm-action 7: (0 1 2), (3 4)").action
+        assert orbit_reps(action) == [0, 3, 5, 6]
+        action = parse_ambient("cyclic 2 wr perm-action 10: (0 1)").action
+        assert orbit_reps(action) == [0, *range(2, 10)]
+        assert orbit_reps(FiniteAction(closure([Perm(())]))) == []
+
+    def test_an_interrupted_call_leaves_no_classes(self, monkeypatch):
+        class Interrupted(Exception):
+            pass
+
+        made = []
+
+        def third_raises(*fields):
+            made.append(fields)
+            if len(made) == 3:
+                raise Interrupted
+            return real(*fields)
+
+        G, real = symmetric_group(4), groups.ConjClass
+        monkeypatch.setattr(groups, "ConjClass", third_raises)
+        with pytest.raises(Interrupted):
+            conjugacy_classes(G)
+        assert len(made) == 3
+        assert G._classes is None and G._class_index == []
+        monkeypatch.undo()
+        assert [c.representative for c in conjugacy_classes(G)] == \
+            [rep for rep, _ in old_class_loop(G)[1]]
 
 
 class TestSubgroups:
