@@ -14,8 +14,8 @@ from wreathgen.invgen import (invariably_generates, invariably_generates_oracle,
 from wreathgen.parsing import parse_ambient, parse_perm
 from wreathgen.wreath import WreathProduct
 
+import reference as ref
 from small_groups import dihedral_group
-from test_kernel_equivalence import old_invariably_generates
 
 SYM3 = symmetric_group(3)
 SWAP = Perm.from_cycles([(0, 1)], 3)
@@ -71,8 +71,8 @@ class TestTupleSearch:
         for size in (1, 2):
             for S in itertools.combinations(SYM3.elements[1:], size):
                 pruned, _ = invariably_generates(SYM3, list(S))
-                full, _, _ = old_invariably_generates(SYM3, list(S), prune=False)
-                assert pruned == full
+                full = ref.first_failing_choice(ref.images(SYM3), ref.images(S), pinned=False)
+                assert pruned is (full is None)
 
 
 class TestOracle:

@@ -1,4 +1,5 @@
-"""Wreath-product arithmetic against the defining relation and a faithful copy."""
+"""Wreath-product arithmetic against the defining relation, the naive
+reference in tests/reference.py and a faithful permutation copy."""
 
 import itertools
 import random
@@ -15,6 +16,8 @@ from wreathgen.groups import (GroupTooLargeError, Perm, cyclic_group,
 from wreathgen.parsing import parse_ambient
 from wreathgen.wreath import (DEFAULT_ENUMERATION_CAP, WreathElement,
                               WreathProduct)
+
+import reference as ref
 
 C2 = cyclic_group(2)
 SYM3 = symmetric_group(3)
@@ -37,73 +40,6 @@ def random_element(rng, W):
     coords = {x: rng.choice(W.base_group.elements)
               for x in W.action.points() if rng.random() < 0.5}
     return W.element(coords, rng.choice(W.action.head.elements))
-
-
-def naive_pow(u, n):
-    """u^n as |n| repeated products, the definition of the power."""
-    step = u if n >= 0 else u.inverse()
-    result = u.ambient.identity()
-    for _ in range(abs(n)):
-        result = result * step
-    return result
-
-
-def union_mul(u, v):
-    """The product read point by point over the union of both supports:
-    x -> u(x) * v(x.k1), composing with the identity off a support."""
-    action = u.ambient.action
-    left, right = dict(u.base), dict(v.base)
-    k1_inv = action.head_inverse(u.head)
-    points = set(left) | set(map(action.point_map(k1_inv), right))
-    identity = u.ambient.base_group.identity
-    merged = {}
-    for x in points:
-        g = left.get(x, identity) * right.get(action.point_map(u.head)(x), identity)
-        if not g.is_identity():
-            merged[x] = g
-    return WreathElement(u.ambient, tuple(sorted(merged.items())),
-                         action.head_compose(u.head, v.head))
-
-
-def compose_mul(u, v):
-    """The product as it was made before the base group's memo: a fresh Perm
-    through compose for each point in both supports."""
-    action = u.ambient.action
-    k1_inv = action.head_inverse(u.head)
-    identity = u.ambient.base_group.identity.images
-    merged = dict(u.base)
-    for z, h in v.base:
-        x = action.point_map(k1_inv)(z)
-        if x in merged:
-            g = merged.pop(x) * h
-            if g.images != identity:
-                merged[x] = g
-        else:
-            merged[x] = h
-    return WreathElement(u.ambient, tuple(sorted(merged.items())),
-                         action.head_compose(u.head, v.head))
-
-
-def compose_inverse(u):
-    """The inverse as it was made before the memo: Perm.inverse per coordinate."""
-    action = u.ambient.action
-    flipped = {action.point_map(u.head)(x): g.inverse() for x, g in u.base}
-    return WreathElement(u.ambient, tuple(sorted(flipped.items())),
-                         action.head_inverse(u.head))
-
-
-def compose_pow(u, n):
-    """Square-and-multiply over compose_mul and compose_inverse."""
-    if n < 0:
-        return compose_pow(compose_inverse(u), -n)
-    result, square = u.ambient.identity(), u
-    while n:
-        if n & 1:
-            result = compose_mul(result, square)
-        n >>= 1
-        if n:
-            square = compose_mul(square, square)
-    return result
 
 
 class TestAmbient:
@@ -304,26 +240,21 @@ class TestElementArithmetic:
 
 
 class TestFastPathsAgainstDefinitions:
-    """Square-and-multiply powers and the fold-in product against the
-    definitions they replace, over the integers and over a finite head."""
+    """Square-and-multiply powers, the one-pass shift powers and the fold-in
+    product against the reference, over the integers and over a finite head."""
 
-    def test_product_equals_the_union_of_points_product(self):
+    def test_products_and_powers_equal_the_reference(self):
         rng = random.Random(53)
         for W in (OVER_Z, SYM3_WR_C3):
-            for _ in range(300):
-                u, v = random_element(rng, W), random_element(rng, W)
-                assert u * v == union_mul(u, v)
-
-    def test_power_equals_repeated_products(self):
-        rng = random.Random(59)
-        for W in (OVER_Z, SYM3_WR_C3):
-            for _ in range(6):
-                u = random_element(rng, W)
+            pairs = [(random_element(rng, W), random_element(rng, W)) for _ in range(300)]
+            for u, v in pairs:
+                assert ref.plain(u * v) == ref.wreath_mul(ref.plain(u), ref.plain(v))
+            for u, _ in pairs[:6]:
                 for n in range(-40, 41):
-                    assert u ** n == naive_pow(u, n)
+                    assert ref.plain(u ** n) == ref.wreath_pow(ref.plain(u), n)
 
     @pytest.mark.parametrize("spec", ["sym 3", "sym 4", "cyclic 5", "alt 4"])
-    def test_shift_powers_equal_square_and_multiply(self, spec):
+    def test_shift_powers_equal_the_reference_power(self, spec):
         W = parse_ambient(f"{spec} wr int-translation")
         G = W.base_group
         rng = random.Random(67)
@@ -342,18 +273,17 @@ class TestFastPathsAgainstDefinitions:
         for u in cases:
             for n in (0, 1, -1, 2, -2, 3, 7, 60, -60, 257):
                 power = u ** n
-                assert power == compose_pow(u, n), (u, n)
+                assert ref.plain(power) == ref.wreath_pow(ref.plain(u), n), (u, n)
                 assert all(c is G.elements[G.index_of(c)] for _, c in power.base)
 
     def test_a_shift_power_forms_no_wreath_product(self, monkeypatch):
         u = OVER_Z.element({0: SWAP, 3: SYM3.elements[4], 4: SWAP}, 2)
-        expected = {n: compose_pow(u, n) for n in (500, -500)}
 
         def refused(*args):
             raise AssertionError("a wreath product was formed")
         monkeypatch.setattr(WreathElement, "__mul__", refused)
-        for n, power in expected.items():
-            assert u ** n == power
+        for n in (500, -500):
+            assert ref.plain(u ** n) == ref.wreath_pow(ref.plain(u), n)
 
     def test_large_power_has_the_closed_form(self):
         # (swap@0 * t)^n puts swap at 0, -1, ..., -(n-1) under the head n.
@@ -369,11 +299,11 @@ KERNEL_AMBIENTS = ["sym 3 wr int-translation", "alt 4 wr (cyclic 2, natural)",
 
 class TestBaseGroupMemo:
     """`*`, `inverse` and `**` through the base group's `product` and row of
-    inverses, against the compose-based copies above."""
+    inverses, against the reference."""
 
     @pytest.mark.parametrize("kept", [True, False], ids=["kept", "past-budget"])
     @pytest.mark.parametrize("spec", KERNEL_AMBIENTS)
-    def test_memo_arithmetic_equals_the_compose_copy(self, monkeypatch, spec, kept):
+    def test_memo_arithmetic_equals_the_reference(self, monkeypatch, spec, kept):
         if not kept:
             # One slot short of all the base group's rows: it keeps no table.
             order = len(parse_ambient(spec).base_group)
@@ -391,9 +321,10 @@ class TestBaseGroupMemo:
                     for w in (random_element(rng, W), random_element(rng, W)))
             n = rng.randint(-9, 9)
             product, inverse, power = u * v, u.inverse(), u ** n
-            assert product == compose_mul(u, v)
-            assert inverse == compose_inverse(u)
-            assert power == compose_pow(u, n)
+            a = ref.plain(u)
+            assert ref.plain(product) == ref.wreath_mul(a, ref.plain(v))
+            assert ref.plain(inverse) == ref.wreath_inverse(a)
+            assert ref.plain(power) == ref.wreath_pow(a, n)
             assert all(map(own, (u, v, product, inverse, power)))
         # Inverses were read from the row of inverses.
         assert any(G._inverses)
@@ -560,72 +491,6 @@ def test_hypothesis_inverse_of_products(indices, shift):
     assert product.inverse() == reversed_inverses
 
 
-# Copies of `element`, `identity`, `base_embed`, `head_embed`, `*`, `inverse`
-# and `FiniteGroup.product` as they were before the pure-head shortcuts: every
-# element built through one dict and a sort, every product through a list.
-
-def old_product(G, g, h):
-    hi = h.images
-    return G.elements[G._index[tuple([hi[x] for x in g.images])]]
-
-
-def old_element(W, base, head):
-    group = W.base_group
-    elements, index, identity = group.elements, group._index, group.identity
-    canonical = {}
-    for x, g in base.items():
-        if not W.action.contains_point(x):
-            raise ValueError(f"point {x!r} is not in the index set")
-        i = index.get(g.images) if isinstance(g, Perm) else None
-        if i is None:
-            raise ValueError(f"{g!r} is not in the base group")
-        g = elements[i]
-        if g is not identity:
-            canonical[x] = g
-    if isinstance(W.action, FiniteAction):
-        is_head = isinstance(head, Perm) and head in W.action.head
-    else:
-        is_head = W.action.contains_head(head)
-    if not is_head:
-        raise ValueError(f"{head!r} is not a head element")
-    return wreath._element(W, tuple(sorted(canonical.items())), head)
-
-
-def old_mul(u, v):
-    if u.ambient is not v.ambient and u.ambient != v.ambient:
-        raise ValueError("elements live in different ambient wreath products")
-    action, G = u.ambient.action, u.ambient.base_group
-    new_head = action.head_compose(u.head, v.head)
-    point = action.point_map(action.head_inverse(u.head))
-    merged = dict(u.base)
-    for z, h in v.base:
-        x = point(z)
-        g = merged.pop(x, None)
-        if g is None:
-            merged[x] = h
-        else:
-            g = old_product(G, g, h)
-            if g is not G.identity:
-                merged[x] = g
-    return wreath._element(u.ambient, tuple(sorted(merged.items())), new_head)
-
-
-def old_inverse(u):
-    action = u.ambient.action
-    point = action.point_map(u.head)
-    flipped = {point(x): u.ambient.base_group.inverse(g) for x, g in u.base}
-    return wreath._element(u.ambient, tuple(sorted(flipped.items())),
-                           action.head_inverse(u.head))
-
-
-def outcome(build, *args):
-    """What a call gives: its value, or the type and message of its error."""
-    try:
-        return build(*args)
-    except (ValueError, TypeError) as exc:
-        return type(exc), str(exc)
-
-
 # The nine finite ambients the benchmark's finite-wreath workload builds, then
 # an integer head and the trivial groups as base and head.
 SAME_RESULT_AMBIENTS = [
@@ -649,13 +514,6 @@ class TestSameResultsAsBefore:
             H = u.ambient.action.head
             assert u.head is H.elements[H.index_of(u.head)]
 
-    @staticmethod
-    def assert_same(new, old):
-        assert new == old
-        if isinstance(new, WreathElement):
-            assert all(a is b for (_, a), (_, b) in zip(new.base, old.base))
-            assert new.head is old.head or not isinstance(new.head, Perm)
-
     @pytest.mark.parametrize("spec", SAME_RESULT_AMBIENTS)
     def test_products_of_base_and_head_groups(self, spec):
         W = parse_ambient(spec)
@@ -663,8 +521,9 @@ class TestSameResultsAsBefore:
         if isinstance(W.action, FiniteAction):
             groups_.append(W.action.head)
         for G in groups_:
+            index = dict(zip(ref.images(G), G.elements))
             for g, h in itertools.product(G.elements, repeat=2):
-                assert G.product(g, h) is old_product(G, g, h)
+                assert G.product(g, h) is index[ref.compose(g.images, h.images)]
 
     @pytest.mark.parametrize("spec", SAME_RESULT_AMBIENTS)
     def test_constructors_and_their_errors(self, spec):
@@ -676,21 +535,40 @@ class TestSameResultsAsBefore:
         coords = [*G.elements, Perm.identity(G.degree + 1), Perm(G.elements[-1].images), 3, None]
         heads = ([*action.head.elements, Perm.identity(degree + 1), 1, None] if finite
                  else [0, 2, -3, True, Perm.identity(2), None])
-        same = self.assert_same
-        same(W.identity(), old_element(W, {}, action.head_identity()))
+
+        def expected(base, k):
+            """The first fault's one message, a point's before its coordinate's
+            and every entry's before the head's; else the element's value."""
+            for x, g in base.items():
+                if type(x) is not int or finite and not 0 <= x < degree:
+                    return ValueError, f"point {x!r} is not in the index set"
+                if getattr(g, "images", None) not in ref.images(G):
+                    return ValueError, f"{g!r} is not in the base group"
+            if not (getattr(k, "images", None) in ref.images(action.head) if finite
+                    else type(k) is int):
+                return ValueError, f"{k!r} is not a head element"
+            return ({x: g.images for x, g in base.items() if not ref.is_identity(g.images)},
+                    k if type(k) is int else k.images)
+
+        def check(base, k, build=W.element):
+            try:
+                u = build(base, k)
+            except ValueError as exc:
+                assert (ValueError, str(exc)) == expected(base, k)
+            else:
+                assert ref.plain(u) == expected(base, k)
+                self.assert_own(u)
+
+        check({}, action.head_identity(), lambda base, k: W.identity())
         for k in heads:
-            same(outcome(W.head_embed, k), outcome(old_element, W, {}, k))
-            same(outcome(W.element, {}, k), outcome(old_element, W, {}, k))
+            check({}, k, lambda base, k: W.head_embed(k))
+            check({}, k)
         for x, g in itertools.product(points, coords):
-            same(outcome(W.base_embed, g, x),
-                 outcome(old_element, W, {x: g}, action.head_identity()))
+            check({x: g}, action.head_identity(), lambda base, k: W.base_embed(g, x))
             for k in heads:
-                same(outcome(W.element, {x: g}, k), outcome(old_element, W, {x: g}, k))
+                check({x: g}, k)
                 # Two points: a fault at either is reported before the head's.
-                base = {degree - 1: G.elements[-1], x: g}
-                same(outcome(W.element, base, k), outcome(old_element, W, base, k))
-        for u in (W.identity(), *map(W.head_embed, heads[:len(action.head) if finite else 3])):
-            self.assert_own(u)
+                check({degree - 1: G.elements[-1], x: g}, k)
 
     @pytest.mark.parametrize("spec", SAME_RESULT_AMBIENTS)
     def test_products_and_inverses(self, spec):
@@ -701,10 +579,12 @@ class TestSameResultsAsBefore:
         samples += [random_element(rng, W) for _ in range(30)]
         samples += [W.element(dict(u.base), W.action.head_identity()) for u in samples[-5:]]
         for u in samples:
-            self.assert_same(u.inverse(), old_inverse(u))
+            assert ref.plain(u.inverse()) == ref.wreath_inverse(ref.plain(u))
             self.assert_own(u.inverse())
             for v in rng.sample(samples, 10):
-                self.assert_same(u * v, old_mul(u, v))
+                assert ref.plain(u * v) == ref.wreath_mul(ref.plain(u), ref.plain(v))
                 self.assert_own(u * v)
         other = parse_ambient("cyclic 3 wr (cyclic 3, natural)").identity()
-        assert outcome(lambda: samples[0] * other) == outcome(lambda: old_mul(samples[0], other))
+        with pytest.raises(ValueError,
+                           match="^elements live in different ambient wreath products$"):
+            samples[0] * other
