@@ -142,7 +142,13 @@ def cyclic_orbit(k, x):
 
 
 def plain(u):
-    """A wreathgen element, read through its attributes, as a (base, head) pair."""
+    """A wreathgen element, read through its attributes, as a (base, head) pair.
+
+    The dict forgets the order of u's base, so its points are first checked to
+    strictly increase: wreathgen keeps them sorted, and equality compares them
+    in order."""
+    points = [x for x, _ in u.base]
+    assert points == sorted(set(points)), f"base points not strictly increasing: {points}"
     return {x: g.images for x, g in u.base}, u.head if isinstance(u.head, int) else u.head.images
 
 
