@@ -243,7 +243,6 @@ class FiniteGroup:
         # keeps it.
         self._rows: list | None = [None] * n if n * n <= RIGHT_MAP_BUDGET else None
         self._inverses: list[Perm | None] = [None] * n
-        self._hash: int | None = None
 
     @property
     def order(self) -> int:
@@ -293,9 +292,7 @@ class FiniteGroup:
         return self.degree == other.degree and self.elements == other.elements
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.degree, self.elements))
-        return self._hash
+        return hash((self.degree, self.elements))
 
     def __repr__(self) -> str:
         return f"FiniteGroup(degree={self.degree}, order={self.order})"

@@ -15,7 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from wreathgen import actions, cli, constructions, groups, invgen, parsing, wreath
-from wreathgen.actions import FiniteAction, IntTranslation
+from wreathgen.actions import IntTranslation
 from wreathgen.classify import IGStatus
 from wreathgen.cli import main
 from wreathgen.wreath import WreathElement
@@ -573,9 +573,6 @@ class TestInternalChecks:
         ((cli, "invariably_generates_oracle", lambda G, S: False),
          ["invgen", "sym 3", "(0 1), (0 1 2)", "--oracle"],
          "the tuple search says yes, the maximal-subgroup oracle says no"),
-        ((FiniteAction, "head_inverse", lambda self, h: h),
-         ["wreath", "eval", "cyclic 3 wr (cyclic 3, natural)", "h:(0 1 2)"],
-         "conjugation convention violated: "),
         ((actions, "closure", _first_generator_only),
          ["construct", "torsion-igset", "cyclic 2 wr (sym 3, regular)"],
          "regular action has wrong order"),
@@ -586,7 +583,7 @@ class TestInternalChecks:
         ((constructions, "beta", lambda alpha_e, alpha_g, m, n: alpha_e.element.ambient.identity()),
          ["construct", "gamma", "sym 3"],
          "expected Perm((1, 0, 2)) at coordinate 4, found Perm((0, 1, 2)) (c=4, d=4, m=9, n=1)\n"),
-    ], ids=["classify", "oracle", "self-test", "regular-action", "embedding", "min", "gamma"])
+    ], ids=["classify", "oracle", "regular-action", "embedding", "min", "gamma"])
     @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
     def test_exits_1_with_one_error_line(self, capsys, monkeypatch, patch, argv, message,
                                          json_flag):

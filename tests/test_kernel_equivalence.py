@@ -334,8 +334,8 @@ FINITE_WREATH = [
     "sym 3 wr (cyclic 2, natural)", "cyclic 3 wr (sym 3, natural)",
     "alt 4 wr (cyclic 2, natural)", "cyclic 2 wr (sym 3, regular)",
     "sym 3 wr (cyclic 3, natural)",
-    # Sym(3) from two transpositions: the self-test, on generators alone, cannot
-    # tell a head from its inverse, but a 3-cycle in a product can.
+    # Sym(3) from two transpositions: each head generator is its own inverse,
+    # so a head taken for its inverse shows only at a product, such as a 3-cycle.
     "sym 3 wr perm-action 3: (0 1), (1 2)",
 ]
 
@@ -372,7 +372,21 @@ class TestFiniteHeads:
         W, again = parse_ambient(spec), parse_ambient(spec)
         assert W is not again and W == again
         assert hash(W) == hash(again) == hash((W.base_group, W.action))
-        assert hash(W.identity()) == hash(again.identity())
+        finite = isinstance(W.action, FiniteAction)
+        heads = W.action.head.elements if finite else range(-2, 3)
+        points = W.action.points() if finite else range(-2, 3)
+        # The trivial base group over the same action: its pure heads have the
+        # same base and head as W's, in an unequal ambient.
+        trivial = parse_ambient("cyclic 1 wr" + spec.split(" wr", 1)[1])
+        for k in heads:
+            for g in W.base_group.elements:
+                for y in points:
+                    u = W.base_embed(g, y) * W.head_embed(k)
+                    twin = again.base_embed(g, y) * again.head_embed(k)
+                    assert u == twin and hash(u) == hash(twin)
+            u, other = W.head_embed(k), trivial.head_embed(k)
+            assert (u.base, u.head) == (other.base, other.head)
+            assert u != other and not u == other
 
 
 # -- the alpha/beta closed forms ----------------------------------------------------

@@ -183,7 +183,7 @@ def test_perm_groups_past_the_image_entry_budget_exit_2_with_one_error_line_unde
     assert error_lines(err) == 1
 
 
-def test_a_perm_action_head_of_degree_20000_self_tests_within_10_s():
+def test_a_perm_action_head_of_degree_20000_builds_within_10_s():
     assert wreathgen("wreath", "eval", "cyclic 2 wr perm-action 20000: (0 1)", "id",
                      timeout=10)[0] == 0
 

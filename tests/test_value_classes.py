@@ -83,9 +83,6 @@ class _WreathProduct:
         if not isinstance(self.action, (FiniteAction, IntTranslation)):
             raise TypeError(f"unsupported action: {self.action!r}")
 
-    def __hash__(self) -> int:
-        return hash((self.base_group, self.action))
-
 
 @dataclass(frozen=True)
 class _WreathElement:
@@ -94,6 +91,9 @@ class _WreathElement:
     head: object
 
     __repr__ = WreathElement.__repr__
+
+    def __hash__(self) -> int:
+        return hash((self.base, self.head))
 
 
 @dataclass(frozen=True)
@@ -280,11 +280,7 @@ class TestAgainstTheDataclass:
             assert (x != y) is (cx != cy)
 
     def test_construction_by_keyword(self, cls):
-        if cls is WreathProduct:  # each build runs the self-test: one is enough
-            xs = SAMPLES[cls][:1]
-        else:
-            xs = SAMPLES[cls]
-        for x in xs:
+        for x in SAMPLES[cls]:
             values = _values(COPIES[cls], x)
             assert cls(**values) == x
             assert COPIES[cls](**values) == _copy(x)

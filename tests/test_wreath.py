@@ -18,6 +18,7 @@ from wreathgen.wreath import (DEFAULT_ENUMERATION_CAP, WreathElement,
                               WreathProduct)
 
 import reference as ref
+from test_kernel_equivalence import FINITE_WREATH
 
 C2 = cyclic_group(2)
 SYM3 = symmetric_group(3)
@@ -42,45 +43,40 @@ def random_element(rng, W):
     return W.element(coords, rng.choice(W.action.head.elements))
 
 
+def law_violations(W):
+    """Each (g, k, y) at which k^-1 * g@y * k != g@(y.k), over every base element
+    g, every head element k and every point y; over the integers, the shifts
+    -3..3 and the points -4..4."""
+    if isinstance(W.action, IntTranslation):
+        heads, points = range(-3, 4), range(-4, 5)
+    else:
+        heads, points = W.action.head.elements, W.action.points()
+    violations = []
+    for k in heads:
+        kk = W.head_embed(k)
+        kk_inv = kk.inverse()
+        for g in W.base_group.elements:
+            for y in points:
+                if kk_inv * W.base_embed(g, y) * kk != W.base_embed(g, apply(W.action, y, k)):
+                    violations.append((g, k, y))
+    return violations
+
+
 class TestAmbient:
-    def test_conjugating_a_coordinate_translates_its_index(self):
-        for W in (SMALL, WreathProduct(SYM3, FiniteAction(C2))):
-            head_elements = W.action.head.elements
-            for g in W.base_group.elements:
-                for k in head_elements:
-                    kk = W.head_embed(k)
-                    for y in W.action.points():
-                        assert kk.inverse() * W.base_embed(g, y) * kk == \
-                            W.base_embed(g, apply(W.action, y, k))
+    @pytest.mark.parametrize("spec", FINITE_WREATH + ["sym 3 wr int-translation"])
+    def test_conjugating_a_coordinate_translates_its_index(self, spec):
+        assert law_violations(parse_ambient(spec)) == []
 
     @pytest.mark.parametrize("action_type, spec", [
         (FiniteAction, "cyclic 3 wr (cyclic 3, natural)"),
         (FiniteAction, "cyclic 2 wr (sym 3, regular)"),
         (IntTranslation, "sym 3 wr int-translation"),
     ])
-    def test_the_self_test_refuses_a_broken_convention(self, monkeypatch, action_type, spec):
-        # Taking each head element for its own inverse breaks the relation
-        # on a head generator of order above 2.
+    def test_the_law_check_reports_a_broken_convention(self, monkeypatch, action_type, spec):
+        # Taking each head element for its own inverse breaks the law at a
+        # head element of order above 2.
         monkeypatch.setattr(action_type, "head_inverse", lambda self, h: h)
-        with pytest.raises(RuntimeError, match="^conjugation convention violated: "):
-            parse_ambient(spec)
-
-    def test_the_self_test_checks_every_orbit_representative(self, monkeypatch):
-        # Each base generator is placed at every representative in one element.
-        W = parse_ambient("sym 3 wr perm-action 7: (0 1 2), (3 4)")
-        reps = orbit_reps(W.action)
-        assert reps == [0, 3, 5, 6]
-        placed = []
-        element = WreathProduct.element
-
-        def recorded(self, base, head):
-            placed.append(dict(base))
-            return element(self, base, head)
-
-        monkeypatch.setattr(WreathProduct, "element", recorded)
-        WreathProduct(W.base_group, W.action)
-        for g in W.base_group.generators:
-            assert dict.fromkeys(reps, g) in placed
+        assert law_violations(parse_ambient(spec))
 
     def test_many_head_orbits_are_refused_before_any_product(self, monkeypatch):
         monkeypatch.setattr(wreath, "DEFAULT_ENUMERATION_CAP", 5)
@@ -94,14 +90,14 @@ class TestAmbient:
         monkeypatch.setattr(WreathElement, "__mul__", counted)
         # (0 1) fixes 8 of 10 points: at least 8 orbits, past the cap of 5.
         with pytest.raises(GroupTooLargeError, match=r"^too large for the enumeration cap: "
-                           r"head orbits to self-test, at least 8 > 5$"):
+                           r"head orbits, at least 8 > 5$"):
             parse_ambient("cyclic 2 wr perm-action 10: (0 1)")
         assert products == []
         # The bound subtracts each generator's moved points: 10 - 4 - 2 = 4,
-        # under the cap, so this one builds, with 7 orbits.
+        # under the cap, so this one builds, with 7 orbits, and still no product.
         W = parse_ambient("cyclic 2 wr perm-action 10: (0 1 2 3), (0 1)")
         assert len(orbit_reps(W.action)) == 7
-        assert products
+        assert products == []
 
     def test_orders(self):
         assert SMALL.order() == 8
@@ -155,6 +151,20 @@ class TestAmbient:
         assert len(set(listed)) == 8
         assert listed == SMALL.enumerate_elements()
         assert listed[0] == SMALL.identity()
+
+    def test_elements_hash_by_base_and_head_alone(self, monkeypatch):
+        W = parse_ambient("sym 3 wr (cyclic 3, natural)")
+
+        def unhashable(self):
+            raise AssertionError(f"{self!r} was hashed")
+
+        monkeypatch.setattr(WreathProduct, "__hash__", unhashable)
+        monkeypatch.setattr(groups.FiniteGroup, "__hash__", unhashable)
+        assert len(set(W.enumerate_elements())) == W.order() == 648
+        # 5 points x 5 nontrivial coordinates x 5 shifts, and 5 pure shifts, each twice.
+        shifted = [OVER_Z.element({x: g}, s) for x in range(-2, 3)
+                   for g in SYM3.elements for s in range(-2, 3)]
+        assert len(set(shifted + shifted)) == 5 * 5 * 5 + 5
 
     def test_enumeration_cap(self, monkeypatch):
         monkeypatch.setattr(wreath, "DEFAULT_ENUMERATION_CAP", 10)
